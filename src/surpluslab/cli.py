@@ -55,34 +55,24 @@ def read_matrix_csv(path: str):
     return names, rows
 
 
-def _open_out(args, default_name: str):
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return open(out_dir / default_name, "w"), out_dir
-    return sys.stdout, None
-
-
-def _write_manifest(out_dir, name, args, param_files, streams, **options):
-    if out_dir is None:
+def _emit_lines(args, name, lines, param_files, streams, file_name=None,
+                **options):
+    """Write lines to stdout, or to --out/<file_name> next to a manifest
+    named `name`; file_name defaults to name plus the --format suffix."""
+    text = "".join(line + "\n" for line in lines)
+    if not args.out:
+        sys.stdout.write(text)
         return
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if file_name is None:
+        file_name = name + (".jsonl" if args.format == "json" else ".csv")
+    (out_dir / file_name).write_text(text)
     hashes = {Path(p).name: content_hash(Path(p).read_bytes())
               for p in param_files}
     manifest = ExperimentManifest(name, args.seed, args.reps, hashes,
                                   list(streams), dict(sorted(options.items())))
     (out_dir / "manifest.json").write_text(manifest.to_json())
-
-
-def _emit_lines(args, name, lines, param_files, streams, **options):
-    fh, out_dir = _open_out(args, name + (".jsonl" if args.format == "json"
-                                          else ".csv"))
-    try:
-        for line in lines:
-            fh.write(line + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-    _write_manifest(out_dir, name, args, param_files, streams, **options)
 
 
 def cmd_sample_tree(args):
@@ -246,29 +236,16 @@ def cmd_experiment(args):
             family.append(model)
         report = experiments.converge_experiment(family, target, args.points,
                                                  args.reps, rng)
-        rows = [dict(r) for r in report["rows"]]
-        fh, out_dir = _open_out(args, "converge.csv")
+        perm = report["last_member_permutation"]
         meta = {"experiment": "converge", "seed": args.seed,
                 "decreasing": report["decreasing"],
-                "permutation_p": report["last_member_permutation"]["p"],
-                "permutation_threshold95":
-                    report["last_member_permutation"]["threshold95"],
-                "permutation_observed":
-                    report["last_member_permutation"]["observed"]}
-        lines = [f"# {k} = {meta[k]}" for k in sorted(meta)]
-        cols = ["member", "label", "energy", "ks_max"]
-        lines.append(",".join(cols))
-        for row in rows:
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                                  else str(row[c]) for c in cols))
-        try:
-            fh.write("\n".join(lines) + "\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
-        _write_manifest(out_dir, "experiment-converge", args,
-                        list(args.family) + [args.target], [0],
-                        k=args.k, points=args.points)
+                "permutation_p": perm["p"],
+                "permutation_threshold95": perm["threshold95"],
+                "permutation_observed": perm["observed"]}
+        _emit_lines(args, "experiment-converge",
+                    experiments.table_csv_lines(report["rows"], meta),
+                    list(args.family) + [args.target], [0],
+                    file_name="converge.csv", k=args.k, points=args.points)
         return 0
     if args.what == "bias-tail":
         seq = load_params(args.params)
@@ -277,18 +254,11 @@ def cmd_experiment(args):
         m_grid = [float(x) for x in args.m_grid.split(",")]
         rows = experiments.bias_tail_experiment(seq, args.k, m_grid,
                                                 args.reps, rng)
-        fh, out_dir = _open_out(args, "bias-tail.csv")
-        lines = [f"# experiment = bias-tail", f"# seed = {args.seed}",
-                 f"# k = {args.k}", "m,estimate,stderr"]
-        for row in rows:
-            lines.append(f"{row['m']!r},{row['estimate']!r},{row['stderr']!r}")
-        try:
-            fh.write("\n".join(lines) + "\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
-        _write_manifest(out_dir, "experiment-bias-tail", args, [args.params],
-                        [0], k=args.k, m_grid=args.m_grid)
+        meta = {"experiment": "bias-tail", "seed": args.seed, "k": args.k}
+        _emit_lines(args, "experiment-bias-tail",
+                    experiments.table_csv_lines(rows, meta), [args.params],
+                    [0], file_name="bias-tail.csv", k=args.k,
+                    m_grid=args.m_grid)
         return 0
     raise ValidationError(f"unknown experiment {args.what!r}")
 
@@ -317,6 +287,9 @@ def cmd_oracle(args):
 
 
 _GLOBAL_FLAGS = {"seed": 0, "out": None, "reps": 1, "format": "json"}
+# the commands with a CSV form, and the input flag each experiment needs
+_CSV_COMMANDS = ("sample-icrt", "sample-icrg", "experiment")
+_EXPERIMENT_INPUT = {"converge": "target", "bias-tail": "params"}
 
 
 def _add_global_flags(parser):
@@ -333,6 +306,16 @@ def _resolve_global_flags(args, pre):
         if getattr(args, name, None) is None:
             value = getattr(pre, name, None)
             setattr(args, name, default if value is None else value)
+
+
+def _check_usage(parser, args):
+    """Usage errors argparse cannot see on its own; each exits 1."""
+    if args.format == "csv" and args.command not in _CSV_COMMANDS:
+        parser.error(f"{args.command} has no CSV output; drop --format csv")
+    if args.command == "experiment":
+        flag = _EXPERIMENT_INPUT[args.what]
+        if getattr(args, flag) is None:
+            parser.error(f"experiment {args.what} needs --{flag}")
 
 
 def build_parser() -> _Parser:
@@ -390,9 +373,10 @@ def main(argv=None) -> int:
     try:
         pre, _ = pre_parser.parse_known_args(argv)
         args = parser.parse_args(argv)
+        _resolve_global_flags(args, pre)
+        _check_usage(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    _resolve_global_flags(args, pre)
     try:
         return args.fn(args)
     except CapExceeded as exc:

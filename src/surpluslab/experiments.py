@@ -23,12 +23,12 @@ from .errors import InsufficientLeaves, ValidationError
 from .labels import Vertex, is_star, star
 from .multigraph import Multigraph
 from .params import KIND_SURPLUS, KIND_TREE, DegreeSequence
-from .samplers import (_bias_from_fathers, _int_adjacency, _sample_pk_glued,
+from .samplers import (_bias_from_fathers, _sample_pk_glued,
                        sample_configuration_model, sample_dk_graph,
                        sample_multiplicative_graph,
                        sample_multiplicative_multigraph)
-from .trees import (PTreeGrowth, _base_multiset, _stick_break_int_edges,
-                    sample_d_tree, tree_distance_matrix)
+from .trees import (PTreeGrowth, _base_multiset, _walk, sample_d_tree,
+                    tree_distance_matrix)
 
 VERSION = "0.1.0"
 
@@ -315,14 +315,12 @@ def d_tree_bias_values(tree_seq: DegreeSequence, k: int, n_samples: int,
         raise ValidationError("bias tail runs on tree-kind sequences")
     if tree_seq.N + 1 < 2 * k:
         raise InsufficientLeaves("need at least 2k leaves besides S0")
-    base = _base_multiset(tree_seq)
+    base = np.array(_base_multiset(tree_seq), dtype=np.int64)
     out = np.empty(n_samples)
     for r in range(n_samples):
-        perm = rng.permutation(len(base))
-        edges = _stick_break_int_edges([base[j] for j in perm])
-        adj = _int_adjacency(edges)
-        fathers = [adj[-(j + 2)][0] for j in range(2 * k)]
-        b, _, _ = _bias_from_fathers(adj, fathers, k)
+        entries = base[rng.permutation(len(base))].tolist()
+        parent, depth, fathers = _walk(entries, 2 * k + 1)
+        b, _, _ = _bias_from_fathers(parent, depth, fathers[1:2 * k + 1])
         out[r] = float(b)
     return out
 
@@ -376,8 +374,8 @@ def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_table_csv(path, rows: List[dict], metadata: Dict[str, object]):
-    """CSV with '#'-prefixed metadata header rows; deterministic bytes."""
+def table_csv_lines(rows: List[dict], metadata: Dict[str, object]) -> List[str]:
+    """'#' metadata rows by sorted key, a header, then repr-exact rows."""
     lines = [f"# {k} = {metadata[k]}" for k in sorted(metadata)]
     if rows:
         cols = list(rows[0].keys())
@@ -385,5 +383,10 @@ def write_table_csv(path, rows: List[dict], metadata: Dict[str, object]):
         for row in rows:
             lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
                                   else str(row[c]) for c in cols))
+    return lines
+
+
+def write_table_csv(path, rows: List[dict], metadata: Dict[str, object]):
+    """CSV file of table_csv_lines."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(table_csv_lines(rows, metadata)) + "\n")

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,76 +26,46 @@ from .errors import (OddSum, TooLarge, ValidationError, VertexCollision)
 from .labels import Vertex, internal, is_star, star
 from .multigraph import Multigraph, bias_bound, glue_tree_leaves
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, DegreeSequence,
-                     PVector, as_fraction, validate)
+                     PVector, as_fraction)
 from .trees import (LabeledTree, PTreeGrowth, _base_multiset,
-                    _stick_break_int_edges, multiset_arrangements, tree_count)
+                    _stick_break_int_edges, _walk, multiset_arrangements,
+                    tree_count)
 
 # ---------------------------------------------------------------------------
-# bias evaluation straight from a tree adjacency
+# bias evaluation from the walk's parent pointers
 
 
-def _tree_path_edges(adj, a, b):
-    """Edge set (as frozensets) of the unique a-b path."""
-    if a == b:
-        return set()
-    parent = {a: None}
-    frontier = [a]
-    while b not in parent:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    out = set()
-    cur = b
-    while parent[cur] is not None:
-        out.add(frozenset((cur, parent[cur])))
-        cur = parent[cur]
-    return out
-
-
-def _bias_from_fathers(adj, fathers, k):
+def _bias_from_fathers(parent, depth, fathers):
     """(bias, partial-gluing squares, leaf pair distances) for glue fathers.
 
-    fathers[2i], fathers[2i+1] are the attachment vertices of the i-th
-    glued leaf pair.  Matches multigraph.bias exactly: the square after
-    gluing pairs 1..i is |union of father paths| + i, and the symmetry
-    factor multiplies loop powers and edge-multiplicity factorials.
+    fathers[2i], fathers[2i+1] attach the i-th glued leaf pair.  A pair's
+    tree path comes from climbing parent pointers from the deeper side
+    until the sides meet, naming each edge by its lower end.  Matches
+    multigraph.bias exactly: the square after gluing pairs 1..i is |union
+    of father paths| + i, and the symmetry factor, 2^m m! for m loops or
+    (e+m)! for m copies beside e tree edges, grows by one factor per copy.
     """
-    path_sets = []
-    dists = []
-    for i in range(k):
-        es = _tree_path_edges(adj, fathers[2 * i], fathers[2 * i + 1])
-        path_sets.append(es)
-        dists.append(len(es) + 2)
     union = set()
-    squares = []
-    for i in range(k):
-        union |= path_sets[i]
-        squares.append(len(union) + i + 1)
-    glue = Counter(frozenset((fathers[2 * i], fathers[2 * i + 1]))
-                   for i in range(k))
+    squares, dists = [], []
+    copies = Counter()
     circ_val = 1
-    for key, extra in glue.items():
-        if len(key) == 1:
-            circ_val *= 2 ** extra * math.factorial(extra)
-        else:
-            a, b = tuple(key)
-            existing = 1 if b in adj[a] else 0
-            circ_val *= math.factorial(existing + extra)
-    if k == 0:
-        return Fraction(1), [], []
-    return Fraction(circ_val, math.prod(squares)), squares, dists
-
-
-def _int_adjacency(edges):
-    adj: Dict[int, list] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return adj
+    for i in range(len(fathers) // 2):
+        a, b = fathers[2 * i], fathers[2 * i + 1]
+        pair = frozenset((a, b))
+        copies[pair] += 1
+        m, length = copies[pair], 0
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            union.add(a)
+            a = parent[a]
+            length += 1
+        circ_val *= 2 * m if length == 0 else (length == 1) + m
+        squares.append(len(union) + i + 1)
+        dists.append(length + 2)
+    value = Fraction(circ_val, math.prod(squares))
+    assert value <= bias_bound(len(squares)), "bias bound violated"
+    return value, squares, dists
 
 
 def _designated_vertex(x: int, two_k: int) -> Vertex:
@@ -115,8 +85,23 @@ def _designated_vertex(x: int, two_k: int) -> Vertex:
     return star(j)
 
 
+def _glue(tree: LabeledTree, k: int) -> Multigraph:
+    """Glue the leaf pairs (S1,S2)..(S2k-1,S2k) of a tree."""
+    return glue_tree_leaves(tree, [(star(2 * i - 1), star(2 * i))
+                                   for i in range(1, k + 1)])
+
+
+def _dk_graph(entries: Sequence[int], k: int) -> Multigraph:
+    """A tuple's tree with leaves S0..S2k-1 renamed S1..S2k, glued."""
+    return _glue(LabeledTree([(_designated_vertex(u, 2 * k),
+                               _designated_vertex(v, 2 * k))
+                              for u, v in _stick_break_int_edges(entries)]), k)
+
+
 # ---------------------------------------------------------------------------
 # (D,k)-graph sampling
+
+_TABLE_CAP = 30000
 
 
 @dataclass
@@ -146,94 +131,92 @@ def _check_surplus_kind(seq: DegreeSequence, k=None) -> int:
     return seq.k
 
 
-def build_dk_table(seq: DegreeSequence, cap: int = 30000) -> DkTable:
+def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
     k = _check_surplus_kind(seq)
     tree_seq = seq.to_tree_kind()
     count = tree_count(tree_seq)
     if count > cap:
         raise TooLarge(f"{count} tuples exceeds the table cap {cap}")
     bound = bias_bound(k)
-    pairs = [(star(2 * i - 1), star(2 * i)) for i in range(1, k + 1)]
-    accept, biases, squares_all, dists_all, graphs, key_ids, keys = \
-        [], [], [], [], [], [], []
+    accept, biases, squares_all, dists_all, graphs, key_ids = \
+        [], [], [], [], [], []
     key_index: Dict[tuple, int] = {}
+    # tuples whose glued graphs are equal share one object and its key id
+    shared: Dict[tuple, tuple] = {}
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
-        edges = _stick_break_int_edges(arrangement)
-        adj = _int_adjacency(edges)
-        fathers = [adj[-(j + 1)][0] for j in range(2 * k)]
-        b, squares, dists = _bias_from_fathers(adj, fathers, k)
-        assert b <= bound, "bias bound violated"
-        tree = LabeledTree([(_designated_vertex(u, 2 * k),
-                             _designated_vertex(v, 2 * k)) for u, v in edges])
-        glued = glue_tree_leaves(tree, pairs) if k else Multigraph.from_tree(tree)
-        key = glued.leaf_canonical_key()
-        if key not in key_index:
-            key_index[key] = len(keys)
-            keys.append(key)
+        parent, depth, fathers = _walk(arrangement, 2 * k)
+        b, squares, dists = _bias_from_fathers(parent, depth, fathers[:2 * k])
+        glued = _dk_graph(arrangement, k)
+        label = glued.key()
+        if label not in shared:
+            key = glued.leaf_canonical_key()
+            shared[label] = (glued, key_index.setdefault(key, len(key_index)))
+        glued, key_id = shared[label]
         accept.append(float(b) / bound)
         biases.append(b)
         squares_all.append(squares)
         dists_all.append(dists)
         graphs.append(glued)
-        key_ids.append(key_index[key])
+        key_ids.append(key_id)
     return DkTable(seq, k, bound, np.array(accept), biases, squares_all,
-                   dists_all, graphs, np.array(key_ids, dtype=np.int64), keys)
+                   dists_all, graphs, np.array(key_ids, dtype=np.int64),
+                   list(key_index))
 
 
 @lru_cache(maxsize=128)
-def _cached_dk_table(degrees: tuple, k: int, cap: int) -> DkTable:
-    return build_dk_table(validate(degrees, KIND_SURPLUS, k=k), cap)
+def _cached_dk_table(seq: DegreeSequence, cap: int) -> Optional[DkTable]:
+    """The table, or None above cap tuples; worked out once per sequence."""
+    if tree_count(seq.to_tree_kind()) > cap:
+        return None
+    return build_dk_table(seq, cap)
 
 
-def dk_table(seq: DegreeSequence, cap: int = 30000) -> DkTable:
-    return _cached_dk_table(seq.degrees, _check_surplus_kind(seq), cap)
+def dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
+    _check_surplus_kind(seq)
+    table = _cached_dk_table(seq, cap)
+    if table is None:
+        raise TooLarge(f"{tree_count(seq.to_tree_kind())} tuples exceeds "
+                       f"the table cap {cap}")
+    return table
 
 
 def _sample_dk_streaming(seq: DegreeSequence, rng: np.random.Generator):
+    """Walks each proposal only up to its 2k glued leaves until one passes."""
     k = seq.k
-    tree_seq = seq.to_tree_kind()
-    base = _base_multiset(tree_seq)
+    base = np.array(_base_multiset(seq.to_tree_kind()), dtype=np.int64)
     bound = bias_bound(k)
-    pairs = [(star(2 * i - 1), star(2 * i)) for i in range(1, k + 1)]
     while True:
-        perm = rng.permutation(len(base))
-        entries = [base[j] for j in perm]
-        edges = _stick_break_int_edges(entries)
-        adj = _int_adjacency(edges)
-        fathers = [adj[-(j + 1)][0] for j in range(2 * k)]
-        b, _, _ = _bias_from_fathers(adj, fathers, k)
-        assert b <= bound, "bias bound violated"
+        entries = base[rng.permutation(len(base))].tolist()
+        parent, depth, fathers = _walk(entries, 2 * k)
+        b, _, _ = _bias_from_fathers(parent, depth, fathers[:2 * k])
         if rng.random() * bound < b:
-            tree = LabeledTree([(_designated_vertex(u, 2 * k),
-                                 _designated_vertex(v, 2 * k))
-                                for u, v in edges])
-            if k == 0:
-                return Multigraph.from_tree(tree)
-            return glue_tree_leaves(tree, pairs)
+            return _dk_graph(entries, k)
 
 
 def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator,
-                    k=None, table_cap: int = 30000) -> Multigraph:
+                    k=None) -> Multigraph:
     """Uniform connected multigraph with degrees d_i+1 and surplus k.
 
     The sequence's zero entries survive as star leaves labeled S0,
-    S_{2k+1}, ... (the glued labels S1..S2k are consumed).
+    S_{2k+1}, ... (the glued labels S1..S2k are consumed).  Sequences
+    with at most 30000 tuples draw from the memoized table; larger ones
+    stream.
     """
     _check_surplus_kind(seq, k)
-    if tree_count(seq.to_tree_kind()) <= table_cap:
-        table = dk_table(seq, table_cap)
-        while True:
-            idx = int(rng.integers(table.n_tuples))
-            if rng.random() < table.accept[idx]:
-                return table.graphs[idx]
-    return _sample_dk_streaming(seq, rng)
+    table = _cached_dk_table(seq, _TABLE_CAP)
+    if table is None:
+        return _sample_dk_streaming(seq, rng)
+    while True:
+        idx = int(rng.integers(table.n_tuples))
+        if rng.random() < table.accept[idx]:
+            return table.graphs[idx]
 
 
 def sample_dk_graph_keys(seq: DegreeSequence, n_samples: int,
-                         rng: np.random.Generator, table_cap: int = 30000,
+                         rng: np.random.Generator,
                          batch: int = 200000) -> Counter:
     """Bulk leaf-canonical keys of n_samples (D,k)-graph draws."""
-    table = dk_table(seq, table_cap)
+    table = dk_table(seq)
     counts = np.zeros(len(table.keys), dtype=np.int64)
     got = 0
     while got < n_samples:
@@ -459,23 +442,13 @@ def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
     while True:
         growth = PTreeGrowth(pvec, rng)
         growth.grow_until_stars(2 * k)
-        adj: Dict[Vertex, list] = {}
-        for u, v in growth.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        fathers = list(growth.star_fathers[:2 * k])
-        b, _, _ = _bias_from_fathers(adj, fathers, k) if k else (Fraction(1), [], [])
-        assert b <= bound, "bias bound violated"
+        parent, depth, fathers = _walk(growth.record, 2 * k + 1)
+        b, _, _ = _bias_from_fathers(parent, depth, fathers[1:2 * k + 1])
         if rng.random() * bound < b:
             while len(growth.record) < n_steps:
                 growth.step()
-            if min_stars:
-                growth.grow_until_stars(min_stars)
-            tree = growth.tree()
-            if k == 0:
-                return Multigraph.from_tree(tree)
-            pairs = [(star(2 * i - 1), star(2 * i)) for i in range(1, k + 1)]
-            return glue_tree_leaves(tree, pairs)
+            growth.grow_until_stars(min_stars)
+            return _glue(growth.tree(), k)
 
 
 def sample_pk_graph_prefix(pvec: PVector, k: int, n_steps: int,

@@ -194,6 +194,31 @@ def _stick_break_key(entries: Sequence[int]) -> tuple:
     return tuple(sorted(_stick_break_int_edges(entries)))
 
 
+def _walk(entries: Sequence, n_leaves: int):
+    """(parent, depth, fathers) of the branching walk, stopped once n_leaves
+    leaves are placed.  Each new entry hangs below the entry before it (the
+    first is the root); fathers[j] is the father of S_j, so fathers[0] is
+    the first entry, and a tuple that runs out first places its closing
+    leaf on its last entry."""
+    parent, depth, fathers = {}, {}, []
+    prev = None
+    for a in entries:
+        if prev is None:
+            parent[a] = None
+            depth[a] = 0
+            fathers.append(a)
+        elif a in parent:
+            fathers.append(prev)
+        else:
+            parent[a] = prev
+            depth[a] = depth[prev] + 1
+        if len(fathers) >= n_leaves:
+            return parent, depth, fathers
+        prev = a
+    fathers.append(prev)
+    return parent, depth, fathers
+
+
 def sample_d_tuple(seq: DegreeSequence, rng: np.random.Generator) -> Tuple[Vertex, ...]:
     """Uniform arrangement of the multiset {Vi with multiplicity d_i}."""
     if seq.kind != KIND_TREE:
@@ -331,8 +356,8 @@ class PTreeGrowth:
     """Incremental branching walk driven by i.i.d. draws from a PVector.
 
     Draws landing in the p_inf remainder create fresh overflow vertices,
-    so they never repeat.  The instance records the raw draw sequence and
-    the father of each leaf label in placement order.
+    so they never repeat.  The instance records the raw draw sequence
+    (_walk folds it the same way) and the tree edges in placement order.
     """
 
     def __init__(self, pvec: PVector, rng: np.random.Generator):
@@ -341,14 +366,10 @@ class PTreeGrowth:
         self._cum = np.cumsum(np.asarray(pvec.p, dtype=float))
         self.edges: List[Tuple[Vertex, Vertex]] = []
         self.record: List[Vertex] = []
-        self.star_fathers: List[Vertex] = []
+        self.n_stars = 0
         self._seen = set()
         self._prev = None
         self._step = 0
-
-    @property
-    def n_stars(self) -> int:
-        return len(self.star_fathers)
 
     def _draw(self) -> Vertex:
         self._step += 1
@@ -368,13 +389,15 @@ class PTreeGrowth:
             self.edges.append((self._prev, b))
             self._seen.add(b)
         else:
-            s = star(len(self.star_fathers) + 1)
-            self.edges.append((self._prev, s))
-            self.star_fathers.append(self._prev)
+            self.n_stars += 1
+            self.edges.append((self._prev, star(self.n_stars)))
         self._prev = b
 
     def grow_until_stars(self, n_stars: int, max_steps: int = 10 ** 7):
-        while len(self.star_fathers) < n_stars:
+        if n_stars > self.n_stars and not self.pvec.p:
+            raise ValidationError("with p_inf = 1 no draw repeats, so no "
+                                  "leaf label besides S0 is ever placed")
+        while self.n_stars < n_stars:
             if self._step >= max_steps:
                 raise ValidationError("star quota not reached within max_steps")
             self.step()

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ def param_files(tmp_path):
         {"kind": "half-edge", "degrees": [3, 2, 2, 1]}))
     files["p"] = tmp_path / "p.json"
     files["p"].write_text(json.dumps({"p": [0.5, 0.5], "p_inf": 0.0}))
+    files["p_inf"] = tmp_path / "p_inf.json"
+    files["p_inf"].write_text(json.dumps({"p": [], "p_inf": 1.0}))
     files["theta"] = tmp_path / "theta.json"
     files["theta"].write_text(json.dumps({"theta0": 1.0, "theta": []}))
     files["mult"] = tmp_path / "w.json"
@@ -150,3 +153,32 @@ def test_experiment_converge_deterministic(tmp_path, param_files):
     a, b = _twice(tmp_path, argv)
     assert a == b
     assert "energy" in a["converge.csv"].decode()
+
+
+def test_experiment_missing_input_is_usage_error(param_files, capsys):
+    assert run(["experiment", "bias-tail", "--k", "1"]) == 1
+    assert "--params" in capsys.readouterr().err
+    assert run(["experiment", "converge", "--family",
+                str(param_files["tree"])]) == 1
+    assert "--target" in capsys.readouterr().err
+
+
+def test_csv_format_rejected_without_csv_form(tmp_path, param_files):
+    for argv in (["sample-tree", "--params", str(param_files["tree"])],
+                 ["sample-graph", "--params", str(param_files["surplus"])],
+                 ["sample-cm", "--params", str(param_files["half"])],
+                 ["sample-mult", "--params", str(param_files["mult"])],
+                 ["reconstruct", "--params", str(param_files["matrix"])],
+                 ["core-measure", "--params", str(param_files["matrix"])],
+                 ["oracle", "cm-law", "--params", str(param_files["half"])]):
+        out = tmp_path / argv[0]
+        assert run(["--format", "csv", "--out", str(out)] + argv) == 1, argv
+        assert not out.exists(), argv
+
+
+def test_converge_pure_overflow_target_fails_fast(param_files):
+    start = time.perf_counter()
+    assert run(["experiment", "converge",
+                "--family", str(param_files["surplus"]),
+                "--target", str(param_files["p_inf"]), "--k", "1"]) == 2
+    assert time.perf_counter() - start < 10

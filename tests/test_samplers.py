@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -8,7 +9,8 @@ import pytest
 
 from surpluslab import errors
 from surpluslab.labels import internal as V, star as S
-from surpluslab.multigraph import Multigraph, bias, bias_bound
+from surpluslab.experiments import VERSION, d_tree_bias_values
+from surpluslab.multigraph import Multigraph, bias, bias_bound, bias_components
 from surpluslab.params import PVector, validate
 from surpluslab.samplers import (_bias_from_fathers, _sample_dk_streaming,
                                  canonical_oriented_edges,
@@ -21,8 +23,9 @@ from surpluslab.samplers import (_bias_from_fathers, _sample_dk_streaming,
                                  sample_multiplicative_multigraph,
                                  sample_ordered_partition,
                                  sample_pk_graph_prefix, shortcut_edgepoints)
-from surpluslab.trees import (LabeledTree, enumerate_d_tree_keys,
-                              sample_d_tree, stick_break_tree)
+from surpluslab.trees import (LabeledTree, PTreeGrowth, _walk,
+                              enumerate_d_tree_keys, sample_d_tree,
+                              sample_d_tuple, stick_break_tree)
 
 
 def tv_against(law, counts, n):
@@ -368,12 +371,89 @@ def test_ordered_partition_composition_law():
 
 
 def test_bias_fast_matches_public_bias():
+    # the early-stopped walk and the parent-pointer bias against the
+    # multigraph.bias oracle on the whole tree, for the three slices the
+    # samplers take: fathers[1:2k+1] (bias tail), fathers[:2k] with the
+    # (D,k) relabelling S0..S2k-1 -> S1..S2k, S2k -> S0, and the walk of
+    # a P-tree's draws
     rng = np.random.default_rng(21)
     seq = validate([3, 3, 2, 1, 1] + [0] * 7, "tree")
+    pvec = PVector((0.5, 0.3, 0.2))
+    stopped_early = 0
     for _ in range(30):
-        tree = sample_d_tree(seq, rng)
-        adj = {v: list(tree.neighbors(v)) for v in tree.vertices()}
+        tup = sample_d_tuple(seq, rng)
+        tree = stick_break_tree(seq, tup)
+        entries = [v.index for v in tup]
         for k in (1, 2, 3):
-            fathers = [tree.father(S(j)) for j in range(1, 2 * k + 1)]
-            fast, _, _ = _bias_from_fathers(adj, fathers, k)
-            assert fast == bias(tree, k)
+            parent, depth, fathers = _walk(entries, 2 * k + 1)
+            assert len(fathers) == 2 * k + 1
+            for v, u in parent.items():
+                if u is not None:
+                    assert V(u) in tree.neighbors(V(v))
+                    assert depth[v] == depth[u] + 1
+            stopped_early += len(parent) < 5
+            value, squares, dists = _bias_from_fathers(
+                parent, depth, fathers[1:2 * k + 1])
+            assert value == bias(tree, k)
+            assert squares == bias_components(tree, k)[1]
+            assert dists == [tree.distance(S(2 * i - 1), S(2 * i))
+                             for i in range(1, k + 1)]
+            parent, depth, fathers = _walk(entries, 2 * k)
+            shift = {S(j): S(j + 1) for j in range(2 * k)}
+            shift[S(2 * k)] = S(0)
+            value, _, _ = _bias_from_fathers(parent, depth, fathers[:2 * k])
+            assert value == bias(tree.relabel(shift), k)
+            growth = PTreeGrowth(pvec, rng)
+            growth.grow_until_stars(2 * k)
+            parent, depth, fathers = _walk(growth.record, 2 * k + 1)
+            value, _, _ = _bias_from_fathers(parent, depth,
+                                             fathers[1:2 * k + 1])
+            assert value == bias(growth.tree(), k)
+    assert stopped_early > 0
+
+
+def _digest(text) -> str:
+    data = text if isinstance(text, bytes) else text.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_seeded_outputs_pinned():
+    # sha256 of seeded outputs taken before the walk kernel replaced the
+    # adjacency-and-BFS bias.  A change to how a sampler consumes its RNG
+    # stream breaks old manifests and must bump experiments.VERSION.
+    pins = {
+        "bias_ladder64_k1":
+            "232fc1d05053be887c4903e62e007517226b1167bf9a212f353361878b7627e4",
+        "bias_33211_k2":
+            "e4b8c8d1515ad42d252357a252b680b8f3302188b8ad8fba6cb276fbf4e6f721",
+        "bias_33211_k3":
+            "3e8244bb879008b3b4d09b2fa1d67161bb3bf8c52a7a89a17a31fcc763ca1386",
+        "dk_stream_ladder128":
+            "132a4263827956a141d369e04144dd4a595d2bc87990b3a5d6e7ae3898c45320",
+        "dk_table_221111_k2":
+            "f4167af73ad3b181e8c698527b72cf3c60c1c771f6e5b0f999dc44180e296713",
+        "pk_prefix":
+            "c3436837d3cf502757d558f6c1ad86551a7f259309f554e1e48a821f396a96a0",
+    }
+    got = {}
+    ladder = validate([2] * 64 + [0] * 66, "tree")
+    got["bias_ladder64_k1"] = _digest(d_tree_bias_values(
+        ladder, 1, 500, np.random.default_rng(31)).tobytes())
+    seq = validate([3, 3, 2, 1, 1] + [0] * 7, "tree")
+    for k in (2, 3):
+        got[f"bias_33211_k{k}"] = _digest(d_tree_bias_values(
+            seq, k, 500, np.random.default_rng(32 + k)).tobytes())
+    stream = validate([2] * 128 + [0] * 128, "surplus", k=1)
+    rng = np.random.default_rng(36)
+    got["dk_stream_ladder128"] = _digest("\n".join(
+        sample_dk_graph(stream, rng).to_json() for _ in range(20)))
+    table = validate([2, 2, 1, 1, 1, 1], "surplus", k=2)
+    rng = np.random.default_rng(37)
+    got["dk_table_221111_k2"] = _digest("\n".join(
+        sample_dk_graph(table, rng).to_json() for _ in range(50)))
+    rng = np.random.default_rng(38)
+    pvec = PVector((2 / 3, 1 / 3))
+    got["pk_prefix"] = _digest("\n".join(
+        sample_pk_graph_prefix(pvec, 1, 64, rng).to_json() for _ in range(50)))
+    assert got == pins
+    assert VERSION == "0.1.0"

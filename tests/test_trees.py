@@ -8,7 +8,7 @@ import pytest
 from surpluslab import errors
 from surpluslab.labels import internal as V, overflow, star as S
 from surpluslab.params import PVector, validate
-from surpluslab.trees import (LabeledTree, enumerate_d_tree_keys,
+from surpluslab.trees import (LabeledTree, PTreeGrowth, enumerate_d_tree_keys,
                               enumerate_d_trees, multiset_arrangements,
                               sample_d_tree, sample_d_tree_keys,
                               sample_d_tuple, sample_p_tree_prefix,
@@ -136,6 +136,15 @@ def test_p_tree_pure_overflow_is_path():
     assert tree == LabeledTree(
         [(S(0), overflow(1))] +
         [(overflow(i), overflow(i + 1)) for i in range(1, 5)])
+
+
+def test_p_tree_pure_overflow_star_quota_fails_fast():
+    # no draw repeats when p is empty, so no quota beyond S0 is reachable
+    growth = PTreeGrowth(PVector((), p_inf=1.0), np.random.default_rng(7))
+    growth.grow_until_stars(0)
+    with pytest.raises(errors.ValidationError):
+        growth.grow_until_stars(1)
+    assert growth.record == []
 
 
 def _prefix_law(pvec, n_steps):
