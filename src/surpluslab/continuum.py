@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (AnchorOutOfRange, CutsNotIncreasing, InsufficientMarks,
                      UnknownMark, ValidationError)
 from .params import ThetaVector
+from .trees import _climb, _search
 
 
 class MetricTree:
@@ -42,15 +43,7 @@ class MetricTree:
             raise ValidationError("metric tree needs at least one edge or node")
         if len(adj) != len(edges) + 1:
             raise ValidationError("edge list does not describe a tree")
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(adj):
+        if len(_search(adj, next(iter(adj)))[0]) != len(adj):
             raise ValidationError("edge list does not describe a connected tree")
         self._adj = adj
         self.marks = dict(marks or {})
@@ -93,48 +86,39 @@ class MetricTree:
             raise UnknownMark(f"no mark {label!r}")
         return self.marks[label]
 
+    def _known(self, *nodes):
+        for node in nodes:
+            if node not in self._adj:
+                raise UnknownMark(f"unknown node {node!r}")
+
     def distances_from(self, node) -> dict:
-        if node not in self._adj:
-            raise UnknownMark(f"unknown node {node!r}")
-        dist = {node: 0}
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            du = dist[u]
-            for v, w in self._adj[u].items():
-                if v not in dist:
-                    dist[v] = du + w
-                    stack.append(v)
+        self._known(node)
+        parent, _ = _search(self._adj, node)
+        dist = {}
+        for v, u in parent.items():
+            dist[v] = 0 if u is None else dist[u] + self._adj[u][v]
         return dist
 
     def distance(self, a, b):
+        self._known(b)
         return self.distances_from(a)[b]
 
     def path_edges(self, a, b) -> set:
         """Edge set (frozenset pairs) of the unique a-b geodesic."""
-        if a == b:
-            return set()
-        parent = {a: None}
-        stack = [a]
-        while stack and b not in parent:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if v not in parent:
-                    parent[v] = u
-                    stack.append(v)
-        out = set()
-        cur = b
-        while parent[cur] is not None:
-            out.add(frozenset((cur, parent[cur])))
-            cur = parent[cur]
-        return out
+        self._known(a, b)
+        parent, hops = _search(self._adj, a)
+        return {frozenset((x, parent[x])) for x in _climb(parent, hops, a, b)}
 
     def mark_distance_matrix(self, labels: Sequence) -> list:
+        """One search from the first mark, then a climb per pair."""
         nodes = [self.node_of(l) for l in labels]
-        rows = []
-        for a in nodes:
-            dist = self.distances_from(a)
-            rows.append([dist[b] for b in nodes])
+        rows = [[0] * len(nodes) for _ in nodes]
+        if nodes:
+            parent, hops = _search(self._adj, nodes[0])
+            for i, a in enumerate(nodes):
+                for j in range(i + 1, len(nodes)):
+                    ends = _climb(parent, hops, a, nodes[j])
+                    rows[i][j] = rows[j][i] = sum(self._adj[x][parent[x]] for x in ends)
         return rows
 
     def with_uniform_marks(self, n: int, rng: np.random.Generator,
@@ -319,6 +303,7 @@ class GluedSpace:
             self._links.setdefault(b, []).append(a)
 
     def distances_from(self, node) -> dict:
+        self.base._known(node)
         dist = {node: 0}
         heap = [(0, id(node), node)]
         while heap:
@@ -335,6 +320,7 @@ class GluedSpace:
         return dist
 
     def distance(self, a, b):
+        self.base._known(b)
         return self.distances_from(a)[b]
 
     def mark_distance_matrix(self, labels: Sequence) -> list:
@@ -364,14 +350,12 @@ def core_measure(tree: MetricTree, n_pairs: int):
     for m in range(1, 2 * n_pairs + 1):
         if m not in tree.marks:
             raise InsufficientMarks(f"mark {m} missing (need 1..{2 * n_pairs})")
-    union = set()
+    parent, hops = _search(tree._adj, tree.node_of(1))
+    union = {}  # lower ends of the union's edges, in a reproducible order
     for b in range(1, n_pairs + 1):
-        union |= tree.path_edges(tree.node_of(2 * b - 1), tree.node_of(2 * b))
-    total = 0
-    for e in union:
-        u, v = tuple(e)
-        total = total + tree._adj[u][v]
-    return total
+        union.update(dict.fromkeys(_climb(parent, hops, tree.node_of(2 * b - 1),
+                                          tree.node_of(2 * b))))
+    return sum(tree._adj[x][parent[x]] for x in union)
 
 
 @dataclass

@@ -22,9 +22,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import (Disconnected, DuplicateLabel, NotALeaf, ShapeMismatch,
-                     SurplusMismatch, ValidationError)
+                     SurplusMismatch, UnknownVertex, ValidationError)
 from .labels import Vertex, parse_vertex, star
-from .trees import LabeledTree
+from .trees import LabeledTree, _search
 
 
 def _pair(u, v):
@@ -88,32 +88,13 @@ class Multigraph:
     def is_connected(self) -> bool:
         if not self._vertices:
             return True
-        start = next(iter(self._vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self._vertices)
+        return len(_search(self._adj, next(iter(self._vertices)))[0]) == len(self._adj)
 
     def distances_from(self, source) -> dict:
         """Hop counts from source (multiplicities and loops are irrelevant)."""
         if source not in self._adj:
-            raise ValidationError(f"{source} not in graph")
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = dist[u]
-                for w in self._adj[u]:
-                    if w not in dist:
-                        dist[w] = du + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
+            raise UnknownVertex(f"{source} not in graph")
+        return _search(self._adj, source)[1]
 
     def surplus(self) -> int:
         if not self.is_connected():

@@ -126,6 +126,8 @@ def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0,
     elif kind == KIND_SURPLUS:
         if k < 0:
             raise ValidationError("surplus k must be >= 0")
+        if s == 0:
+            raise ValidationError("a surplus sequence needs at least one vertex")
         if total != s + 2 * k - 2:
             raise SumMismatch(
                 f"surplus-{k} sequence needs sum {s + 2 * k - 2}, got {total}")

@@ -15,6 +15,7 @@ from typing import List, Tuple
 from .continuum import MetricTree
 from .errors import (FourPointViolation, IndexOutOfRange, NegativeLength,
                      ValidationError)
+from .trees import _climb, _search
 
 DEFAULT_TOL = 1e-9
 
@@ -73,18 +74,8 @@ def _locate(adj, marks, b, c, target, tol, steiner_count):
     """Node at distance `target` from mark b on the b-c geodesic,
     splitting an edge if needed.  Returns (node, new steiner count)."""
     nb, nc = marks[b], marks[c]
-    parent = {nb: None}
-    stack = [nb]
-    while stack and nc not in parent:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                stack.append(v)
-    path = [nc]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()  # nb .. nc
+    parent, hops = _search(adj, nb)
+    path = [nb] + _climb(parent, hops, nb, nc)[::-1]
     cum = 0
     if target <= tol:
         return nb, steiner_count

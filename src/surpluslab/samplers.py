@@ -27,7 +27,7 @@ from .labels import Vertex, internal, is_star, star
 from .multigraph import Multigraph, bias_bound, glue_tree_leaves
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, DegreeSequence,
                      PVector, as_fraction)
-from .trees import (LabeledTree, PTreeGrowth, _base_multiset,
+from .trees import (LabeledTree, PTreeGrowth, _base_multiset, _climb,
                     _stick_break_int_edges, _walk, multiset_arrangements,
                     tree_count)
 
@@ -38,12 +38,12 @@ from .trees import (LabeledTree, PTreeGrowth, _base_multiset,
 def _bias_from_fathers(parent, depth, fathers):
     """(bias, partial-gluing squares, leaf pair distances) for glue fathers.
 
-    fathers[2i], fathers[2i+1] attach the i-th glued leaf pair.  A pair's
-    tree path comes from climbing parent pointers from the deeper side
-    until the sides meet, naming each edge by its lower end.  Matches
-    multigraph.bias exactly: the square after gluing pairs 1..i is |union
-    of father paths| + i, and the symmetry factor, 2^m m! for m loops or
-    (e+m)! for m copies beside e tree edges, grows by one factor per copy.
+    fathers[2i], fathers[2i+1] attach the i-th glued leaf pair; its tree
+    path is the climb between them, each edge named by its lower end.
+    Matches multigraph.bias exactly: the square after gluing pairs 1..i is
+    |union of father paths| + i, and the symmetry factor, 2^m m! for m
+    loops or (e+m)! for m copies beside e tree edges, grows by one factor
+    per copy.
     """
     union = set()
     squares, dists = [], []
@@ -53,13 +53,10 @@ def _bias_from_fathers(parent, depth, fathers):
         a, b = fathers[2 * i], fathers[2 * i + 1]
         pair = frozenset((a, b))
         copies[pair] += 1
-        m, length = copies[pair], 0
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            union.add(a)
-            a = parent[a]
-            length += 1
+        m = copies[pair]
+        path = _climb(parent, depth, a, b)
+        union.update(path)
+        length = len(path)
         circ_val *= 2 * m if length == 0 else (length == 1) + m
         squares.append(len(union) + i + 1)
         dists.append(length + 2)

@@ -38,20 +38,9 @@ class LabeledTree:
             adj.setdefault(v, []).append(u)
         if len(adj) != len(edges) + 1:
             raise ValidationError("edge list does not describe a tree")
-        self._adj = {v: tuple(ns) for v, ns in adj.items()}
-        if edges and not self._connected():
+        if len(_search(adj, next(iter(adj)))[0]) != len(adj):
             raise ValidationError("edge list does not describe a connected tree")
-
-    def _connected(self) -> bool:
-        start = next(iter(self._adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self._adj)
+        self._adj = {v: tuple(ns) for v, ns in adj.items()}
 
     def vertices(self):
         return self._adj.keys()
@@ -103,21 +92,13 @@ class LabeledTree:
     def distances_from(self, source: Vertex) -> dict:
         if source not in self._adj:
             raise UnknownVertex(f"{source} not in tree")
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = dist[u]
-                for w in self._adj[u]:
-                    if w not in dist:
-                        dist[w] = du + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
+        return _search(self._adj, source)[1]
 
     def distance(self, a: Vertex, b: Vertex) -> int:
-        return self.distances_from(a)[b]
+        dist = self.distances_from(a)
+        if b not in dist:
+            raise UnknownVertex(f"{b} not in tree")
+        return dist[b]
 
     def relabel(self, mapping) -> "LabeledTree":
         return LabeledTree([(mapping.get(u, u), mapping.get(v, v))
@@ -137,15 +118,18 @@ class LabeledTree:
 
 
 def tree_distance_matrix(tree: LabeledTree, marks: Sequence[Vertex]) -> np.ndarray:
-    """Edge-count distances between the marked vertices."""
+    """Edge-count distances between the marked vertices: one search from
+    the first mark, then a climb per pair."""
     n = len(marks)
     out = np.zeros((n, n), dtype=np.int64)
-    for i, m in enumerate(marks):
-        dist = tree.distances_from(m)
-        for j, m2 in enumerate(marks):
-            if m2 not in dist:
-                raise UnknownVertex(f"{m2} not in tree")
-            out[i, j] = dist[m2]
+    for m in marks:
+        if m not in tree:
+            raise UnknownVertex(f"{m} not in tree")
+    if n:
+        parent, hops = _search(tree._adj, marks[0])
+        for i in range(n):
+            for j in range(i + 1, n):
+                out[i, j] = out[j, i] = len(_climb(parent, hops, marks[i], marks[j]))
     return out
 
 
@@ -192,6 +176,38 @@ def _stick_break_int_edges(entries: Sequence[int]) -> List[Tuple[int, int]]:
 
 def _stick_break_key(entries: Sequence[int]) -> tuple:
     return tuple(sorted(_stick_break_int_edges(entries)))
+
+
+def _search(adj, source):
+    """(parent, hops) of a breadth-first search over an adjacency mapping.
+    parent lists the reached nodes in discovery order, the source first
+    (mapped to None), so len(parent) == len(adj) iff the graph is connected."""
+    parent, hops = {source: None}, {source: 0}
+    frontier, h = [source], 0
+    while frontier:
+        h += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    hops[w] = h
+                    nxt.append(w)
+        frontier = nxt
+    return parent, hops
+
+
+def _climb(parent, depth, a, b) -> list:
+    """Lower ends of the edges on the a-b path of a tree given by parent
+    and depth pointers: climb from the deeper side until the sides meet.
+    Each edge is named by its lower end x, i.e. the edge (x, parent[x])."""
+    ends = []
+    while a != b:
+        if depth[a] < depth[b]:
+            a, b = b, a
+        ends.append(a)
+        a = parent[a]
+    return ends
 
 
 def _walk(entries: Sequence, n_leaves: int):

@@ -133,6 +133,12 @@ def test_validation_failure_exit_code(tmp_path, param_files):
     assert run(["sample-graph", "--params", str(param_files["tree"])]) == 2
 
 
+def test_sample_graph_rejects_empty_surplus_sequence(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"kind": "surplus", "k": 1, "degrees": []}))
+    assert run(["sample-graph", "--params", str(empty)]) == 2
+
+
 def test_experiment_bias_tail_deterministic(tmp_path, param_files):
     a, b = _twice(tmp_path, lambda d: [
         "--seed", "11", "--reps", "300", "--out", str(d),

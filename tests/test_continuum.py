@@ -45,6 +45,28 @@ def test_sb_validation():
         sb_build([1.0, 2.0], [1.5])
 
 
+def test_metric_tree_distance_unknown_endpoint():
+    tree = sb_build([1.0, 2.0], [0.5])
+    with pytest.raises(errors.UnknownMark):
+        tree.distance(0, 7)
+
+
+def test_path_edges_unknown_endpoint():
+    tree = sb_build([1.0, 2.0], [0.5])
+    with pytest.raises(errors.UnknownMark):
+        tree.path_edges(0.0, 7)
+    with pytest.raises(errors.UnknownMark):
+        tree.path_edges(7, 0.0)
+
+
+def test_glued_distance_unknown_endpoint():
+    glued = GluedSpace(sb_build([1.0, 2.0], [0.5]), [(1, 2)])
+    with pytest.raises(errors.UnknownMark):
+        glued.distance(0.0, 7)
+    with pytest.raises(errors.UnknownMark):
+        glued.distance(7, 0.0)
+
+
 def test_sb_repeated_anchor_makes_hub():
     tree = sb_build([1.0, 2.0, 3.0], [0.5, 0.5])
     assert tree.degree(0.5) == 4

@@ -50,6 +50,12 @@ def test_validate_surplus_sum():
         validate([1, 0], "surplus", k=1)
 
 
+def test_validate_surplus_needs_a_vertex():
+    # [] meets the k = 1 handshake sum 0 = s + 2k - 2, but has no vertex to glue onto
+    with pytest.raises(errors.ValidationError):
+        validate([], "surplus", k=1)
+
+
 def test_surplus_plus_zeros_is_tree_kind():
     for degs, k in [((1, 1), 1), ((2, 2), 2), ((2, 1, 1, 0), 1), ((4, 0), 2)]:
         seq = validate(list(degs), "surplus", k=k)

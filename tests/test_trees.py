@@ -222,6 +222,12 @@ def test_tree_distance_matrix():
         tree_distance_matrix(path, [V(9)])
 
 
+def test_tree_distance_unknown_endpoint():
+    tree = stick_break_tree(EX12, EX12_TUPLE)
+    with pytest.raises(errors.UnknownVertex):
+        tree.distance(S(0), V(9))
+
+
 def test_tree_json_roundtrip():
     tree = stick_break_tree(EX12, EX12_TUPLE)
     assert LabeledTree.from_json(tree.to_json()) == tree
