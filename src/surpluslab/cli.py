@@ -48,9 +48,14 @@ def load_params(path: str):
 def read_matrix_csv(path: str):
     lines = [l for l in Path(path).read_text().splitlines()
              if l.strip() and not l.startswith("#")]
+    if not lines:
+        raise ValidationError("matrix CSV is empty")
     names = lines[0].split(",")
-    rows = [[float(x) for x in l.split(",")] for l in lines[1:]]
-    if len(rows) != len(names):
+    try:
+        rows = [[float(x) for x in l.split(",")] for l in lines[1:]]
+    except ValueError as exc:
+        raise ValidationError(f"matrix CSV entries must be numbers ({exc})") from None
+    if len(rows) != len(names) or any(len(r) != len(names) for r in rows):
         raise ValidationError("matrix CSV must be square with a header row")
     return names, rows
 

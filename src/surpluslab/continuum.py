@@ -11,9 +11,7 @@ lengths may be floats or Fractions; nothing coerces them.
 
 from __future__ import annotations
 
-import heapq
 import json
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -110,8 +108,10 @@ class MetricTree:
         return {frozenset((x, parent[x])) for x in _climb(parent, hops, a, b)}
 
     def mark_distance_matrix(self, labels: Sequence) -> list:
-        """One search from the first mark, then a climb per pair."""
-        nodes = [self.node_of(l) for l in labels]
+        return self._node_matrix([self.node_of(l) for l in labels])
+
+    def _node_matrix(self, nodes: Sequence) -> list:
+        """One search from the first node, then a climb per pair."""
         rows = [[0] * len(nodes) for _ in nodes]
         if nodes:
             parent, hops = _search(self._adj, nodes[0])
@@ -284,52 +284,33 @@ def ensure_cut_points(real: IcrtRealization, n: int, rng: np.random.Generator):
 class GluedSpace:
     """Pseudo-metric quotient of a metric tree by point identifications.
 
-    Distances are shortest paths in the tree augmented with zero-length
-    links between glued pairs, which agrees with iterating the two-point
-    gluing formula.
+    Each pair names two marks or tree nodes; a mark label takes precedence
+    over an equal node id.  Distances are the tree metric on the requested
+    nodes and the glued points, with the two-point gluing formula applied
+    once per pair.
     """
 
     def __init__(self, base: MetricTree, pairs: Sequence[tuple]):
         self.base = base
-        self.pairs = [(base.node_of(a) if a in base.marks else a,
-                       base.node_of(b) if b in base.marks else b)
-                      for a, b in pairs]
-        for a, b in self.pairs:
-            if a not in base._adj or b not in base._adj:
-                raise UnknownMark("glued points must be tree nodes or marks")
-        self._links: Dict[object, list] = {}
-        for a, b in self.pairs:
-            self._links.setdefault(a, []).append(b)
-            self._links.setdefault(b, []).append(a)
+        self.pairs = list(pairs)
+        self._ends = [base.node_of(x) if x in base.marks else x
+                      for a, b in self.pairs for x in (a, b)]
+        if any(x not in base._adj for x in self._ends):
+            raise UnknownMark("glued points must be tree nodes or marks")
 
-    def distances_from(self, node) -> dict:
-        self.base._known(node)
-        dist = {node: 0}
-        heap = [(0, id(node), node)]
-        while heap:
-            d, _, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
-                continue
-            nbrs = list(self.base._adj[u].items())
-            nbrs.extend((v, 0) for v in self._links.get(u, ()))
-            for v, w in nbrs:
-                nd = d + w
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, id(v), v))
-        return dist
+    def _node_matrix(self, nodes: Sequence) -> list:
+        n = len(nodes)
+        rows = self.base._node_matrix(list(nodes) + self._ends)
+        for i in range(n, len(rows), 2):
+            rows = two_point_glue_matrix(rows, i, i + 1)
+        return [row[:n] for row in rows[:n]]
 
     def distance(self, a, b):
-        self.base._known(b)
-        return self.distances_from(a)[b]
+        self.base._known(a, b)
+        return self._node_matrix([a, b])[0][1]
 
     def mark_distance_matrix(self, labels: Sequence) -> list:
-        nodes = [self.base.node_of(l) for l in labels]
-        rows = []
-        for a in nodes:
-            dist = self.distances_from(a)
-            rows.append([dist[b] for b in nodes])
-        return rows
+        return self._node_matrix([self.base.node_of(l) for l in labels])
 
 
 def metric_glue(tree: MetricTree, pairs: Sequence[tuple]) -> GluedSpace:
@@ -337,7 +318,7 @@ def metric_glue(tree: MetricTree, pairs: Sequence[tuple]) -> GluedSpace:
 
 
 def two_point_glue_matrix(matrix: Sequence[Sequence], i: int, j: int) -> list:
-    """One application of the gluing formula to a distance matrix (oracle)."""
+    """One application of the gluing formula to a distance matrix."""
     n = len(matrix)
     return [[min(matrix[a][b],
                  matrix[a][i] + matrix[b][j],
@@ -396,7 +377,7 @@ def sampled_distance_matrix(space, labels: Sequence = None, n: int = None,
         marked = base.with_uniform_marks(n, rng)
         labels = [f"U{j}" for j in range(n)]
         if isinstance(space, GluedSpace):
-            space = GluedSpace(marked, [(a, b) for a, b in space.pairs])
+            space = GluedSpace(marked, space.pairs)
         else:
             space = marked
     rows = space.mark_distance_matrix(labels)

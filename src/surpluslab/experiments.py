@@ -217,14 +217,6 @@ def ks_statistic(x: np.ndarray, y: np.ndarray,
     return float(np.max(np.abs(fx - fy)))
 
 
-def importance_resample(x: np.ndarray, w: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Multinomial resampling to an unweighted sample of the same size."""
-    w = _norm_weights(len(x), w)
-    idx = rng.choice(len(x), size=len(x), p=w)
-    return x[idx]
-
-
 def importance_unweight(x: np.ndarray, w: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
     """Rejection unweighting: an exact i.i.d. unweighted subsample.

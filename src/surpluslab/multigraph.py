@@ -184,24 +184,10 @@ class Multigraph:
             edges.append((p[0], p[1], self._mult[p] - 1))
         return Multigraph(edges, vertices=self._vertices)
 
-    def with_edge(self, u, v) -> "Multigraph":
-        edges = [(a, b, m) for (a, b), m in self._mult.items()]
-        edges.append((u, v, 1))
-        return Multigraph(edges, vertices=self._vertices)
-
-    def leaf_of(self, v) -> bool:
-        return self.degree(v) == 1
-
     def father(self, leaf) -> Vertex:
         if self.degree(leaf) != 1:
             raise NotALeaf(f"{leaf} is not a leaf")
         return next(iter(self._adj[leaf]))
-
-    def relabel(self, mapping) -> "Multigraph":
-        edges = [(mapping.get(u, u), mapping.get(v, v), m)
-                 for (u, v), m in self._mult.items()]
-        vs = [mapping.get(v, v) for v in self._vertices]
-        return Multigraph(edges, vertices=vs)
 
     def key(self) -> tuple:
         return (tuple(sorted(self._vertices)),

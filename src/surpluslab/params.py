@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -55,10 +56,6 @@ class DegreeSequence:
     @property
     def N(self) -> int:
         return self.n_zero - 2
-
-    @property
-    def s_geq1(self) -> int:
-        return self.s - self.n_zero
 
     def stats(self) -> SequenceStats:
         sigma2 = sum(d * (d - 1) for d in self.degrees)
@@ -108,7 +105,10 @@ def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0,
     input is kept as given by default; auto_sort normalizes to
     non-increasing order and strict_sorted rejects unsorted input.
     """
-    degrees = [int(d) for d in raw]
+    try:
+        degrees = [int(d) for d in raw]
+    except (TypeError, ValueError):
+        raise ValidationError("degrees must be integers") from None
     if any(d != r for d, r in zip(degrees, raw)):
         raise ValidationError("degrees must be integers")
     if any(d < 0 for d in degrees):
@@ -144,12 +144,18 @@ def stats(seq: DegreeSequence) -> SequenceStats:
     return seq.stats()
 
 
+def _check_real(name: str, values) -> None:
+    if not all(isinstance(x, numbers.Real) for x in values):
+        raise ValidationError(f"{name} entries must be real numbers")
+
+
 @dataclass(frozen=True)
 class PVector:
     p: tuple
     p_inf: float = 0.0
 
     def __post_init__(self):
+        _check_real("p", (*self.p, self.p_inf))
         # p may be empty only in the degenerate all-remainder case p_inf = 1
         if self.p and self.p[0] <= 0:
             raise ValidationError("p_1 must be positive")
@@ -186,6 +192,7 @@ class ThetaVector:
     theta: tuple = ()
 
     def __post_init__(self):
+        _check_real("theta", (self.theta0, *self.theta))
         if self.theta0 < 0 or any(t < 0 for t in self.theta):
             raise NegativeEntry("theta entries must be non-negative")
         if any(self.theta[i] < self.theta[i + 1] for i in range(len(self.theta) - 1)):

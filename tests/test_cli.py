@@ -139,6 +139,27 @@ def test_sample_graph_rejects_empty_surplus_sequence(tmp_path):
     assert run(["sample-graph", "--params", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "core-measure"])
+@pytest.mark.parametrize("text", ["a,b,c\n0,1,x\n1,0,1\nx,1,0\n", "",
+                                  "a,b,c,d\n0,2,3\n2,0,3\n3,3,0\n3,3,2\n"],
+                         ids=["non-numeric", "empty", "ragged"])
+def test_malformed_matrix_csv_is_validation_failure(tmp_path, command, text, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert run([command, "--params", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"kind": "tree", "degrees": [1, "a", 0]},
+                                    {"p": [0.5, "x"]}, {"theta0": "x"}],
+                         ids=["degrees", "p", "theta0"])
+def test_malformed_params_is_validation_failure(tmp_path, params, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(params))
+    assert run(["sample-tree", "--params", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_experiment_bias_tail_deterministic(tmp_path, param_files):
     a, b = _twice(tmp_path, lambda d: [
         "--seed", "11", "--reps", "300", "--out", str(d),

@@ -1,15 +1,17 @@
 """Tree distances, geodesics and connectivity against a Floyd-Warshall
 oracle written here, on random stick-broken trees, their glued (D,k)-graphs
-and stick-breaking real trees with exact Fraction cuts."""
+and stick-breaking real trees with exact Fraction cuts, glued or not."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surpluslab import errors
-from surpluslab.continuum import MetricTree, core_measure, sb_build
+from surpluslab.continuum import (GluedSpace, MetricTree, core_measure,
+                                  sampled_distance_matrix, sb_build)
 from surpluslab.labels import internal as V
 from surpluslab.multigraph import Multigraph
 from surpluslab.params import validate
@@ -109,6 +111,34 @@ def test_metric_tree_geodesics_match_floyd_warshall(tree, data):
     matrix = tree.mark_distance_matrix(leaves)
     rebuilt = reconstruct(matrix)
     assert rebuilt.mark_distance_matrix(range(1, len(leaves) + 1)) == matrix
+
+
+@SETTINGS
+@given(fraction_sb_tree(), st.data())
+def test_glued_space_matches_floyd_warshall(tree, data):
+    labels = sorted(tree.marks)
+    mark = st.sampled_from(labels)  # a pair may repeat a mark, pairs may share one
+    pairs = data.draw(st.lists(st.tuples(mark, mark), min_size=1, max_size=3))
+    links = [(tree.node_of(a), tree.node_of(b), 0) for a, b in pairs]
+    nodes = list(tree.nodes())
+    d = floyd_warshall(nodes, tree.edges() + links)
+    glued = GluedSpace(tree, pairs)
+    marked = [tree.node_of(l) for l in labels]
+    assert glued.mark_distance_matrix(labels) == [[d[a][b] for b in marked] for a in marked]
+    for a in nodes:
+        for b in nodes:
+            assert glued.distance(a, b) == d[a][b]
+
+
+def test_sampled_glued_matrix_keeps_the_glued_nodes():
+    # the glued marks 1, 2 sit at nodes 2, 3, which are also mark labels
+    tree = sb_build([2, 3, 5], [1, 1])
+    got = sampled_distance_matrix(GluedSpace(tree, [(1, 2)]), n=20,
+                                  rng=np.random.default_rng(7))
+    marked = tree.with_uniform_marks(20, np.random.default_rng(7))
+    d = floyd_warshall(list(marked.nodes()), marked.edges() + [(2, 3, 0)])
+    nodes = [marked.node_of(f"U{j}") for j in range(20)]
+    assert got == pytest.approx(np.array([[d[a][b] for b in nodes] for a in nodes]))
 
 
 def test_cycle_plus_edge_is_not_a_tree():
