@@ -205,6 +205,8 @@ def cmd_reconstruct(args):
 
 def cmd_core_measure(args):
     _, rows = read_matrix_csv(args.params)
+    if not 0 <= args.pairs <= len(rows) // 2:
+        raise ValidationError(f"--pairs must lie in 1..{len(rows) // 2}")
     pairs = args.pairs or len(rows) // 2
     value = core_measure_from_matrix([r[:2 * pairs] for r in rows[:2 * pairs]])
     _emit_lines(args, "core-measure", [json.dumps({"pairs": pairs,
@@ -292,9 +294,9 @@ def cmd_oracle(args):
 
 
 _GLOBAL_FLAGS = {"seed": 0, "out": None, "reps": 1, "format": "json"}
-# the commands with a CSV form, and the input flag each experiment needs
+# the commands with a CSV form, and the input flags each experiment needs
 _CSV_COMMANDS = ("sample-icrt", "sample-icrg", "experiment")
-_EXPERIMENT_INPUT = {"converge": "target", "bias-tail": "params"}
+_EXPERIMENT_INPUT = {"converge": ("target", "family"), "bias-tail": ("params",)}
 
 
 def _add_global_flags(parser):
@@ -318,9 +320,9 @@ def _check_usage(parser, args):
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         parser.error(f"{args.command} has no CSV output; drop --format csv")
     if args.command == "experiment":
-        flag = _EXPERIMENT_INPUT[args.what]
-        if getattr(args, flag) is None:
-            parser.error(f"experiment {args.what} needs --{flag}")
+        for flag in _EXPERIMENT_INPUT[args.what]:
+            if not getattr(args, flag):
+                parser.error(f"experiment {args.what} needs --{flag}")
 
 
 def build_parser() -> _Parser:

@@ -20,7 +20,7 @@ from scipy.spatial.distance import cdist
 
 from .continuum import sample_icrg_weighted, sample_icrt
 from .errors import InsufficientLeaves, ValidationError
-from .labels import Vertex, is_star, star
+from .labels import Vertex, star
 from .multigraph import Multigraph
 from .params import KIND_SURPLUS, KIND_TREE, DegreeSequence
 from .samplers import (_bias_from_fathers, _sample_pk_glued,
@@ -56,13 +56,6 @@ class VertexMeasure:
     def uniform(vertices) -> "VertexMeasure":
         vs = list(vertices)
         return VertexMeasure({v: 1.0 for v in vs})
-
-    @staticmethod
-    def uniform_on_stars(graph) -> "VertexMeasure":
-        stars = [v for v in graph.vertices if is_star(v)]
-        if not stars:
-            raise ValidationError("graph has no star leaves")
-        return VertexMeasure({v: 1.0 for v in stars})
 
     def sample(self, rng: np.random.Generator, n: int) -> list:
         items = sorted(self.weights.items())
@@ -117,8 +110,6 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
         g = sample_dk_graph(params, rng)
         if measure is not None:
             points = measure.sample(rng, n_points)
-        elif model.get("points") == "uniform-stars":
-            points = VertexMeasure.uniform_on_stars(g).sample(rng, n_points)
         else:
             points = [star(2 * k + j) for j in range(1, n_points + 1)]
         return multigraph_distance_matrix(g, points), 1.0

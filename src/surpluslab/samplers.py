@@ -23,13 +23,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (OddSum, TooLarge, ValidationError, VertexCollision)
-from .labels import Vertex, internal, is_star, star
-from .multigraph import Multigraph, bias_bound, glue_tree_leaves
+from .labels import Vertex, internal, star
+from .multigraph import Multigraph, bias_bound
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, DegreeSequence,
                      PVector, as_fraction)
-from .trees import (LabeledTree, PTreeGrowth, _base_multiset, _climb,
-                    _stick_break_int_edges, _walk, multiset_arrangements,
-                    tree_count)
+from .trees import (LabeledTree, PTreeGrowth, _base_multiset, _climb, _walk,
+                    multiset_arrangements, tree_count)
 
 # ---------------------------------------------------------------------------
 # bias evaluation from the walk's parent pointers
@@ -65,34 +64,43 @@ def _bias_from_fathers(parent, depth, fathers):
     return value, squares, dists
 
 
-def _designated_vertex(x: int, two_k: int) -> Vertex:
-    """Decode kernel ints, relabelling so the glued leaves are S1..S2k.
+def _glued_graph(parent, glued, kept, vertex=internal) -> Multigraph:
+    """A walk's tree with leaf pairs glued, made by one constructor call.
 
-    Original leaf labels Sj are exchangeable under the uniform tree law,
-    so the fixed shift (S0..S_{2k-1} -> S1..S2k, S_{2k} -> S0) preserves
-    uniformity while giving the glued pairs their canonical names.
-    """
-    if x > 0:
-        return internal(x)
-    j = -x - 1
-    if j < two_k:
-        return star(j + 1)
-    if j == two_k:
-        return star(0)
-    return star(j)
+    glued[2i], glued[2i+1] are the fathers of the i-th glued pair, kept
+    lists (j, father) for each leaf S_j that stays, and vertex decodes
+    walk entries.  Edges come in walk order: tree edges by discovery, the
+    kept leaves, then one edge per glued pair."""
+    if not parent:  # the empty tuple of the sequence [0, 0]: one edge S0-S1
+        return Multigraph([(star(0), star(1))])
+    name = {a: vertex(a) for a in parent}
+    edges = [(name[p], name[a]) for a, p in parent.items() if p is not None]
+    edges += [(star(j), name[f]) for j, f in kept]
+    edges += [(name[a], name[b]) for a, b in zip(glued[::2], glued[1::2])]
+    return Multigraph(edges, vertices=name.values())
 
 
-def _glue(tree: LabeledTree, k: int) -> Multigraph:
-    """Glue the leaf pairs (S1,S2)..(S2k-1,S2k) of a tree."""
-    return glue_tree_leaves(tree, [(star(2 * i - 1), star(2 * i))
-                                   for i in range(1, k + 1)])
+def _designated(fathers: list, k: int):
+    """(glued, kept) of a tuple walk's leaf fathers, with S0..S2k-1 renamed
+    S1..S2k and glued, and S2k renamed S0: leaf labels are exchangeable
+    under the uniform tree law, so this fixed shift keeps uniformity."""
+    return fathers[:2 * k], [(j if j > 2 * k else 0, f)
+                             for j, f in enumerate(fathers) if j >= 2 * k]
 
 
 def _dk_graph(entries: Sequence[int], k: int) -> Multigraph:
     """A tuple's tree with leaves S0..S2k-1 renamed S1..S2k, glued."""
-    return _glue(LabeledTree([(_designated_vertex(u, 2 * k),
-                               _designated_vertex(v, 2 * k))
-                              for u, v in _stick_break_int_edges(entries)]), k)
+    parent, _, fathers = _walk(entries, len(entries) + 1)  # the whole walk
+    return _glued_graph(parent, *_designated(fathers, k))
+
+
+def _pk_graph(record, k: int, leaves: bool = True) -> Multigraph:
+    """A draw record's P-tree with (S1,S2)..(S2k-1,S2k) glued; a P-tree
+    has no closing leaf, so the walk's last father is dropped."""
+    parent, _, fathers = _walk(record, len(record) + 1)
+    kept = [(j, f) for j, f in enumerate(fathers[:-1]) if not 0 < j <= 2 * k]
+    return _glued_graph(parent, fathers[1:2 * k + 1], kept if leaves else [],
+                        lambda v: v)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +149,9 @@ def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
     # tuples whose glued graphs are equal share one object and its key id
     shared: Dict[tuple, tuple] = {}
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
-        parent, depth, fathers = _walk(arrangement, 2 * k)
+        parent, depth, fathers = _walk(arrangement, len(arrangement) + 1)
         b, squares, dists = _bias_from_fathers(parent, depth, fathers[:2 * k])
-        glued = _dk_graph(arrangement, k)
+        glued = _glued_graph(parent, *_designated(fathers, k))
         label = glued.key()
         if label not in shared:
             key = glued.leaf_canonical_key()
@@ -433,8 +441,9 @@ def pk_law_oracle(pvec: PVector, k: int, cap: int = 200000) -> Dict[tuple, Fract
 
 
 def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
-                     rng: np.random.Generator, min_stars: int = 0) -> Multigraph:
-    """Accepted, glued (P,k) prefix with its surviving leaf labels intact."""
+                     rng: np.random.Generator, min_stars: int = 0,
+                     leaves: bool = True) -> Multigraph:
+    """Accepted, glued (P,k) prefix; its surviving leaf labels stay if leaves."""
     bound = bias_bound(k)
     while True:
         growth = PTreeGrowth(pvec, rng)
@@ -445,7 +454,9 @@ def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
             while len(growth.record) < n_steps:
                 growth.step()
             growth.grow_until_stars(min_stars)
-            return _glue(growth.tree(), k)
+            if not growth.record:
+                raise ValidationError("a (P,0) prefix needs n_steps >= 1")
+            return _pk_graph(growth.record, k, leaves)
 
 
 def sample_pk_graph_prefix(pvec: PVector, k: int, n_steps: int,
@@ -456,11 +467,7 @@ def sample_pk_graph_prefix(pvec: PVector, k: int, n_steps: int,
     then on), accepts with probability bias/((k+1)! 2^k), keeps growing to
     n_steps, glues (S1,S2)..(S2k-1,S2k), and drops every leaf label.
     """
-    glued = _sample_pk_glued(pvec, k, n_steps, rng)
-    kept = [v for v in glued.vertices if not is_star(v)]
-    edges = [(u, v, m) for (u, v), m in glued.edge_items()
-             if not is_star(u) and not is_star(v)]
-    return Multigraph(edges, vertices=kept)
+    return _sample_pk_glued(pvec, k, n_steps, rng, leaves=False)
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,9 @@ def _base_multiset(seq: DegreeSequence) -> List[int]:
     return [i + 1 for i, d in enumerate(seq.degrees) for _ in range(d)]
 
 
-def _stick_break_int_edges(entries: Sequence[int]) -> List[Tuple[int, int]]:
-    """Branching walk over a tuple of internal-vertex ints; leaves are < 0."""
+def _stick_break_int_edges(entries: Sequence) -> list:
+    """Branching walk over a tuple of entries (internal-vertex ints, or the
+    Vertex labels of a P-tree record); leaf S_j is the int -(j + 1)."""
     if not entries:
         return [(-2, -1)]
     prev = entries[0]
@@ -372,19 +373,18 @@ class PTreeGrowth:
     """Incremental branching walk driven by i.i.d. draws from a PVector.
 
     Draws landing in the p_inf remainder create fresh overflow vertices,
-    so they never repeat.  The instance records the raw draw sequence
-    (_walk folds it the same way) and the tree edges in placement order.
+    so they never repeat.  The instance records the raw draw sequence and
+    counts the repeats, each of which places a leaf label; tree() folds
+    the record (_walk folds it the same way).
     """
 
     def __init__(self, pvec: PVector, rng: np.random.Generator):
         self.pvec = pvec
         self.rng = rng
         self._cum = np.cumsum(np.asarray(pvec.p, dtype=float))
-        self.edges: List[Tuple[Vertex, Vertex]] = []
         self.record: List[Vertex] = []
         self.n_stars = 0
         self._seen = set()
-        self._prev = None
         self._step = 0
 
     def _draw(self) -> Vertex:
@@ -398,16 +398,10 @@ class PTreeGrowth:
     def step(self):
         b = self._draw()
         self.record.append(b)
-        if self._prev is None:
-            self.edges.append((star(0), b))
-            self._seen.add(b)
-        elif b not in self._seen:
-            self.edges.append((self._prev, b))
-            self._seen.add(b)
-        else:
+        if b in self._seen:
             self.n_stars += 1
-            self.edges.append((self._prev, star(self.n_stars)))
-        self._prev = b
+        else:
+            self._seen.add(b)
 
     def grow_until_stars(self, n_stars: int, max_steps: int = 10 ** 7):
         if n_stars > self.n_stars and not self.pvec.p:
@@ -419,7 +413,10 @@ class PTreeGrowth:
             self.step()
 
     def tree(self) -> LabeledTree:
-        return LabeledTree(self.edges)
+        # leaf S_j is the fold's int -(j + 1); a P-tree has no closing leaf
+        edges = _stick_break_int_edges(self.record)[:-1]
+        return LabeledTree([tuple(star(-x - 1) if isinstance(x, int) else x
+                                  for x in e) for e in edges])
 
 
 def sample_p_tree_prefix(pvec: PVector, n_steps: int, rng: np.random.Generator):

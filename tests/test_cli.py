@@ -104,6 +104,16 @@ def test_core_measure_cli(tmp_path, param_files):
     assert payload["pairs"] == 2
 
 
+@pytest.mark.parametrize("pairs", ["5", "-1"])
+def test_core_measure_pairs_out_of_range(tmp_path, param_files, pairs, capsys):
+    # the 4x4 matrix holds 2 pairs; 0 (the default) means all of them
+    out = tmp_path / "cm"
+    assert run(["--out", str(out), "core-measure", "--params",
+                str(param_files["matrix"]), "--pairs", pairs]) == 2
+    assert "--pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracles_cli(tmp_path, param_files):
     for what, params, k in [("enumerate-trees", "tree", None),
                             ("cm-law", "half", "1"), ("pk-law", "p", "1")]:
@@ -188,6 +198,9 @@ def test_experiment_missing_input_is_usage_error(param_files, capsys):
     assert run(["experiment", "converge", "--family",
                 str(param_files["tree"])]) == 1
     assert "--target" in capsys.readouterr().err
+    assert run(["experiment", "converge", "--target",
+                str(param_files["theta"])]) == 1
+    assert "--family" in capsys.readouterr().err
 
 
 def test_csv_format_rejected_without_csv_form(tmp_path, param_files):

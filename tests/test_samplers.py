@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from surpluslab import errors
-from surpluslab.labels import internal as V, star as S
+from surpluslab.labels import internal as V, is_star, star as S
 from surpluslab.experiments import VERSION, d_tree_bias_values
-from surpluslab.multigraph import Multigraph, bias, bias_bound, bias_components
+from surpluslab.multigraph import (Multigraph, bias, bias_bound,
+                                   bias_components, glue_tree_leaves)
 from surpluslab.params import PVector, validate
-from surpluslab.samplers import (_bias_from_fathers, _sample_dk_streaming,
+from surpluslab.samplers import (_bias_from_fathers, _dk_graph, _pk_graph,
+                                 _sample_dk_streaming,
                                  canonical_oriented_edges,
                                  cm_conditioned_oracle, dk_table,
                                  insert_edgepoints, pk_law_oracle,
@@ -23,9 +25,9 @@ from surpluslab.samplers import (_bias_from_fathers, _sample_dk_streaming,
                                  sample_multiplicative_multigraph,
                                  sample_ordered_partition,
                                  sample_pk_graph_prefix, shortcut_edgepoints)
-from surpluslab.trees import (LabeledTree, PTreeGrowth, _walk,
-                              enumerate_d_tree_keys, sample_d_tree,
-                              sample_d_tuple, stick_break_tree)
+from surpluslab.trees import (LabeledTree, PTreeGrowth, _base_multiset, _walk,
+                              enumerate_d_tree_keys, multiset_arrangements,
+                              sample_d_tree, sample_d_tuple, stick_break_tree)
 
 
 def tv_against(law, counts, n):
@@ -290,6 +292,8 @@ def test_pk_sampler_k0_plain_prefix():
     g = sample_pk_graph_prefix(PVector((0.5, 0.5)), 0, 30, rng)
     assert g.surplus() == 0
     assert g.vertices == frozenset({V(1), V(2)})
+    with pytest.raises(errors.ValidationError):  # no draw leaves no tree
+        sample_pk_graph_prefix(PVector((0.5, 0.5)), 0, 0, rng)
 
 
 def test_pk_bias_bound_assertion_holds():
@@ -410,6 +414,55 @@ def test_bias_fast_matches_public_bias():
                                              fathers[1:2 * k + 1])
             assert value == bias(growth.tree(), k)
     assert stopped_early > 0
+
+
+def _same_graph(g, h) -> bool:
+    return g.vertices == h.vertices and dict(g.edge_items()) == dict(h.edge_items())
+
+
+def _glue_pairs(k):
+    return [(S(2 * i - 1), S(2 * i)) for i in range(1, k + 1)]
+
+
+def test_dk_graph_matches_public_glue():
+    # the one-step build from the walk against the public path (tree,
+    # relabel S0..S2k-1 -> S1..S2k and S2k -> S0, glue) on every tuple of
+    # small tables, the empty tuple of [0, 0] and tables without S0 included
+    for degs, k in [((0, 0), 0), ((1, 1, 0, 0), 0), ((1, 1), 1),
+                    ((2, 1, 1, 0), 1), ((2, 2), 2), ((4, 0), 2),
+                    ((3, 2, 2, 0, 0), 2), ((3, 3, 1, 1), 3),
+                    ((4, 2, 2, 1, 0), 3)]:
+        tree_seq = validate(list(degs), "surplus", k=k).to_tree_kind()
+        shift = {S(j): S(j + 1) for j in range(2 * k)}
+        shift[S(2 * k)] = S(0)
+        for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
+            tree = stick_break_tree(tree_seq, [V(x) for x in arrangement])
+            expected = glue_tree_leaves(tree.relabel(shift), _glue_pairs(k))
+            assert _same_graph(_dk_graph(list(arrangement), k), expected)
+
+
+def test_pk_graph_matches_public_glue():
+    # seeded draw records, overflow draws included, against the glued
+    # P-tree; without leaves every star and its pendant edge is dropped
+    rng = np.random.default_rng(24)
+    overflow_records = 0
+    for pvec in (PVector((0.5, 0.3), p_inf=0.2), PVector((0.6, 0.3, 0.1))):
+        for k in range(4):
+            for _ in range(25):
+                growth = PTreeGrowth(pvec, rng)
+                growth.grow_until_stars(2 * k)
+                for _ in range(int(rng.integers(1, 30))):
+                    growth.step()
+                overflow_records += any(v.kind == "Vinf" for v in growth.record)
+                expected = glue_tree_leaves(growth.tree(), _glue_pairs(k))
+                assert _same_graph(_pk_graph(growth.record, k), expected)
+                bare = _pk_graph(growth.record, k, leaves=False)
+                assert bare.vertices == {v for v in expected.vertices
+                                         if not is_star(v)}
+                assert dict(bare.edge_items()) == {
+                    (u, v): m for (u, v), m in expected.edge_items()
+                    if not is_star(u) and not is_star(v)}
+    assert overflow_records > 0
 
 
 def _digest(text) -> str:
