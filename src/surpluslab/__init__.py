@@ -10,10 +10,10 @@ from .continuum import (GluedSpace, IcrtRealization, MetricTree,
 from .errors import CapExceeded, ValidationError
 from .labels import Vertex, internal, overflow, parse_vertex, star
 from .multigraph import (Multigraph, bias, bias_bound, bias_components,
-                         cb_probability, circ, cyc_edges, cycle_break,
-                         glue_leaves, glue_tree_leaves, square, surplus)
+                         cb_probability, cycle_break, glue_leaves,
+                         glue_tree_leaves)
 from .params import (DegreeSequence, PVector, RegimeGap, ThetaVector,
-                     regime_gap, stats, truncate_theta, validate)
+                     regime_gap, truncate_theta, validate)
 from .reconstruct import (check_four_point, core_measure_from_matrix,
                           gromov_height, reconstruct)
 from .samplers import (cm_conditioned_oracle, dk_table, insert_edgepoints,

@@ -276,19 +276,13 @@ def cmd_oracle(args):
         lines = [t.to_json() for t in trees.enumerate_d_trees(seq, cap=args.cap)]
         _emit_lines(args, "oracle-enumerate-trees", lines, [args.params], [])
         return 0
-    if args.what == "cm-law":
-        seq = load_params(args.params)
-        law = samplers.cm_conditioned_oracle(seq, args.k)
+    if args.what in ("cm-law", "pk-law"):
+        oracle = (samplers.cm_conditioned_oracle if args.what == "cm-law"
+                  else samplers.pk_law_oracle)
+        law = oracle(load_params(args.params), args.k)
         lines = [json.dumps({"key": str(key), "prob": str(p)})
                  for key, p in sorted(law.items(), key=lambda kv: str(kv[0]))]
-        _emit_lines(args, "oracle-cm-law", lines, [args.params], [], k=args.k)
-        return 0
-    if args.what == "pk-law":
-        pvec = load_params(args.params)
-        law = samplers.pk_law_oracle(pvec, args.k)
-        lines = [json.dumps({"key": str(key), "prob": str(p)})
-                 for key, p in sorted(law.items(), key=lambda kv: str(kv[0]))]
-        _emit_lines(args, "oracle-pk-law", lines, [args.params], [], k=args.k)
+        _emit_lines(args, f"oracle-{args.what}", lines, [args.params], [], k=args.k)
         return 0
     raise ValidationError(f"unknown oracle {args.what!r}")
 

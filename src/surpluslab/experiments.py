@@ -19,16 +19,15 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .continuum import sample_icrg_weighted, sample_icrt
-from .errors import InsufficientLeaves, ValidationError
+from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
-from .params import KIND_SURPLUS, KIND_TREE, DegreeSequence
+from .params import KIND_SURPLUS, DegreeSequence
 from .samplers import (_bias_from_fathers, _sample_pk_glued,
                        sample_configuration_model, sample_dk_graph,
                        sample_multiplicative_graph,
                        sample_multiplicative_multigraph)
-from .trees import (PTreeGrowth, _base_multiset, _walk, sample_d_tree,
-                    tree_distance_matrix)
+from .trees import PTreeGrowth, _base_multiset, _climb, _walk
 
 VERSION = "0.1.0"
 
@@ -93,19 +92,42 @@ def _scale_of(model: dict) -> float:
     return float(scale)
 
 
+def _walk_matrix(entries: list, n_leaves: int, points: Sequence[Vertex]):
+    """Edge counts between points of the tree that _walk(entries, n_leaves)
+    folds, one climb per pair: S_j hangs one hop below fathers[j], and V_i
+    of a degree sequence is the int entry i.  An empty walk is the
+    two-leaf tree S0 - S1."""
+    parent, depth, fathers = _walk(entries, n_leaves)
+    for j, f in enumerate(fathers if entries else [None, star(0)]):
+        parent[star(j)] = f
+        depth[star(j)] = 0 if f is None else depth[f] + 1
+    nodes = [v.index if v.kind == "V" else v for v in points]
+    out = np.zeros((len(points), len(points)))
+    for i, (v, a) in enumerate(zip(points, nodes)):
+        if a not in parent:
+            raise UnknownVertex(f"{v} not in tree")
+        for j in range(i):
+            out[i, j] = out[j, i] = len(_climb(parent, depth, a, nodes[j]))
+    return out
+
+
+_MEASURE_MODELS = ("d-tree", "dk-graph", "cm", "mult", "mult-multi")
+
+
 def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
-                measure: Optional[VertexMeasure]):
-    """(matrix, importance weight) for a single repetition."""
+                measure: Optional[VertexMeasure], base: Optional[np.ndarray]):
+    """(matrix, importance weight) for a single repetition; base is the
+    d-tree multiset, shuffled afresh each time."""
     name = model["model"]
     params = model["params"]
     k = model.get("k", 0)
+    marks = [star(j) for j in range(1, n_points + 1)]
     if name == "d-tree":
-        tree = sample_d_tree(params, rng)
-        if measure is not None:
-            points = measure.sample(rng, n_points)
-        else:
-            points = [star(j) for j in range(1, n_points + 1)]
-        return tree_distance_matrix(tree, points).astype(float), 1.0
+        entries = base[rng.permutation(len(base))].tolist()
+        if measure is None:  # the walk stops once S1..S_n_points are placed
+            return _walk_matrix(entries, n_points + 1, marks), 1.0
+        return _walk_matrix(entries, len(entries) + 2,
+                            measure.sample(rng, n_points)), 1.0
     if name == "dk-graph":
         g = sample_dk_graph(params, rng)
         if measure is not None:
@@ -116,9 +138,7 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
     if name == "p-tree":
         growth = PTreeGrowth(params, rng)
         growth.grow_until_stars(n_points)
-        tree = growth.tree()
-        points = [star(j) for j in range(1, n_points + 1)]
-        return tree_distance_matrix(tree, points).astype(float), 1.0
+        return _walk_matrix(growth.record, n_points + 1, marks), 1.0
     if name == "pk-graph":
         g = _sample_pk_glued(params, k, model.get("n_steps", 1), rng,
                              min_stars=2 * k + n_points)
@@ -155,12 +175,18 @@ def gp_matrix_sample(model: dict, n_points: int, n_reps: int,
     The scale multiplies every entry: model["scale"] is "lambda" for
     degree-sequence models converging to a theta target, "sigma" for
     probability-vector models, "none" (default), or an explicit float.
+    A measure is only taken by the models in _MEASURE_MODELS.
     """
+    name, base = model["model"], None
+    if measure is not None and name not in _MEASURE_MODELS:
+        raise ValidationError(f"model {name!r} takes no vertex measure")
+    if name == "d-tree":  # built once; each rep shuffles it
+        base = np.array(_base_multiset(model["params"]), dtype=np.int64)
     scale = _scale_of(model)
     mats = np.empty((n_reps, n_points, n_points))
     weights = np.empty(n_reps)
     for r in range(n_reps):
-        m, w = _one_matrix(model, n_points, rng, measure)
+        m, w = _one_matrix(model, n_points, rng, measure, base)
         mats[r] = m * scale
         weights[r] = w
     return mats, weights
@@ -223,26 +249,30 @@ def permutation_energy_test(x: np.ndarray, y: np.ndarray, n_perms: int,
                             rng: np.random.Generator):
     """(observed, p-value, 95% permutation quantile) for the energy distance.
 
-    Group sizes may differ; the pooled pairwise-distance matrix is computed
-    once and every permutation statistic is a block average over it.
+    Group sizes may differ.  Row 0 of the 0/1 matrix Z marks the x rows of
+    the pooled sample, row i those of permutation i.  With D the pooled
+    distance matrix, the one product Z D gives every within-x sum as
+    diag(Z D Z^T); the row sums of D give the cross and within-y sums.
+    The observed statistic is row 0 of the same formula.
     """
+    if n_perms < 1:
+        raise ValidationError("n_perms must be >= 1")
+    if len(x) == 0 or len(y) == 0:
+        raise ValidationError("both groups need at least one row")
+    n, m = len(x), len(y)
     pooled = np.concatenate([x, y])
-    n, total = len(x), len(pooled)
     dm = cdist(pooled, pooled)
-
-    def stat(ix, iy):
-        a = dm[np.ix_(ix, iy)].mean()
-        b = dm[np.ix_(ix, ix)].mean()
-        c = dm[np.ix_(iy, iy)].mean()
-        return 2 * a - b - c
-
-    observed = stat(np.arange(n), np.arange(n, total))
-    stats = np.empty(n_perms)
-    for i in range(n_perms):
-        perm = rng.permutation(total)
-        stats[i] = stat(perm[:n], perm[n:])
-    p = (1 + np.sum(stats >= observed)) / (n_perms + 1)
-    return float(observed), float(p), float(np.quantile(stats, 0.95))
+    z = np.zeros((n_perms + 1, n + m))
+    z[0, :n] = 1
+    for i in range(1, n_perms + 1):
+        z[i, rng.permutation(n + m)[:n]] = 1
+    xx = np.einsum("ij,ij->i", z @ dm, z)  # within-x sums
+    xd = z @ dm.sum(axis=1)                # x-to-everything sums
+    yy = dm.sum() - 2 * xd + xx
+    stats = 2 * (xd - xx) / (n * m) - xx / n ** 2 - yy / m ** 2
+    observed, perms = stats[0], stats[1:]
+    p = (1 + np.sum(perms >= observed)) / (n_perms + 1)
+    return float(observed), float(p), float(np.quantile(perms, 0.95))
 
 
 def _upper_triangles(mats: np.ndarray) -> np.ndarray:
@@ -294,8 +324,6 @@ def converge_experiment(family: List[dict], target: dict, n_points: int,
 def d_tree_bias_values(tree_seq: DegreeSequence, k: int, n_samples: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Bias of n_samples unbiased trees, glued at their own labels S1..S2k."""
-    if tree_seq.kind != KIND_TREE:
-        raise ValidationError("bias tail runs on tree-kind sequences")
     if tree_seq.N + 1 < 2 * k:
         raise InsufficientLeaves("need at least 2k leaves besides S0")
     base = np.array(_base_multiset(tree_seq), dtype=np.int64)

@@ -244,22 +244,6 @@ class Multigraph:
             vertices=[parse_vertex(x) for x in obj["vertices"]])
 
 
-def surplus(g: Multigraph) -> int:
-    return g.surplus()
-
-
-def square(g: Multigraph) -> int:
-    return g.square()
-
-
-def cyc_edges(g: Multigraph) -> List[tuple]:
-    return g.cyc_edges()
-
-
-def circ(g: Multigraph) -> int:
-    return g.circ()
-
-
 def glue_leaves(g: Multigraph, pairs: Sequence[Tuple[Vertex, Vertex]]) -> Multigraph:
     """Fuse each pair of pendant edges into one edge between the fathers."""
     flat = [v for p in pairs for v in p]

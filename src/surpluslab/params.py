@@ -140,10 +140,6 @@ def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0,
     return DegreeSequence(tuple(degrees), kind, k)
 
 
-def stats(seq: DegreeSequence) -> SequenceStats:
-    return seq.stats()
-
-
 def _check_real(name: str, values) -> None:
     if not all(isinstance(x, numbers.Real) for x in values):
         raise ValidationError(f"{name} entries must be real numbers")

@@ -150,6 +150,9 @@ def _vertex_to_int(v: Vertex) -> int:
 
 
 def _base_multiset(seq: DegreeSequence) -> List[int]:
+    """The multiset every walk shuffles: rank i + 1 repeated d_i times."""
+    if seq.kind != KIND_TREE:
+        raise ValidationError("the walk runs on tree-kind degree sequences")
     return [i + 1 for i, d in enumerate(seq.degrees) for _ in range(d)]
 
 
@@ -238,8 +241,6 @@ def _walk(entries: Sequence, n_leaves: int):
 
 def sample_d_tuple(seq: DegreeSequence, rng: np.random.Generator) -> Tuple[Vertex, ...]:
     """Uniform arrangement of the multiset {Vi with multiplicity d_i}."""
-    if seq.kind != KIND_TREE:
-        raise ValidationError("tuples are drawn for tree-kind sequences")
     base = _base_multiset(seq)
     perm = rng.permutation(len(base))
     return tuple(internal(base[j]) for j in perm)
@@ -247,8 +248,6 @@ def sample_d_tuple(seq: DegreeSequence, rng: np.random.Generator) -> Tuple[Verte
 
 def stick_break_tree(seq: DegreeSequence, tup: Sequence[Vertex]) -> LabeledTree:
     """Deterministic tree of a tuple; raises TupleMismatch on bad multiplicities."""
-    if seq.kind != KIND_TREE:
-        raise ValidationError("stick-breaking runs on tree-kind sequences")
     want = Counter(_base_multiset(seq))
     got = Counter(_vertex_to_int(v) for v in tup)
     if want != got:
@@ -268,8 +267,6 @@ def sample_d_tree_keys(seq: DegreeSequence, n_samples: int,
     Same tuple law and branching kernel as sample_d_tree, with the
     shuffles vectorized; used by the large uniformity checks.
     """
-    if seq.kind != KIND_TREE:
-        raise ValidationError("tree sampling needs a tree-kind sequence")
     base = np.array(_base_multiset(seq), dtype=np.int64)
     counts = Counter()
     left = n_samples

@@ -6,6 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scipy.spatial.distance import cdist
+
+from surpluslab.errors import UnknownVertex, ValidationError
 from surpluslab.experiments import (ExperimentManifest, VertexMeasure,
                                     bias_tail_experiment, converge_experiment,
                                     d_tree_bias_values, energy_distance,
@@ -16,7 +19,9 @@ from surpluslab.experiments import (ExperimentManifest, VertexMeasure,
 from surpluslab.labels import internal as V, star as S
 from surpluslab.multigraph import bias
 from surpluslab.params import PVector, ThetaVector, validate
-from surpluslab.trees import enumerate_d_trees
+from surpluslab.samplers import _sample_pk_glued
+from surpluslab.trees import (PTreeGrowth, enumerate_d_trees, sample_d_tree,
+                              tree_distance_matrix)
 
 BROWNIAN = ThetaVector(theta0=1.0)
 
@@ -183,3 +188,176 @@ def test_multigraph_distance_matrix_unreachable():
     g = Multigraph([(V(1), V(2))], vertices=[V(1), V(2), V(3)])
     with pytest.raises(Exception):
         multigraph_distance_matrix(g, [V(1), V(3)])
+
+
+# ---------------------------------------------------------------------------
+# tree matrices read from the walk, against the LabeledTree path
+
+
+def _twin_rngs(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _marks(n_points):
+    return [S(j) for j in range(1, n_points + 1)]
+
+
+def _labeled_tree_matrices(seq, n_points, n_reps, rng, measure=None):
+    out = []
+    for _ in range(n_reps):
+        tree = sample_d_tree(seq, rng)
+        points = (_marks(n_points) if measure is None
+                  else measure.sample(rng, n_points))
+        out.append(tree_distance_matrix(tree, points).astype(float))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("degrees, n_points", [
+    ([2] * 8 + [0] * 10, 5), ([2] * 64 + [0] * 66, 5), ([2] * 16 + [0] * 18, 3),
+    ([3, 3, 2, 1, 1] + [0] * 7, 4), ([4, 3, 1] + [0] * 7, 6),
+    ([2] * 8 + [0] * 10, 1), ([1, 1, 0, 0], 1), ([0, 0], 1)])
+def test_d_tree_walk_matrices_match_labeled_tree(degrees, n_points):
+    # ([4, 3, 1] + 7 zeros, 6) needs the closing leaf; n_points = 1 no pair
+    seq = validate(degrees, "tree")
+    for seed in range(3):
+        a, b = _twin_rngs(seed)
+        mats, w = gp_matrix_sample({"model": "d-tree", "params": seq},
+                                   n_points, 50, a)
+        assert np.array_equal(mats, _labeled_tree_matrices(seq, n_points, 50, b))
+        assert np.all(w == 1)
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("degrees", [[2, 2, 1, 0, 0, 0, 0],
+                                     [3, 3, 2, 1, 1] + [0] * 7,
+                                     [3, 0, 0, 0, 0], [0, 0]])
+def test_d_tree_walk_matrices_measure_mode(degrees):
+    seq = validate(degrees, "tree")
+    labels = ([S(j) for j in range(seq.n_zero)]
+              + [V(i + 1) for i, d in enumerate(degrees) if d])
+    measure = VertexMeasure({v: 1.0 + i for i, v in enumerate(labels)})
+    for seed in range(3):
+        a, b = _twin_rngs(seed)
+        mats, _ = gp_matrix_sample({"model": "d-tree", "params": seq}, 4, 50,
+                                   a, measure=measure)
+        assert np.array_equal(
+            mats, _labeled_tree_matrices(seq, 4, 50, b, measure))
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("pvec", [PVector((0.5, 0.3, 0.2)),
+                                  PVector((0.5, 0.25, 0.125), 0.125)])
+@pytest.mark.parametrize("n_points", [1, 5])
+def test_p_tree_walk_matrices_match_grown_tree(pvec, n_points):
+    for seed in range(3):
+        a, b = _twin_rngs(seed)
+        mats, _ = gp_matrix_sample({"model": "p-tree", "params": pvec},
+                                   n_points, 50, a)
+        ref = []
+        for _ in range(50):
+            growth = PTreeGrowth(pvec, b)
+            growth.grow_until_stars(n_points)
+            ref.append(tree_distance_matrix(growth.tree(), _marks(n_points)))
+        assert np.array_equal(mats, np.array(ref, dtype=float))
+        assert a.random() == b.random()
+
+
+def test_pk_graph_matrices_are_the_glued_graph_distances():
+    pvec = PVector((0.5, 0.3, 0.2))
+    model = {"model": "pk-graph", "params": pvec, "k": 1, "n_steps": 8}
+    a, b = _twin_rngs(5)
+    mats, w = gp_matrix_sample(model, 3, 20, a)
+    for m in mats:
+        g = _sample_pk_glued(pvec, 1, 8, b, min_stars=5)
+        assert np.array_equal(m, multigraph_distance_matrix(g, [S(3), S(4), S(5)]))
+        assert np.array_equal(m, m.T)
+        assert np.all(m[~np.eye(3, dtype=bool)] >= 2)  # distinct pendant leaves
+    assert np.all(w == 1)
+    assert a.random() == b.random()
+
+
+def test_tree_matrix_typed_errors():
+    seq = validate([1, 1, 0, 0], "tree")  # leaves S0 and S1 only
+    model = {"model": "d-tree", "params": seq}
+    with pytest.raises(UnknownVertex):
+        gp_matrix_sample(model, 2, 1, rng_stream(0, 0))
+    with pytest.raises(UnknownVertex):
+        tree_distance_matrix(sample_d_tree(seq, rng_stream(0, 0)), _marks(2))
+    unknown = VertexMeasure({V(9): 1.0})
+    with pytest.raises(UnknownVertex):
+        gp_matrix_sample(model, 2, 1, rng_stream(0, 0), measure=unknown)
+    with pytest.raises(UnknownVertex):
+        tree_distance_matrix(sample_d_tree(seq, rng_stream(0, 0)), [V(9)])
+    surplus = validate([1, 1], "surplus", k=1)
+    with pytest.raises(ValidationError):
+        gp_matrix_sample({"model": "d-tree", "params": surplus}, 1, 1,
+                         rng_stream(0, 0))
+
+
+@pytest.mark.parametrize("model", [
+    {"model": "p-tree", "params": PVector((0.5, 0.5))},
+    {"model": "pk-graph", "params": PVector((0.5, 0.5)), "k": 1},
+    {"model": "icrt", "params": BROWNIAN},
+    {"model": "icrg", "params": BROWNIAN, "k": 1}])
+def test_measure_rejected_by_models_without_vertices(model):
+    rng = rng_stream(0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError):
+        gp_matrix_sample(model, 2, 3, rng, measure=VertexMeasure({V(1): 1.0}))
+    assert rng.bit_generator.state == state
+
+
+# ---------------------------------------------------------------------------
+# the permutation test as one product, against per-permutation block means
+
+
+def _block_mean_permutation_test(x, y, n_perms, rng):
+    """One np.ix_ block-mean statistic per permutation.  Each group's
+    indices are sorted, so a permutation that repeats the observed split
+    repeats the observed value bit for bit, as in the product form."""
+    pooled = np.concatenate([x, y])
+    n, total = len(x), len(pooled)
+    dm = cdist(pooled, pooled)
+
+    def stat(ix, iy):
+        a = dm[np.ix_(ix, iy)].mean()
+        b = dm[np.ix_(ix, ix)].mean()
+        c = dm[np.ix_(iy, iy)].mean()
+        return 2 * a - b - c
+
+    observed = stat(np.arange(n), np.arange(n, total))
+    stats = np.empty(n_perms)
+    for i in range(n_perms):
+        perm = rng.permutation(total)
+        stats[i] = stat(np.sort(perm[:n]), np.sort(perm[n:]))
+    p = (1 + np.sum(stats >= observed)) / (n_perms + 1)
+    return float(observed), float(p), float(np.quantile(stats, 0.95))
+
+
+@pytest.mark.parametrize("n, m, dim, seeds, shift", [
+    (300, 1200, 10, [0], 0.0), (300, 1200, 10, [1], 0.4),
+    (7, 3, 2, range(6), 0.0), (7, 3, 2, range(6), 0.4),
+    (3, 7, 1, range(6), 0.0), (3, 7, 1, range(6), 0.4)])
+def test_permutation_test_matches_block_means(n, m, dim, seeds, shift):
+    # 7 vs 3 rows have 120 splits, so 199 permutations repeat the observed one
+    for seed in seeds:
+        data = np.random.default_rng(100 + seed)
+        x = data.normal(size=(n, dim))
+        y = data.normal(size=(m, dim)) + shift
+        a, b = _twin_rngs(seed)
+        observed, p, thresh = permutation_energy_test(x, y, 199, a)
+        ref_observed, ref_p, ref_thresh = _block_mean_permutation_test(x, y, 199, b)
+        assert p == ref_p
+        assert observed == pytest.approx(ref_observed, rel=1e-12)
+        assert thresh == pytest.approx(ref_thresh, rel=1e-12)
+        assert a.random() == b.random()
+
+
+def test_permutation_test_typed_errors():
+    rng = rng_stream(8, 1)
+    state = rng.bit_generator.state
+    x, y = np.ones((3, 2)), np.zeros((4, 2))
+    for args in [(x, y, 0), (x[:0], y, 99), (x, y[:0], 99)]:
+        with pytest.raises(ValidationError):
+            permutation_energy_test(*args, rng)
+    assert rng.bit_generator.state == state

@@ -9,7 +9,7 @@ import pytest
 
 from surpluslab import errors
 from surpluslab.labels import internal as V, is_star, star as S
-from surpluslab.experiments import VERSION, d_tree_bias_values
+from surpluslab.experiments import VERSION, d_tree_bias_values, gp_matrix_sample
 from surpluslab.multigraph import (Multigraph, bias, bias_bound,
                                    bias_components, glue_tree_leaves)
 from surpluslab.params import PVector, validate
@@ -487,6 +487,10 @@ def test_seeded_outputs_pinned():
             "f4167af73ad3b181e8c698527b72cf3c60c1c771f6e5b0f999dc44180e296713",
         "pk_prefix":
             "c3436837d3cf502757d558f6c1ad86551a7f259309f554e1e48a821f396a96a0",
+        "gp_d_tree_ladder64":
+            "206c2c816fd8f33fd6e2fbd91dccf8d583ed2de329088c5ccc5b468c11ea3b49",
+        "gp_p_tree":
+            "64b0f535bdbcc997f668c97211d34b30dbb6b3eff9b098b16af02451a2975f8d",
     }
     got = {}
     ladder = validate([2] * 64 + [0] * 66, "tree")
@@ -508,5 +512,15 @@ def test_seeded_outputs_pinned():
     pvec = PVector((2 / 3, 1 / 3))
     got["pk_prefix"] = _digest("\n".join(
         sample_pk_graph_prefix(pvec, 1, 64, rng).to_json() for _ in range(50)))
+    # distance matrices (and weights) of the tree models, taken while they
+    # still came from a LabeledTree per repetition
+    mats, w = gp_matrix_sample({"model": "d-tree", "params": ladder,
+                                "scale": "lambda"}, 5, 50,
+                               np.random.default_rng(39))
+    got["gp_d_tree_ladder64"] = _digest(mats.tobytes() + w.tobytes())
+    mats, w = gp_matrix_sample({"model": "p-tree", "scale": "sigma",
+                                "params": PVector((0.5, 0.25, 0.125), 0.125)},
+                               5, 50, np.random.default_rng(40))
+    got["gp_p_tree"] = _digest(mats.tobytes() + w.tobytes())
     assert got == pins
     assert VERSION == "0.1.0"
