@@ -271,15 +271,16 @@ def cmd_experiment(args):
 
 
 def cmd_oracle(args):
+    caps = {} if args.cap is None else {"cap": args.cap}  # no --cap: own default
     if args.what == "enumerate-trees":
         seq = load_params(args.params)
-        lines = [t.to_json() for t in trees.enumerate_d_trees(seq, cap=args.cap)]
+        lines = [t.to_json() for t in trees.enumerate_d_trees(seq, **caps)]
         _emit_lines(args, "oracle-enumerate-trees", lines, [args.params], [])
         return 0
     if args.what in ("cm-law", "pk-law"):
         oracle = (samplers.cm_conditioned_oracle if args.what == "cm-law"
                   else samplers.pk_law_oracle)
-        law = oracle(load_params(args.params), args.k)
+        law = oracle(load_params(args.params), args.k, **caps)
         lines = [json.dumps({"key": str(key), "prob": str(p)})
                  for key, p in sorted(law.items(), key=lambda kv: str(kv[0]))]
         _emit_lines(args, f"oracle-{args.what}", lines, [args.params], [], k=args.k)
@@ -311,6 +312,10 @@ def _resolve_global_flags(args, pre):
 
 def _check_usage(parser, args):
     """Usage errors argparse cannot see on its own; each exits 1."""
+    if args.reps < 1:
+        parser.error(f"--reps must be >= 1, got {args.reps}")
+    if args.command == "oracle" and args.what == "cm-law" and args.cap is not None:
+        parser.error("oracle cm-law is capped by its half-edge sum; drop --cap")
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         parser.error(f"{args.command} has no CSV output; drop --format csv")
     if args.command == "experiment":
@@ -363,7 +368,7 @@ def build_parser() -> _Parser:
     po.add_argument("what", choices=("enumerate-trees", "cm-law", "pk-law"))
     po.add_argument("--params", required=True)
     po.add_argument("--k", type=int, default=1)
-    po.add_argument("--cap", type=int, default=250000)
+    po.add_argument("--cap", type=int, default=None)
     return parser
 
 

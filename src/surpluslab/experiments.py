@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .continuum import sample_icrg_weighted, sample_icrt
 from .errors import InsufficientLeaves, UnknownVertex, ValidationError
@@ -207,6 +206,7 @@ def energy_distance(x: np.ndarray, y: np.ndarray,
                     wx: Optional[np.ndarray] = None,
                     wy: Optional[np.ndarray] = None) -> float:
     """2 E|X-Y| - E|X-X'| - E|Y-Y'| with self-normalized weights."""
+    from scipy.spatial.distance import cdist  # deferred: keeps CLI start-up light
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     wx = _norm_weights(len(x), wx)
@@ -259,6 +259,7 @@ def permutation_energy_test(x: np.ndarray, y: np.ndarray, n_perms: int,
         raise ValidationError("n_perms must be >= 1")
     if len(x) == 0 or len(y) == 0:
         raise ValidationError("both groups need at least one row")
+    from scipy.spatial.distance import cdist
     n, m = len(x), len(y)
     pooled = np.concatenate([x, y])
     dm = cdist(pooled, pooled)

@@ -157,12 +157,6 @@ class Multigraph:
         self._cyc = out
         return out
 
-    def cyc_edges(self) -> List[tuple]:
-        edges = []
-        for p, r in self.cyc_items():
-            edges.extend([p] * r)
-        return edges
-
     def square(self) -> int:
         return sum(r for _, r in self.cyc_items())
 

@@ -280,16 +280,26 @@ class _UnionFind:
             self.p[ra] = rb
 
 
-def _matchings(stubs: List[int]):
-    """All perfect matchings of a stub list, as lists of vertex pairs."""
-    if not stubs:
-        yield []
-        return
-    first = stubs[0]
-    for j in range(1, len(stubs)):
-        rest = stubs[1:j] + stubs[j + 1:]
-        for m in _matchings(rest):
-            yield [(first, stubs[j])] + m
+def _matching_counts(degrees) -> Dict[tuple, int]:
+    """Perfect matchings of the stubs, counted per sorted edge tuple.
+
+    Each step pairs the first free stub of the lowest vertex u with one of
+    the r_v free stubs of a vertex v > u, or of the r_u - 1 others of u;
+    paths reaching the same partial edge tuple are merged on the way.
+    """
+    layer = {(tuple(degrees), ()): 1}
+    for _ in range(sum(degrees) // 2):
+        nxt: Dict[tuple, int] = {}
+        for (r, edges), count in layer.items():
+            u = next(i for i, x in enumerate(r) if x)
+            for v in range(u, len(r)):
+                ways = r[v] - (v == u)
+                if ways > 0:
+                    state = (tuple(x - (i == u) - (i == v) for i, x in enumerate(r)),
+                             tuple(sorted(edges + ((u + 1, v + 1),))))
+                    nxt[state] = nxt.get(state, 0) + count * ways
+        layer = nxt
+    return {edges: count for (_, edges), count in layer.items()}
 
 
 def _leaf_key_from_counts(s: int, degrees, mult: Dict[tuple, int]) -> tuple:
@@ -331,19 +341,17 @@ def cm_conditioned_oracle(seq: DegreeSequence, k: int,
         raise ValidationError(
             f"sum {seq.total} corresponds to surplus {_cm_surplus(seq)}, not {k}")
     s = seq.s
-    stubs = [i + 1 for i, d in enumerate(seq.degrees) for _ in range(d)]
     weights: Dict[tuple, int] = {}
     total = 0
-    for pairs in _matchings(stubs):
+    for edges, count in _matching_counts(seq.degrees).items():
         uf = _UnionFind(s + 1)
-        mult = Counter()
-        for u, v in pairs:
-            mult[(min(u, v), max(u, v))] += 1
+        for u, v in edges:
             uf.union(u, v)
         root = uf.find(1)
         if any(uf.find(v) != root for v in range(2, s + 1)):
             continue
-        w = 1
+        mult = Counter(edges)
+        w = count
         for (u, v), m in mult.items():
             w *= (2 ** m if u == v else 1) * math.factorial(m)
         key = _leaf_key_from_counts(s, seq.degrees, mult)

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -131,6 +135,65 @@ def test_oracle_cap_exit_code(tmp_path, param_files):
     code = run(["oracle", "enumerate-trees", "--params",
                 str(param_files["tree"]), "--cap", "1"])
     assert code == 3
+
+
+def test_oracle_cap_reaches_pk_law_and_is_refused_by_cm_law(
+        tmp_path, param_files, capsys):
+    pk = ["oracle", "pk-law", "--params", str(param_files["p"]), "--k", "1"]
+    assert run(pk + ["--cap", "1"]) == 3
+    assert run(pk) == 0
+    assert run(["oracle", "enumerate-trees", "--params",
+                str(param_files["tree"])]) == 0
+    capsys.readouterr()
+    out = tmp_path / "cm"
+    assert run(["--out", str(out), "oracle", "cm-law", "--params",
+                str(param_files["half"]), "--k", "1", "--cap", "1"]) == 1
+    assert "--cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_cm_law_output_pinned(tmp_path, capsys):
+    # sha256 of the stdout of `oracle cm-law` on [3,3,2,2,2,2], k = 2,
+    # taken while the oracle still listed all 135,135 matchings one by one
+    params = tmp_path / "cm.json"
+    params.write_text(json.dumps(
+        {"kind": "half-edge", "degrees": [3, 3, 2, 2, 2, 2]}))
+    capsys.readouterr()
+    assert run(["oracle", "cm-law", "--params", str(params), "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 294
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dec1b38cf77c79aba3365b9f4c95614904c8d10095f1b040d2fb1450514da080")
+
+
+@pytest.mark.parametrize("reps", ["0", "-1", "-2"])
+def test_reps_below_one_is_usage_error(tmp_path, param_files, reps, capsys):
+    for argv in (["sample-tree", "--params", str(param_files["tree"])],
+                 ["sample-graph", "--params", str(param_files["surplus"])],
+                 ["sample-icrt", "--params", str(param_files["theta"])],
+                 ["experiment", "bias-tail", "--params",
+                  str(param_files["tree"]), "--k", "1"],
+                 ["experiment", "converge", "--family",
+                  str(param_files["tree"]), "--target",
+                  str(param_files["theta"])]):
+        out = tmp_path / argv[0]
+        assert run(["--reps", reps, "--out", str(out)] + argv) == 1, argv
+        assert "--reps" in capsys.readouterr().err
+        assert not out.exists(), argv
+        assert run(argv + ["--reps", reps]) == 1, argv
+        assert "--reps" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__import__("surpluslab").__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, surpluslab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_invalid_args_exit_code():

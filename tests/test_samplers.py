@@ -13,7 +13,8 @@ from surpluslab.experiments import VERSION, d_tree_bias_values, gp_matrix_sample
 from surpluslab.multigraph import (Multigraph, bias, bias_bound,
                                    bias_components, glue_tree_leaves)
 from surpluslab.params import PVector, validate
-from surpluslab.samplers import (_bias_from_fathers, _dk_graph, _pk_graph,
+from surpluslab.samplers import (_bias_from_fathers, _dk_graph,
+                                 _leaf_key_from_counts, _pk_graph,
                                  _sample_dk_streaming,
                                  canonical_oriented_edges,
                                  cm_conditioned_oracle, dk_table,
@@ -127,6 +128,46 @@ def test_cm_two_twos_frequencies():
     assert abs(double - 2 * n / 3) < 3 * sd
 
 
+def _matchings(stubs):
+    """All perfect matchings of a stub list, as lists of vertex pairs."""
+    if not stubs:
+        yield []
+        return
+    first = stubs[0]
+    for j in range(1, len(stubs)):
+        rest = stubs[1:j] + stubs[j + 1:]
+        for m in _matchings(rest):
+            yield [(first, stubs[j])] + m
+
+
+def _brute_cm_law(seq):
+    """The conditioned configuration-model law, one matching at a time."""
+    s = seq.s
+    stubs = [i + 1 for i, d in enumerate(seq.degrees) for _ in range(d)]
+    weights, total = {}, 0
+    for pairs in _matchings(stubs):
+        mult = Counter((min(u, v), max(u, v)) for u, v in pairs)
+        reached, frontier = {1}, [1]
+        while frontier:
+            x = frontier.pop()
+            for u, v in mult:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in reached:
+                        reached.add(b)
+                        frontier.append(b)
+        if len(reached) < s:
+            continue
+        w = 1
+        for (u, v), m in mult.items():
+            w *= (2 ** m if u == v else 1) * math.factorial(m)
+        key = _leaf_key_from_counts(s, seq.degrees, mult)
+        weights[key] = weights.get(key, 0) + w
+        total += w
+    if total == 0:
+        return None
+    return {key: Fraction(w, total) for key, w in weights.items()}
+
+
 def test_cm_oracle_examples():
     law = cm_conditioned_oracle(validate([1, 1], "half-edge"), 0)
     assert list(law.values()) == [Fraction(1)]
@@ -142,6 +183,37 @@ def test_cm_oracle_guards():
         cm_conditioned_oracle(validate([3, 3], "half-edge"), 1)
     with pytest.raises(errors.TooLarge):
         cm_conditioned_oracle(validate([8, 8], "half-edge"), 8, cap_sum=14)
+    with pytest.raises(errors.TooLarge):
+        cm_conditioned_oracle(validate([3, 3, 2, 2, 2, 2, 2], "half-edge"), 2)
+    with pytest.raises(errors.ValidationError):
+        cm_conditioned_oracle(validate([1, 1, 0, 0], "half-edge"), 0)
+    tree_kind = validate([2, 1, 0, 0, 0], "tree")
+    with pytest.raises(errors.ValidationError):
+        cm_conditioned_oracle(tree_kind, 0)
+    # a zero-degree vertex leaves no connected configuration
+    for degrees in ([2, 0], [2, 2, 0], [4, 2, 0, 0]):
+        seq = validate(degrees, "half-edge")
+        assert _brute_cm_law(seq) is None
+        with pytest.raises(errors.ValidationError):
+            cm_conditioned_oracle(seq, seq.total // 2 - seq.s + 1)
+
+
+@pytest.mark.parametrize("degrees, k", [
+    ([0], 0), ([2], 1), ([4], 2), ([6], 3),          # a single vertex
+    ([1, 1], 0), ([2, 1, 1], 0), ([3, 1, 1, 1], 0), ([2, 2, 2, 1, 1], 0),
+    ([6, 1, 1, 1, 1, 1, 1], 0),
+    ([2, 2], 1), ([3, 2, 1], 1), ([3, 2, 2, 1], 1), ([4, 2, 1, 1], 1),
+    ([5, 3, 1, 1, 1, 1], 1), ([2, 2, 2, 2, 2, 2], 1),
+    ([3, 3], 2), ([3, 3, 2, 2], 2), ([4, 2, 2, 2, 2], 2), ([4, 3, 2, 1], 2),
+    ([5, 3, 1, 1], 2),
+    ([4, 4], 3), ([3, 3, 3, 3], 3), ([4, 4, 2, 2], 3), ([6, 2, 2, 2], 3),
+])
+def test_cm_oracle_matches_matching_enumeration(degrees, k):
+    seq = validate(degrees, "half-edge")
+    assert sum(degrees) == 2 * len(degrees) + 2 * k - 2
+    law = cm_conditioned_oracle(seq, k)
+    assert law == _brute_cm_law(seq)
+    assert sum(law.values()) == 1
 
 
 def test_dk_law_matches_conditioned_cm_quick():
