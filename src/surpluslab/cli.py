@@ -20,7 +20,7 @@ from .errors import CapExceeded, ValidationError
 from .reconstruct import core_measure_from_matrix, reconstruct as rebuild_tree
 from .experiments import ExperimentManifest, content_hash, rng_stream
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, KIND_TREE, DegreeSequence,
-                     PVector, ThetaVector, validate)
+                     PVector, ThetaVector, _check_real, validate)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,18 +30,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _list(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be a list")
+    return value
+
+
 def load_params(path: str):
-    text = Path(path).read_text()
-    obj = json.loads(text)
+    """The one reader of the parameter-file formats (see the README)."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValidationError(f"parameter file {path} must hold a JSON object")
     if "degrees" in obj:
         return validate(obj["degrees"], obj.get("kind", KIND_TREE),
                         k=obj.get("k", 0))
     if "p" in obj:
-        return PVector(tuple(obj["p"]), obj.get("p_inf", 0.0))
+        return PVector(tuple(_list(obj, "p")), obj.get("p_inf", 0.0))
     if "theta" in obj or "theta0" in obj:
-        return ThetaVector(obj.get("theta0", 0.0), tuple(obj.get("theta", ())))
+        return ThetaVector(obj.get("theta0", 0.0), tuple(_list(obj, "theta")))
     if "lambda" in obj and "weights" in obj:
-        return (obj["lambda"], list(obj["weights"]))
+        weights = _list(obj, "weights")
+        _check_real("lambda and weights", [obj["lambda"], *weights])
+        return (obj["lambda"], weights)
     raise ValidationError(f"unrecognized parameter file {path}")
 
 
@@ -70,8 +81,7 @@ def _emit_lines(args, name, lines, param_files, streams, file_name=None,
         return
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if file_name is None:
-        file_name = name + (".jsonl" if args.format == "json" else ".csv")
+    file_name = file_name or name + (".jsonl" if args.format == "json" else ".csv")
     (out_dir / file_name).write_text(text)
     hashes = {Path(p).name: content_hash(Path(p).read_bytes())
               for p in param_files}
@@ -80,21 +90,27 @@ def _emit_lines(args, name, lines, param_files, streams, file_name=None,
     (out_dir / "manifest.json").write_text(manifest.to_json())
 
 
+def _per_rep(args, name, draw, **options):
+    """Emit draw(r, rng) for each repetition r, rng being stream r of
+    --seed; the repetitions are the manifest's streams."""
+    streams = range(args.reps)
+    lines = [line for r in streams
+             for line in draw(r, rng_stream(args.seed, r))]
+    _emit_lines(args, name, lines, [args.params], streams, **options)
+
+
 def cmd_sample_tree(args):
     params = load_params(args.params)
-    streams = list(range(args.reps))
-    lines = []
-    for r in streams:
-        rng = rng_stream(args.seed, r)
-        if isinstance(params, DegreeSequence):
-            tree = trees.sample_d_tree(params, rng)
-        elif isinstance(params, PVector):
+    if isinstance(params, DegreeSequence):
+        def draw(r, rng):
+            return [trees.sample_d_tree(params, rng).to_json()]
+    elif isinstance(params, PVector):
+        def draw(r, rng):
             tree, _ = trees.sample_p_tree_prefix(params, args.steps, rng)
-        else:
-            raise ValidationError("sample-tree takes a degree sequence or p vector")
-        lines.append(tree.to_json())
-    _emit_lines(args, "sample-tree", lines, [args.params], streams,
-                steps=args.steps)
+            return [tree.to_json()]
+    else:
+        raise ValidationError("sample-tree takes a degree sequence or p vector")
+    _per_rep(args, "sample-tree", draw, steps=args.steps)
     return 0
 
 
@@ -102,13 +118,9 @@ def cmd_sample_graph(args):
     params = load_params(args.params)
     if not isinstance(params, DegreeSequence) or params.kind != KIND_SURPLUS:
         raise ValidationError("sample-graph needs a surplus-kind degree sequence")
-    streams = list(range(args.reps))
-    lines = []
-    for r in streams:
-        g = samplers.sample_dk_graph(params, rng_stream(args.seed, r))
-        lines.append(g.to_json())
-    _emit_lines(args, "sample-graph", lines, [args.params], streams,
-                k=params.k)
+    _per_rep(args, "sample-graph",
+             lambda r, rng: [samplers.sample_dk_graph(params, rng).to_json()],
+             k=params.k)
     return 0
 
 
@@ -116,11 +128,8 @@ def cmd_sample_cm(args):
     params = load_params(args.params)
     if not isinstance(params, DegreeSequence) or params.kind != KIND_HALF_EDGE:
         raise ValidationError("sample-cm needs a half-edge degree sequence")
-    streams = list(range(args.reps))
-    lines = [samplers.sample_configuration_model(params,
-                                                 rng_stream(args.seed, r)).to_json()
-             for r in streams]
-    _emit_lines(args, "sample-cm", lines, [args.params], streams)
+    _per_rep(args, "sample-cm", lambda r, rng: [
+        samplers.sample_configuration_model(params, rng).to_json()])
     return 0
 
 
@@ -128,42 +137,31 @@ def cmd_sample_mult(args):
     params = load_params(args.params)
     if not isinstance(params, tuple):
         raise ValidationError("sample-mult needs a lambda/weights file")
-    lam, weights = params
     sampler = (samplers.sample_multiplicative_multigraph if args.multi
                else samplers.sample_multiplicative_graph)
-    streams = list(range(args.reps))
-    lines = [sampler(lam, weights, rng_stream(args.seed, r)).to_json()
-             for r in streams]
-    _emit_lines(args, "sample-mult", lines, [args.params], streams,
-                multi=args.multi)
+    _per_rep(args, "sample-mult",
+             lambda r, rng: [sampler(*params, rng).to_json()], multi=args.multi)
     return 0
 
 
-def _matrix_csv_block(names, rows, comment):
-    lines = [comment, ",".join(names)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
-    return lines
+def _matrix_csv(comment, labels, matrix):
+    return experiments.csv_lines([comment], [f"Y{i}" for i in labels],
+                                 [[float(x) for x in row] for row in matrix])
 
 
 def cmd_sample_icrt(args):
     theta = load_params(args.params)
     if not isinstance(theta, ThetaVector):
         raise ValidationError("sample-icrt needs a theta file")
-    streams = list(range(args.reps))
-    lines = []
-    for r in streams:
-        real = continuum.sample_icrt(theta, rng_stream(args.seed, r),
-                                     n_points=args.points)
-        if args.format == "csv":
-            labels = list(range(1, args.points + 1))
-            mat = real.tree().mark_distance_matrix(labels)
-            lines.extend(_matrix_csv_block([f"Y{i}" for i in labels], mat,
-                                           f"# rep = {r}"))
-        else:
-            lines.append(real.to_json())
-    _emit_lines(args, "sample-icrt", lines, [args.params], streams,
-                points=args.points)
+    labels = list(range(1, args.points + 1))
+
+    def draw(r, rng):
+        real = continuum.sample_icrt(theta, rng, n_points=args.points)
+        if args.format == "json":
+            return [real.to_json()]
+        return _matrix_csv(f"rep = {r}", labels,
+                           real.tree().mark_distance_matrix(labels))
+    _per_rep(args, "sample-icrt", draw, points=args.points)
     return 0
 
 
@@ -171,25 +169,18 @@ def cmd_sample_icrg(args):
     theta = load_params(args.params)
     if not isinstance(theta, ThetaVector):
         raise ValidationError("sample-icrg needs a theta file")
-    streams = list(range(args.reps))
-    lines = []
-    for r in streams:
-        ws = continuum.sample_icrg_weighted(theta, args.k,
-                                            rng_stream(args.seed, r),
+    labels = list(range(2 * args.k + 1, 2 * args.k + args.points + 1))
+
+    def draw(r, rng):
+        ws = continuum.sample_icrg_weighted(theta, args.k, rng,
                                             n_points=2 * args.k + args.points)
-        if args.format == "csv":
-            labels = list(range(2 * args.k + 1, 2 * args.k + args.points + 1))
-            mat = ws.payload.mark_distance_matrix(labels)
-            lines.extend(_matrix_csv_block(
-                [f"Y{i}" for i in labels], mat,
-                f"# rep = {r}, weight = {ws.weight!r}"))
-        else:
-            obj = json.loads(ws.realization.to_json())
-            obj["weight"] = ws.weight
-            obj["k"] = args.k
-            lines.append(json.dumps(obj, sort_keys=True))
-    _emit_lines(args, "sample-icrg", lines, [args.params], streams,
-                points=args.points, k=args.k)
+        if args.format == "json":
+            obj = dict(json.loads(ws.realization.to_json()),
+                       weight=ws.weight, k=args.k)
+            return [json.dumps(obj, sort_keys=True)]
+        return _matrix_csv(f"rep = {r}, weight = {ws.weight!r}", labels,
+                           ws.payload.mark_distance_matrix(labels))
+    _per_rep(args, "sample-icrg", draw, points=args.points, k=args.k)
     return 0
 
 
@@ -209,9 +200,8 @@ def cmd_core_measure(args):
         raise ValidationError(f"--pairs must lie in 1..{len(rows) // 2}")
     pairs = args.pairs or len(rows) // 2
     value = core_measure_from_matrix([r[:2 * pairs] for r in rows[:2 * pairs]])
-    _emit_lines(args, "core-measure", [json.dumps({"pairs": pairs,
-                                                   "value": float(value)})],
-                [args.params], [])
+    line = json.dumps({"pairs": pairs, "value": float(value)})
+    _emit_lines(args, "core-measure", [line], [args.params], [])
     return 0
 
 
@@ -235,18 +225,16 @@ def cmd_experiment(args):
             seq = load_params(path)
             if not isinstance(seq, DegreeSequence):
                 raise ValidationError("family members must be degree sequences")
-            model = {"model": "dk-graph" if args.k else "d-tree",
-                     "params": seq, "k": args.k, "scale": scale,
-                     "label": Path(path).name}
             if args.k and seq.kind != KIND_SURPLUS:
                 raise ValidationError("k > 0 needs surplus-kind family members")
-            family.append(model)
+            family.append({"model": "dk-graph" if args.k else "d-tree",
+                           "params": seq, "k": args.k, "scale": scale,
+                           "label": Path(path).name})
         report = experiments.converge_experiment(family, target, args.points,
                                                  args.reps, rng)
         perm = report["last_member_permutation"]
         meta = {"experiment": "converge", "seed": args.seed,
-                "decreasing": report["decreasing"],
-                "permutation_p": perm["p"],
+                "decreasing": report["decreasing"], "permutation_p": perm["p"],
                 "permutation_threshold95": perm["threshold95"],
                 "permutation_observed": perm["observed"]}
         _emit_lines(args, "experiment-converge",
@@ -254,132 +242,123 @@ def cmd_experiment(args):
                     list(args.family) + [args.target], [0],
                     file_name="converge.csv", k=args.k, points=args.points)
         return 0
-    if args.what == "bias-tail":
-        seq = load_params(args.params)
-        if seq.kind == KIND_SURPLUS:
-            seq = seq.to_tree_kind()
-        m_grid = [float(x) for x in args.m_grid.split(",")]
-        rows = experiments.bias_tail_experiment(seq, args.k, m_grid,
-                                                args.reps, rng)
-        meta = {"experiment": "bias-tail", "seed": args.seed, "k": args.k}
-        _emit_lines(args, "experiment-bias-tail",
-                    experiments.table_csv_lines(rows, meta), [args.params],
-                    [0], file_name="bias-tail.csv", k=args.k,
-                    m_grid=args.m_grid)
-        return 0
-    raise ValidationError(f"unknown experiment {args.what!r}")
+    seq = load_params(args.params)  # bias-tail
+    if not isinstance(seq, DegreeSequence):
+        raise ValidationError("bias-tail needs a degree sequence")
+    if seq.kind == KIND_SURPLUS:
+        seq = seq.to_tree_kind()
+    m_grid = [float(x) for x in args.m_grid.split(",")]
+    rows = experiments.bias_tail_experiment(seq, args.k, m_grid, args.reps, rng)
+    meta = {"experiment": "bias-tail", "seed": args.seed, "k": args.k}
+    _emit_lines(args, "experiment-bias-tail",
+                experiments.table_csv_lines(rows, meta), [args.params], [0],
+                file_name="bias-tail.csv", k=args.k, m_grid=args.m_grid)
+    return 0
 
 
 def cmd_oracle(args):
     caps = {} if args.cap is None else {"cap": args.cap}  # no --cap: own default
+    params = load_params(args.params)
+    p_law = args.what == "pk-law"
+    if not isinstance(params, PVector if p_law else DegreeSequence):
+        raise ValidationError(f"oracle {args.what} needs a "
+                              f"{'p' if p_law else 'degree-sequence'} file")
     if args.what == "enumerate-trees":
-        seq = load_params(args.params)
-        lines = [t.to_json() for t in trees.enumerate_d_trees(seq, **caps)]
+        lines = [t.to_json() for t in trees.enumerate_d_trees(params, **caps)]
         _emit_lines(args, "oracle-enumerate-trees", lines, [args.params], [])
         return 0
-    if args.what in ("cm-law", "pk-law"):
-        oracle = (samplers.cm_conditioned_oracle if args.what == "cm-law"
-                  else samplers.pk_law_oracle)
-        law = oracle(load_params(args.params), args.k, **caps)
-        lines = [json.dumps({"key": str(key), "prob": str(p)})
-                 for key, p in sorted(law.items(), key=lambda kv: str(kv[0]))]
-        _emit_lines(args, f"oracle-{args.what}", lines, [args.params], [], k=args.k)
-        return 0
-    raise ValidationError(f"unknown oracle {args.what!r}")
+    oracle = samplers.pk_law_oracle if p_law else samplers.cm_conditioned_oracle
+    law = oracle(params, args.k, **caps)
+    lines = [json.dumps({"key": str(key), "prob": str(p)})
+             for key, p in sorted(law.items(), key=lambda kv: str(kv[0]))]
+    _emit_lines(args, f"oracle-{args.what}", lines, [args.params], [], k=args.k)
+    return 0
 
 
-_GLOBAL_FLAGS = {"seed": 0, "out": None, "reps": 1, "format": "json"}
-# the commands with a CSV form, and the input flags each experiment needs
+# the commands with a CSV form, the input flags each experiment needs, and
+# the least --points each task can draw distances between
 _CSV_COMMANDS = ("sample-icrt", "sample-icrg", "experiment")
 _EXPERIMENT_INPUT = {"converge": ("target", "family"), "bias-tail": ("params",)}
+_MIN_POINTS = {"sample-icrt": 1, "sample-icrg": 1, "converge": 2}
 
 
-def _add_global_flags(parser):
-    # accepted both before and after the subcommand; None sentinels let
-    # main() merge the two positions without subparser defaults clobbering
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--reps", type=int, default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-
-
-def _resolve_global_flags(args, pre):
-    for name, default in _GLOBAL_FLAGS.items():
-        if getattr(args, name, None) is None:
-            value = getattr(pre, name, None)
-            setattr(args, name, default if value is None else value)
+def _add_global_flags(parser, default):
+    """--seed/--out/--reps/--format, each defaulting to default(value)."""
+    parser.add_argument("--seed", type=int, default=default(0))
+    parser.add_argument("--out", default=default(None))
+    parser.add_argument("--reps", type=int, default=default(1))
+    parser.add_argument("--format", choices=("json", "csv"),
+                        default=default("json"))
 
 
 def _check_usage(parser, args):
     """Usage errors argparse cannot see on its own; each exits 1."""
+    task = getattr(args, "what", args.command)
     if args.reps < 1:
         parser.error(f"--reps must be >= 1, got {args.reps}")
-    if args.command == "oracle" and args.what == "cm-law" and args.cap is not None:
+    if task == "cm-law" and args.cap is not None:
         parser.error("oracle cm-law is capped by its half-edge sum; drop --cap")
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         parser.error(f"{args.command} has no CSV output; drop --format csv")
-    if args.command == "experiment":
-        for flag in _EXPERIMENT_INPUT[args.what]:
-            if not getattr(args, flag):
-                parser.error(f"experiment {args.what} needs --{flag}")
+    for flag in _EXPERIMENT_INPUT.get(task, ()):
+        if not getattr(args, flag):
+            parser.error(f"experiment {task} needs --{flag}")
+    if task in _MIN_POINTS and args.points < _MIN_POINTS[task]:
+        parser.error(f"--points must be >= {_MIN_POINTS[task]}, got {args.points}")
+    if args.command in ("experiment", "sample-icrg") and args.k < 0:
+        parser.error(f"--k must be >= 0, got {args.k}")
+    if task == "bias-tail":
+        try:
+            [float(x) for x in args.m_grid.split(",")]
+        except ValueError:
+            parser.error(f"--m-grid must be numbers joined by commas: {args.m_grid!r}")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="surpluslab")
-    _add_global_flags(parser)
+    _add_global_flags(parser, lambda value: value)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn, **flags):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        _add_global_flags(p)
-        for flag, opts in extra.items():
+        # after the subcommand a global flag is set only when given there
+        _add_global_flags(p, lambda value: argparse.SUPPRESS)
+        for flag, opts in flags.items():
             p.add_argument(flag, **opts)
-        return p
 
+    params = {"--params": {"required": True}}
+    points = {"--points": {"type": int, "default": 8}}
     add("sample-tree", cmd_sample_tree,
-        **{"--params": {"required": True}, "--steps": {"type": int, "default": 8}})
-    add("sample-graph", cmd_sample_graph, **{"--params": {"required": True}})
-    add("sample-cm", cmd_sample_cm, **{"--params": {"required": True}})
-    p = add("sample-mult", cmd_sample_mult, **{"--params": {"required": True}})
-    p.add_argument("--multi", action="store_true")
-    add("sample-icrt", cmd_sample_icrt,
-        **{"--params": {"required": True}, "--points": {"type": int, "default": 8}})
+        **params, **{"--steps": {"type": int, "default": 8}})
+    add("sample-graph", cmd_sample_graph, **params)
+    add("sample-cm", cmd_sample_cm, **params)
+    add("sample-mult", cmd_sample_mult,
+        **params, **{"--multi": {"action": "store_true"}})
+    add("sample-icrt", cmd_sample_icrt, **params, **points)
     add("sample-icrg", cmd_sample_icrg,
-        **{"--params": {"required": True}, "--points": {"type": int, "default": 8},
-           "--k": {"type": int, "default": 1}})
-    add("reconstruct", cmd_reconstruct, **{"--params": {"required": True}})
+        **params, **points, **{"--k": {"type": int, "default": 1}})
+    add("reconstruct", cmd_reconstruct, **params)
     add("core-measure", cmd_core_measure,
-        **{"--params": {"required": True}, "--pairs": {"type": int, "default": 0}})
-    pe = sub.add_parser("experiment")
-    pe.set_defaults(fn=cmd_experiment)
-    _add_global_flags(pe)
-    pe.add_argument("what", choices=("converge", "bias-tail"))
-    pe.add_argument("--family", nargs="+", default=[])
-    pe.add_argument("--target")
-    pe.add_argument("--params")
-    pe.add_argument("--k", type=int, default=0)
-    pe.add_argument("--points", type=int, default=4)
-    pe.add_argument("--steps", type=int, default=64)
-    pe.add_argument("--m-grid", dest="m_grid", default="0,1,10,50")
-    po = sub.add_parser("oracle")
-    po.set_defaults(fn=cmd_oracle)
-    _add_global_flags(po)
-    po.add_argument("what", choices=("enumerate-trees", "cm-law", "pk-law"))
-    po.add_argument("--params", required=True)
-    po.add_argument("--k", type=int, default=1)
-    po.add_argument("--cap", type=int, default=None)
+        **params, **{"--pairs": {"type": int, "default": 0}})
+    add("experiment", cmd_experiment, **{
+        "what": {"choices": ("converge", "bias-tail")},
+        "--family": {"nargs": "+", "default": []}, "--target": {},
+        "--params": {}, "--k": {"type": int, "default": 0},
+        "--points": {"type": int, "default": 4},
+        "--steps": {"type": int, "default": 64},
+        "--m-grid": {"default": "0,1,10,50"}})
+    add("oracle", cmd_oracle, **{
+        "what": {"choices": ("enumerate-trees", "cm-law", "pk-law")},
+        **params, "--k": {"type": int, "default": 1},
+        "--cap": {"type": int}})
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    pre_parser = _Parser(add_help=False)
-    _add_global_flags(pre_parser)
     try:
-        pre, _ = pre_parser.parse_known_args(argv)
         args = parser.parse_args(argv)
-        _resolve_global_flags(args, pre)
         _check_usage(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

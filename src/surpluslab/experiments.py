@@ -386,19 +386,19 @@ def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def table_csv_lines(rows: List[dict], metadata: Dict[str, object]) -> List[str]:
-    """'#' metadata rows by sorted key, a header, then repr-exact rows."""
-    lines = [f"# {k} = {metadata[k]}" for k in sorted(metadata)]
-    if rows:
-        cols = list(rows[0].keys())
-        lines.append(",".join(cols))
-        for row in rows:
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                                  else str(row[c]) for c in cols))
+def csv_lines(comments: Sequence[str], header: Sequence[str],
+              rows: Sequence[Sequence]) -> List[str]:
+    """'# ' comments, the header (if any), then rows with repr-exact floats."""
+    lines = [f"# {c}" for c in comments]
+    if header:
+        lines.append(",".join(header))
+    lines.extend(",".join(repr(x) if isinstance(x, float) else str(x)
+                          for x in row) for row in rows)
     return lines
 
 
-def write_table_csv(path, rows: List[dict], metadata: Dict[str, object]):
-    """CSV file of table_csv_lines."""
-    with open(path, "w") as fh:
-        fh.write("\n".join(table_csv_lines(rows, metadata)) + "\n")
+def table_csv_lines(rows: List[dict], metadata: Dict[str, object]) -> List[str]:
+    """Metadata comments by sorted key, then the rows under their keys."""
+    cols = list(rows[0]) if rows else []
+    return csv_lines([f"{k} = {metadata[k]}" for k in sorted(metadata)], cols,
+                     [[row[c] for c in cols] for row in rows])

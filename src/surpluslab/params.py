@@ -11,7 +11,6 @@ p_inf / theta0.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -84,18 +83,6 @@ class DegreeSequence:
         kept = [d for d in self.degrees if d != 1]
         return validate(kept, self.kind, k=self.k, auto_sort=True)
 
-    def to_json(self) -> str:
-        obj = {"kind": self.kind, "degrees": list(self.degrees)}
-        if self.kind == KIND_SURPLUS:
-            obj["k"] = self.k
-        return json.dumps(obj, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "DegreeSequence":
-        obj = json.loads(text)
-        return validate(obj["degrees"], obj.get("kind", KIND_TREE),
-                        k=obj.get("k", 0))
-
 
 def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0,
              auto_sort: bool = False, strict_sorted: bool = False) -> DegreeSequence:
@@ -105,12 +92,7 @@ def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0,
     input is kept as given by default; auto_sort normalizes to
     non-increasing order and strict_sorted rejects unsorted input.
     """
-    try:
-        degrees = [int(d) for d in raw]
-    except (TypeError, ValueError):
-        raise ValidationError("degrees must be integers") from None
-    if any(d != r for d, r in zip(degrees, raw)):
-        raise ValidationError("degrees must be integers")
+    degrees = _integral(raw, "degrees must be integers")
     if any(d < 0 for d in degrees):
         raise NegativeEntry(f"negative degree in {raw}")
     if any(degrees[i] < degrees[i + 1] for i in range(len(degrees) - 1)):
@@ -124,6 +106,7 @@ def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0,
             raise SumMismatch(f"tree sequence needs sum {s - 2}, got {total}")
         k = 0
     elif kind == KIND_SURPLUS:
+        k, = _integral([k], "surplus k must be an integer")
         if k < 0:
             raise ValidationError("surplus k must be >= 0")
         if s == 0:
@@ -138,6 +121,17 @@ def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0,
     else:
         raise ValidationError(f"unknown kind {kind!r}")
     return DegreeSequence(tuple(degrees), kind, k)
+
+
+def _integral(values, message: str) -> list:
+    """values as ints, or ValidationError(message) unless each is integral."""
+    try:
+        out = [int(x) for x in values]
+        if out == list(values):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(message)
 
 
 def _check_real(name: str, values) -> None:
@@ -172,15 +166,6 @@ class PVector:
     def sigma(self) -> float:
         return math.sqrt(sum(float(x) ** 2 for x in self.p))
 
-    def to_json(self) -> str:
-        return json.dumps({"p": [float(x) for x in self.p],
-                           "p_inf": float(self.p_inf)}, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "PVector":
-        obj = json.loads(text)
-        return PVector(tuple(obj["p"]), obj.get("p_inf", 0.0))
-
 
 @dataclass(frozen=True)
 class ThetaVector:
@@ -201,16 +186,6 @@ class ThetaVector:
     def mu_infinite(self) -> bool:
         # Finite support means sum(theta) < inf, so only theta0 decides.
         return self.theta0 > 0
-
-    def to_json(self) -> str:
-        return json.dumps({"theta0": float(self.theta0),
-                           "theta": [float(t) for t in self.theta]},
-                          sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ThetaVector":
-        obj = json.loads(text)
-        return ThetaVector(obj.get("theta0", 0.0), tuple(obj.get("theta", ())))
 
 
 def truncate_theta(theta0: float, theta: Sequence[float], support: int) -> ThetaVector:

@@ -112,9 +112,6 @@ _TABLE_CAP = 30000
 @dataclass
 class DkTable:
     """Memoized per-tuple outcomes for one surplus-k degree sequence."""
-    seq: DegreeSequence
-    k: int
-    bound: int
     accept: np.ndarray
     bias: list
     squares: list
@@ -128,11 +125,9 @@ class DkTable:
         return len(self.bias)
 
 
-def _check_surplus_kind(seq: DegreeSequence, k=None) -> int:
+def _check_surplus_kind(seq: DegreeSequence) -> int:
     if seq.kind != KIND_SURPLUS:
         raise ValidationError("sample_dk_graph needs a surplus-kind sequence")
-    if k is not None and k != seq.k:
-        raise ValidationError(f"k={k} disagrees with the sequence's k={seq.k}")
     return seq.k
 
 
@@ -163,9 +158,8 @@ def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
         dists_all.append(dists)
         graphs.append(glued)
         key_ids.append(key_id)
-    return DkTable(seq, k, bound, np.array(accept), biases, squares_all,
-                   dists_all, graphs, np.array(key_ids, dtype=np.int64),
-                   list(key_index))
+    return DkTable(np.array(accept), biases, squares_all, dists_all, graphs,
+                   np.array(key_ids, dtype=np.int64), list(key_index))
 
 
 @lru_cache(maxsize=128)
@@ -198,8 +192,7 @@ def _sample_dk_streaming(seq: DegreeSequence, rng: np.random.Generator):
             return _dk_graph(entries, k)
 
 
-def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator,
-                    k=None) -> Multigraph:
+def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator) -> Multigraph:
     """Uniform connected multigraph with degrees d_i+1 and surplus k.
 
     The sequence's zero entries survive as star leaves labeled S0,
@@ -207,7 +200,7 @@ def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator,
     with at most 30000 tuples draw from the memoized table; larger ones
     stream.
     """
-    _check_surplus_kind(seq, k)
+    _check_surplus_kind(seq)
     table = _cached_dk_table(seq, _TABLE_CAP)
     if table is None:
         return _sample_dk_streaming(seq, rng)

@@ -196,6 +196,33 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["experiment", "bias-tail", "--params", "tree", "--k", "1",
+      "--m-grid", "a,b"], "--m-grid"),
+    (["experiment", "bias-tail", "--params", "tree", "--k", "-1"], "--k"),
+    (["experiment", "converge", "--family", "tree", "--target", "theta",
+      "--k", "-1"], "--k"),
+    (["experiment", "converge", "--family", "tree", "--target", "theta",
+      "--points", "1"], "--points"),
+    (["experiment", "converge", "--family", "tree", "--target", "theta",
+      "--points", "0"], "--points"),
+    (["sample-icrg", "--params", "theta", "--k", "-1"], "--k"),
+    (["sample-icrg", "--params", "theta", "--points", "0"], "--points"),
+    (["sample-icrt", "--params", "theta", "--points", "0"], "--points"),
+    (["sample-icrt", "--params", "theta", "--points", "-3"], "--points")],
+    ids=["m-grid", "bias-tail-k", "converge-k", "converge-points-1",
+         "converge-points-0", "icrg-k", "icrg-points", "icrt-points-0",
+         "icrt-points-neg"])
+def test_out_of_range_flag_is_usage_error(tmp_path, param_files, argv, flag,
+                                          capsys):
+    argv = [str(param_files[a]) if a in param_files else a for a in argv]
+    out = tmp_path / "out"
+    assert run(["--out", str(out)] + argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err
+    assert not out.exists()
+
+
 def test_invalid_args_exit_code():
     assert run(["no-such-command"]) == 1
     assert run([]) == 1
@@ -223,14 +250,52 @@ def test_malformed_matrix_csv_is_validation_failure(tmp_path, command, text, cap
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("params", [{"kind": "tree", "degrees": [1, "a", 0]},
-                                    {"p": [0.5, "x"]}, {"theta0": "x"}],
-                         ids=["degrees", "p", "theta0"])
-def test_malformed_params_is_validation_failure(tmp_path, params, capsys):
+@pytest.mark.parametrize("params,command", [
+    pytest.param({"kind": "tree", "degrees": [1, "a", 0]}, "sample-tree",
+                 id="degrees"),
+    pytest.param({"p": [0.5, "x"]}, "sample-tree", id="p"),
+    pytest.param({"theta0": "x"}, "sample-tree", id="theta0"),
+    pytest.param(3, "sample-tree", id="number"),
+    pytest.param("xpx", "sample-tree", id="string"),
+    pytest.param({"kind": "surplus", "degrees": [1, 1], "k": "a"},
+                 "sample-graph", id="k-string"),
+    pytest.param({"kind": "surplus", "degrees": [2, 1], "k": 1.5},
+                 "sample-graph", id="k-fraction"),
+    pytest.param({"lambda": 1, "weights": 5}, "sample-mult", id="weights-number"),
+    pytest.param({"lambda": "x", "weights": [1, 2]}, "sample-mult",
+                 id="lambda-string"),
+    pytest.param({"lambda": 1.0, "weights": ["a"]}, "sample-mult",
+                 id="weights-string"),
+    pytest.param({"p": 5}, "sample-tree", id="p-number"),
+    pytest.param({"theta": 5}, "sample-icrt", id="theta-number"),
+    pytest.param({"p": [0.5, 0.5]}, "experiment bias-tail", id="bias-tail-p"),
+    pytest.param({"p": [0.5, 0.5]}, "oracle enumerate-trees",
+                 id="enumerate-trees-p"),
+    pytest.param({"theta0": 1.0}, "oracle cm-law", id="cm-law-theta"),
+    pytest.param({"kind": "tree", "degrees": [2, 1, 0, 0, 0]}, "oracle pk-law",
+                 id="pk-law-degrees")])
+def test_malformed_params_is_validation_failure(tmp_path, params, command,
+                                                capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(params))
-    assert run(["sample-tree", "--params", str(bad)]) == 2
+    assert run(command.split() + ["--params", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_integral_k_reads_as_int(tmp_path, param_files, capsys):
+    # k = 1.0 is the integer 1, as a degree 1.0 is the degree 1; the
+    # table cache is emptied so the float-k sequence builds its own
+    from surpluslab import samplers
+    samplers._cached_dk_table.cache_clear()
+    as_float = tmp_path / "dk_float.json"
+    as_float.write_text(json.dumps(
+        {"kind": "surplus", "k": 1.0, "degrees": [2, 1, 1, 0]}))
+    outputs = []
+    for path in (as_float, param_files["surplus"]):
+        capsys.readouterr()
+        assert run(["--reps", "3", "sample-graph", "--params", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_experiment_bias_tail_deterministic(tmp_path, param_files):
@@ -285,3 +350,205 @@ def test_converge_pure_overflow_target_fails_fast(param_files):
                 "--family", str(param_files["surplus"]),
                 "--target", str(param_files["p_inf"]), "--k", "1"]) == 2
     assert time.perf_counter() - start < 10
+
+
+# name -> (subcommand argv naming param_files keys, --format); the global
+# flags --seed 3 --reps 2 --format F are placed around it in three ways
+_PINNED_COMMANDS = {
+    "sample-tree": (["sample-tree", "--params", "tree", "--steps", "6"], "json"),
+    "sample-tree-p": (["sample-tree", "--params", "p", "--steps", "6"], "json"),
+    "sample-graph": (["sample-graph", "--params", "surplus"], "json"),
+    "sample-cm": (["sample-cm", "--params", "half"], "json"),
+    "sample-mult": (["sample-mult", "--params", "mult", "--multi"], "json"),
+    "sample-icrt": (["sample-icrt", "--params", "theta", "--points", "4"], "json"),
+    "sample-icrt-csv": (["sample-icrt", "--params", "theta", "--points", "4"],
+                        "csv"),
+    "sample-icrg": (["sample-icrg", "--params", "theta", "--points", "3",
+                     "--k", "1"], "json"),
+    "sample-icrg-csv": (["sample-icrg", "--params", "theta", "--points", "3",
+                         "--k", "1"], "csv"),
+    "reconstruct": (["reconstruct", "--params", "matrix"], "json"),
+    "core-measure": (["core-measure", "--params", "matrix"], "json"),
+    "converge": (["experiment", "converge", "--family", "tree", "--target",
+                  "theta", "--points", "2"], "json"),
+    "converge-csv": (["experiment", "converge", "--family", "tree",
+                      "--target", "theta", "--points", "2"], "csv"),
+    "bias-tail": (["experiment", "bias-tail", "--params", "surplus", "--k", "1",
+                   "--m-grid", "0,0.5"], "json"),
+    "enumerate-trees": (["oracle", "enumerate-trees", "--params", "tree"], "json"),
+    "cm-law": (["oracle", "cm-law", "--params", "half", "--k", "1"], "json"),
+    "pk-law": (["oracle", "pk-law", "--params", "p", "--k", "1"], "json"),
+}
+
+# sha256 of stdout, then of each --out file by name, recorded before the
+# CLI's per-repetition loop, flag parse and CSV formatter were merged
+_PINNED_DIGESTS = {
+    "bias-tail": {
+        "bias-tail.csv":
+            "a531f21c4f50d80f42fd89e1fa784a19083d878b2256cbf5728c79a8709a4ef5",
+        "manifest.json":
+            "81fc5b31faf4ec860af2294dbc27ff5c6f4e1c001f2c93f62e679dd1235d9138",
+        "stdout":
+            "a531f21c4f50d80f42fd89e1fa784a19083d878b2256cbf5728c79a8709a4ef5",
+    },
+    "cm-law": {
+        "manifest.json":
+            "632f8f243c2c27e7fcabe3ab9d0edee0527793a359ebb343d6166ce993e9049e",
+        "oracle-cm-law.jsonl":
+            "6540d493655f84c8baa563a14bb144cd7cf99fa6b5b3d95c03b9f20a36fb1be8",
+        "stdout":
+            "6540d493655f84c8baa563a14bb144cd7cf99fa6b5b3d95c03b9f20a36fb1be8",
+    },
+    "converge": {
+        "converge.csv":
+            "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
+        "manifest.json":
+            "3fcfa844f97bad829e6e2e89c4c7f6bcb21f5f0fcc938609533c2c503a2f82d1",
+        "stdout":
+            "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
+    },
+    "converge-csv": {
+        "converge.csv":
+            "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
+        "manifest.json":
+            "3fcfa844f97bad829e6e2e89c4c7f6bcb21f5f0fcc938609533c2c503a2f82d1",
+        "stdout":
+            "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
+    },
+    "core-measure": {
+        "core-measure.jsonl":
+            "5beb9682cc4e0ed99605cbf9a04fee0100c4377bfd9672f07d8898f2e703ef9b",
+        "manifest.json":
+            "3b4abd8c27bffde5a6218005aade4530b62b5342ef69860abf084d6ccb4df48a",
+        "stdout":
+            "5beb9682cc4e0ed99605cbf9a04fee0100c4377bfd9672f07d8898f2e703ef9b",
+    },
+    "enumerate-trees": {
+        "manifest.json":
+            "d4c18ce87be3bb4aecaaf1529e29865648df32c04f5a27e298dac2d42d5a9e82",
+        "oracle-enumerate-trees.jsonl":
+            "191a70e19aa8cd57b42597356dfd9e90205486ed040c9975955e7cb0b07f6138",
+        "stdout":
+            "191a70e19aa8cd57b42597356dfd9e90205486ed040c9975955e7cb0b07f6138",
+    },
+    "pk-law": {
+        "manifest.json":
+            "1f452142a5e50ae38f5866d20a004e0380643678069accf073c28ceba89cb0bd",
+        "oracle-pk-law.jsonl":
+            "240e6a786cb95a4bf9cccad23545ab44583c838e1064b8cbcc31e6827c36a8a9",
+        "stdout":
+            "240e6a786cb95a4bf9cccad23545ab44583c838e1064b8cbcc31e6827c36a8a9",
+    },
+    "reconstruct": {
+        "manifest.json":
+            "40505326231812db16b6f8925c56bd78adeac839da7eff4865fe5db6711a1748",
+        "reconstruct.jsonl":
+            "1e2c1bf3756c68be80a7d9f22fce7f82de5d47caa0da74269a4e0c210f3bd177",
+        "stdout":
+            "1e2c1bf3756c68be80a7d9f22fce7f82de5d47caa0da74269a4e0c210f3bd177",
+    },
+    "sample-cm": {
+        "manifest.json":
+            "61d05c2365681295d8c8820a30c715c5e251a7b15b3be48718861f849677b88c",
+        "sample-cm.jsonl":
+            "dca1e08a9e958ba83a2768d62307c8eca9a057a052553e99700cf490f6238fb2",
+        "stdout":
+            "dca1e08a9e958ba83a2768d62307c8eca9a057a052553e99700cf490f6238fb2",
+    },
+    "sample-graph": {
+        "manifest.json":
+            "aee66a6efcb0807c0976c78eaa908b3dccb785eacd1ea6377af652793db1ff95",
+        "sample-graph.jsonl":
+            "4d66177f84e98e2ec801ba55954e26e8f243a845d9e89f3374c779b8ff6f306c",
+        "stdout":
+            "4d66177f84e98e2ec801ba55954e26e8f243a845d9e89f3374c779b8ff6f306c",
+    },
+    "sample-icrg": {
+        "manifest.json":
+            "01432aa851a6479cd8a11fcf8deb35f1adfb4fc2e322641e46045e168a87a5bb",
+        "sample-icrg.jsonl":
+            "d7af856a5c94b555a5bc4663c884bd9c3116de14569954f919f3ba9e35354beb",
+        "stdout":
+            "d7af856a5c94b555a5bc4663c884bd9c3116de14569954f919f3ba9e35354beb",
+    },
+    "sample-icrg-csv": {
+        "manifest.json":
+            "01432aa851a6479cd8a11fcf8deb35f1adfb4fc2e322641e46045e168a87a5bb",
+        "sample-icrg.csv":
+            "c94c60c6cc4ff608fbe0d31324f7be8ed9a23b564aaacc50b408f256fd6b2ef0",
+        "stdout":
+            "c94c60c6cc4ff608fbe0d31324f7be8ed9a23b564aaacc50b408f256fd6b2ef0",
+    },
+    "sample-icrt": {
+        "manifest.json":
+            "7a63542230e7bdcf731f40ae6935a5d0024df03545b1040dcca50c4426e43a80",
+        "sample-icrt.jsonl":
+            "f47d1201d2974072982b19386c94d27d7bb4a95cb2bf1051fc19968a39ab918c",
+        "stdout":
+            "f47d1201d2974072982b19386c94d27d7bb4a95cb2bf1051fc19968a39ab918c",
+    },
+    "sample-icrt-csv": {
+        "manifest.json":
+            "7a63542230e7bdcf731f40ae6935a5d0024df03545b1040dcca50c4426e43a80",
+        "sample-icrt.csv":
+            "89b3b2108e8b6e9bd51e379599acd11d33b25317a8a29860dd01cad351c9c80e",
+        "stdout":
+            "89b3b2108e8b6e9bd51e379599acd11d33b25317a8a29860dd01cad351c9c80e",
+    },
+    "sample-mult": {
+        "manifest.json":
+            "917071abdc55c8f0bd9bc1baa676c45a8b6c6566c0b12e5b1ea1d1574bb13cac",
+        "sample-mult.jsonl":
+            "3633c783f407ae363ed5dfb9ffcf13b9763263123522ce9ae03f4f0829ea6cf1",
+        "stdout":
+            "3633c783f407ae363ed5dfb9ffcf13b9763263123522ce9ae03f4f0829ea6cf1",
+    },
+    "sample-tree": {
+        "manifest.json":
+            "cf3c30ff9b8934b4f5bce5a6d4b74a385d4790b91daf435e70c260ec5f417af6",
+        "sample-tree.jsonl":
+            "0d5743d92cd4b7eb37ee6c3e792dfc808eb0920c81a17f958e55a451c8abd1db",
+        "stdout":
+            "0d5743d92cd4b7eb37ee6c3e792dfc808eb0920c81a17f958e55a451c8abd1db",
+    },
+    "sample-tree-p": {
+        "manifest.json":
+            "0c8f3e9a38581cc24974664721c84f105fde82e435082ce8bfdf08a6bbde5985",
+        "sample-tree.jsonl":
+            "f430d82ecae7889e6a489463d7b788280e017e070cb300ea84a7615dd6671302",
+        "stdout":
+            "f430d82ecae7889e6a489463d7b788280e017e070cb300ea84a7615dd6671302",
+    },
+}
+
+
+def _placed(sub, fmt, out, placement):
+    """argv with the global flags before, after, or on both sides of sub."""
+    flags = ["--seed", "3", "--reps", "2", "--format", fmt]
+    if out is not None:
+        flags += ["--out", str(out)]
+    if placement == "before":
+        return flags + sub
+    if placement == "after":
+        return sub + flags
+    # a stale --seed before the subcommand is overridden by the one after it
+    return ["--seed", "99"] + flags[2:] + sub + flags[:2]
+
+
+def _digests(sub, fmt, out, placement, capsys):
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    capsys.readouterr()
+    assert run(_placed(sub, fmt, None, placement)) == 0
+    got = {"stdout": sha(capsys.readouterr().out.encode())}
+    assert run(_placed(sub, fmt, out, placement)) == 0
+    got.update({name: sha(data) for name, data in read_all(out).items()})
+    return got
+
+
+@pytest.mark.parametrize("placement", ["before", "after", "both"])
+@pytest.mark.parametrize("name", sorted(_PINNED_COMMANDS))
+def test_cli_outputs_pinned(tmp_path, param_files, name, placement, capsys):
+    sub, fmt = _PINNED_COMMANDS[name]
+    sub = [str(param_files[a]) if a in param_files else a for a in sub]
+    assert _digests(sub, fmt, tmp_path / "out", placement,
+                    capsys) == _PINNED_DIGESTS[name]

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from surpluslab import errors
+from surpluslab.cli import load_params
 from surpluslab.params import (DegreeSequence, PVector, ThetaVector,
                                regime_gap, truncate_theta, validate)
 
@@ -91,13 +93,21 @@ def test_sigma_zero_whenever_degrees_at_most_one():
         assert seq.stats().sigma == 0
 
 
-def test_serialize_validate_idempotent():
+def test_serialize_validate_idempotent(tmp_path):
+    def reload(obj):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(obj))
+        return load_params(str(path))
+
     seq = validate(EX12, "tree")
-    again = DegreeSequence.from_json(seq.to_json())
+    again = reload({"kind": "tree", "degrees": EX12})
     assert again == seq
-    assert DegreeSequence.from_json(again.to_json()) == again
+    assert reload({"kind": again.kind, "degrees": list(again.degrees)}) == again
     surplus = validate([1, 1], "surplus", k=1)
-    assert DegreeSequence.from_json(surplus.to_json()) == surplus
+    assert reload({"kind": "surplus", "k": 1, "degrees": [1, 1]}) == surplus
+    assert reload({"p": [0.5, 0.25], "p_inf": 0.25}) == PVector((0.5, 0.25),
+                                                                0.25)
+    assert reload({"theta0": 0.6, "theta": [0.8]}) == ThetaVector(0.6, (0.8,))
 
 
 def test_pvector_invariants():

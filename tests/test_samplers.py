@@ -52,9 +52,6 @@ def test_dk_double_edge_forced():
 def test_dk_needs_surplus_kind():
     with pytest.raises(errors.ValidationError):
         sample_dk_graph(validate([1, 1, 0, 0], "tree"), np.random.default_rng(0))
-    with pytest.raises(errors.ValidationError):
-        sample_dk_graph(validate([1, 1], "surplus", k=1),
-                        np.random.default_rng(0), k=2)
 
 
 def test_dk_output_invariants():
