@@ -298,6 +298,8 @@ def _check_usage(parser, args):
         parser.error(f"--reps must be >= 1, got {args.reps}")
     if task == "cm-law" and args.cap is not None:
         parser.error("oracle cm-law is capped by its half-edge sum; drop --cap")
+    if args.command == "oracle" and args.cap is not None and args.cap < 1:
+        parser.error(f"--cap must be >= 1, got {args.cap}")
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         parser.error(f"{args.command} has no CSV output; drop --format csv")
     for flag in _EXPERIMENT_INPUT.get(task, ()):

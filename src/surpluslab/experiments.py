@@ -297,6 +297,16 @@ def converge_experiment(family: List[dict], target: dict, n_points: int,
     target_factor times as often as each member, so target-side noise does
     not dominate the member discrepancies.
     """
+    for model in [target, *family]:
+        # a d-tree or dk-graph marks points with its star leaves, one per
+        # zero degree but S0; the other models grow until they hold them
+        kind = model["model"]
+        have = (model["params"].n_zero - 1 if kind in ("d-tree", "dk-graph")
+                else n_points)
+        if have < n_points:
+            raise InsufficientLeaves(
+                f"model {model.get('label', kind)!r} ({kind}) supplies {have} "
+                f"star marks, fewer than the {n_points} points asked for")
     tm, tw = gp_matrix_sample(target, n_points, target_factor * n_reps, rng)
     tvec = _upper_triangles(tm)
     rows = []

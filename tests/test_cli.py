@@ -209,10 +209,12 @@ def test_cli_import_loads_no_scipy():
     (["sample-icrg", "--params", "theta", "--k", "-1"], "--k"),
     (["sample-icrg", "--params", "theta", "--points", "0"], "--points"),
     (["sample-icrt", "--params", "theta", "--points", "0"], "--points"),
-    (["sample-icrt", "--params", "theta", "--points", "-3"], "--points")],
+    (["sample-icrt", "--params", "theta", "--points", "-3"], "--points"),
+    (["oracle", "enumerate-trees", "--params", "tree", "--cap", "-1"], "--cap"),
+    (["oracle", "enumerate-trees", "--params", "tree", "--cap", "0"], "--cap")],
     ids=["m-grid", "bias-tail-k", "converge-k", "converge-points-1",
          "converge-points-0", "icrg-k", "icrg-points", "icrt-points-0",
-         "icrt-points-neg"])
+         "icrt-points-neg", "cap-neg", "cap-0"])
 def test_out_of_range_flag_is_usage_error(tmp_path, param_files, argv, flag,
                                           capsys):
     argv = [str(param_files[a]) if a in param_files else a for a in argv]
@@ -342,6 +344,28 @@ def test_csv_format_rejected_without_csv_form(tmp_path, param_files):
         out = tmp_path / argv[0]
         assert run(["--format", "csv", "--out", str(out)] + argv) == 1, argv
         assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("family,target,extra,model,have", [
+    ("surplus", "theta", ["--k", "1"], "dk-graph", 0),
+    ("tree", "p", ["--steps", "0"], "d-tree", 2)], ids=["dk-graph", "d-tree"])
+def test_converge_too_few_star_marks_names_cause(tmp_path, param_files,
+                                                 monkeypatch, capsys, family,
+                                                 target, extra, model, have):
+    # default --points 4; the check comes before any matrix is drawn
+    from surpluslab import experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before checking the star marks")
+    monkeypatch.setattr(experiments, "_one_matrix", refuse)
+    out = tmp_path / "out"
+    assert run(["--out", str(out), "experiment", "converge",
+                "--family", str(param_files[family]),
+                "--target", str(param_files[target])] + extra) == 2
+    err = capsys.readouterr().err
+    assert (f"error: model '{param_files[family].name}' ({model}) supplies "
+            f"{have} star marks, fewer than the 4 points asked for") in err
+    assert not out.exists()
 
 
 def test_converge_pure_overflow_target_fails_fast(param_files):

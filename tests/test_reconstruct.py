@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from surpluslab import errors
 from surpluslab.continuum import core_measure, sample_icrt
 from surpluslab.params import ThetaVector
-from surpluslab.reconstruct import (check_four_point, core_measure_from_matrix,
+from surpluslab.reconstruct import (DEFAULT_TOL, _build, _validate_matrix,
+                                    check_four_point, core_measure_from_matrix,
                                     gromov_height, reconstruct)
 
 BROWNIAN = ThetaVector(theta0=1.0)
@@ -117,6 +119,80 @@ def test_reconstruct_rejects_square():
     with pytest.raises(errors.FourPointViolation) as info:
         reconstruct(UNIT_SQUARE)
     assert info.value.witness == (0, 1, 2, 3)
+
+
+def _reference(matrix, tol=DEFAULT_TOL):
+    """The quadruple pass first, then the build: what reconstruct must match."""
+    m = [list(row) for row in matrix]
+    _validate_matrix(m, tol)
+    ok, witness = check_four_point(m, tol)
+    if not ok:
+        raise errors.FourPointViolation(
+            f"four-point condition fails on quadruple {witness}", witness=witness)
+    return _build(m, tol)
+
+
+def _outcome(rebuild, matrix):
+    try:
+        tree = rebuild(matrix)
+    except errors.ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return "tree", tree.edges(), tree.marks
+
+
+def _noisy_icrt_matrices(rng, n_matrices, exact):
+    """ICRT leaf matrices plus symmetric noise of 1e-11..1e-8, so that the
+    four-point gaps straddle DEFAULT_TOL = 1e-9."""
+    for _ in range(n_matrices):
+        n = int(rng.integers(4, 11))
+        tree = sample_icrt(BROWNIAN, rng, n_points=n).tree()
+        m = tree.mark_distance_matrix(range(1, n + 1))
+        scale = int(10 ** rng.uniform(1, 4))  # noise up to scale * 1e-12
+        m = [[Fraction(x) if exact else x for x in row] for row in m]
+        for i, j in itertools.combinations(range(n), 2):
+            step = int(rng.integers(-scale, scale + 1))
+            noise = Fraction(step, 10 ** 12) if exact else step * 1e-12
+            m[i][j] = m[j][i] = m[i][j] + noise
+        yield m
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_reconstruct_agrees_with_four_point_then_build(exact):
+    rng = np.random.default_rng(20 + exact)
+    kinds = set()
+    for m in _noisy_icrt_matrices(rng, 300 if exact else 600, exact):
+        want = _outcome(_reference, m)
+        assert _outcome(reconstruct, m) == want
+        kinds.add(want[0])
+    assert kinds == {"tree", errors.FourPointViolation}
+
+
+def test_reconstruct_agrees_on_small_integer_matrices():
+    # random distances 1..6 on 3..6 leaves: tree metrics, four-point
+    # failures, and matrices that pass the quadruple pass but fail the build
+    rng = np.random.default_rng(22)
+    messages = set()
+    for trial in range(2000):
+        n = int(rng.integers(3, 7))
+        unit = Fraction(1) if trial % 2 else 1.0
+        m = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            m[i][j] = m[j][i] = int(rng.integers(1, 7)) * unit
+        want = _outcome(_reference, m)
+        assert _outcome(reconstruct, m) == want
+        messages.add("tree" if want[0] == "tree" else want[1].split()[0])
+    assert messages == {"tree", "four-point", "negative", "attachment"}
+
+
+def test_reconstruct_valid_input_skips_quadruple_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadruple pass run on a tree metric")
+    monkeypatch.setattr(sys.modules["surpluslab.reconstruct"],
+                        "check_four_point", refuse)
+    tree = sample_icrt(BROWNIAN, np.random.default_rng(6), n_points=40).tree()
+    m = tree.mark_distance_matrix(range(1, 41))
+    got = reconstruct(m).mark_distance_matrix(range(1, 41))
+    assert np.max(np.abs(np.array(got) - np.array(m))) < 1e-9
 
 
 def test_core_measure_from_matrix_single_pair():
