@@ -96,5 +96,11 @@ class FourPointViolation(ValidationError):
         self.witness = witness
 
 
+class TriangleViolation(FourPointViolation):
+    """The four-point condition on a quadruple with a repeated leaf: one
+    distance exceeds the sum of the two others; witness (i, j, k) reads
+    d(i,j) > d(i,k) + d(k,j)."""
+
+
 class NegativeLength(ValidationError):
     pass

@@ -22,11 +22,11 @@ from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
 from .params import KIND_SURPLUS, DegreeSequence
-from .samplers import (_bias_from_fathers, _sample_pk_glued,
+from .samplers import (_bias_core, _sample_pk_glued,
                        sample_configuration_model, sample_dk_graph,
                        sample_multiplicative_graph,
                        sample_multiplicative_multigraph)
-from .trees import PTreeGrowth, _base_multiset, _climb, _walk
+from .trees import PTreeGrowth, _climb, _decoded, _walk, _walk_base
 
 VERSION = "0.1.0"
 
@@ -180,7 +180,7 @@ def gp_matrix_sample(model: dict, n_points: int, n_reps: int,
     if measure is not None and name not in _MEASURE_MODELS:
         raise ValidationError(f"model {name!r} takes no vertex measure")
     if name == "d-tree":  # built once; each rep shuffles it
-        base = np.array(_base_multiset(model["params"]), dtype=np.int64)
+        base = _walk_base(model["params"])
     scale = _scale_of(model)
     mats = np.empty((n_reps, n_points, n_points))
     weights = np.empty(n_reps)
@@ -337,13 +337,13 @@ def d_tree_bias_values(tree_seq: DegreeSequence, k: int, n_samples: int,
     """Bias of n_samples unbiased trees, glued at their own labels S1..S2k."""
     if tree_seq.N + 1 < 2 * k:
         raise InsufficientLeaves("need at least 2k leaves besides S0")
-    base = np.array(_base_multiset(tree_seq), dtype=np.int64)
+    base = _walk_base(tree_seq)
     out = np.empty(n_samples)
     for r in range(n_samples):
-        entries = base[rng.permutation(len(base))].tolist()
-        parent, depth, fathers = _walk(entries, 2 * k + 1)
-        b, _, _ = _bias_from_fathers(parent, depth, fathers[1:2 * k + 1])
-        out[r] = float(b)
+        perm = rng.permutation(len(base))
+        parent, depth, fathers = _walk(_decoded(base, perm), 2 * k + 1)
+        circ, squares, _ = _bias_core(parent, depth, fathers[1:2 * k + 1])
+        out[r] = circ / math.prod(squares)  # int division rounds correctly
     return out
 
 

@@ -34,7 +34,7 @@ def _pair(u, v):
 class Multigraph:
     """Vertex set plus an edge multiset (loops allowed), immutable."""
 
-    __slots__ = ("_mult", "_vertices", "_adj", "_cyc")
+    __slots__ = ("_mult", "_vertices", "_adj_map", "_cyc")
 
     def __init__(self, edges=(), vertices=()):
         mult: Dict[tuple, int] = {}
@@ -54,13 +54,21 @@ class Multigraph:
             vs.add(v)
         self._mult = mult
         self._vertices = frozenset(vs)
-        adj: Dict[Vertex, Dict[Vertex, int]] = {v: {} for v in vs}
-        for (u, v), m in mult.items():
-            adj[u][v] = adj[u].get(v, 0) + m
-            if u != v:
-                adj[v][u] = adj[v].get(u, 0) + m
-        self._adj = adj
-        self._cyc = None  # lazy; instances are immutable
+        self._adj_map = None  # lazy, like _cyc; instances are immutable
+        self._cyc = None
+
+    @property
+    def _adj(self) -> Dict[Vertex, Dict[Vertex, int]]:
+        """Neighbour -> multiplicity map of each vertex, built on first use;
+        each vertex's neighbours come in edge insertion order."""
+        if self._adj_map is None:
+            adj: Dict[Vertex, Dict[Vertex, int]] = {v: {} for v in self._vertices}
+            for (u, v), m in self._mult.items():
+                adj[u][v] = adj[u].get(v, 0) + m
+                if u != v:
+                    adj[v][u] = adj[v].get(u, 0) + m
+            self._adj_map = adj
+        return self._adj_map
 
     @staticmethod
     def from_tree(tree: LabeledTree) -> "Multigraph":

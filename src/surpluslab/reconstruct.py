@@ -7,7 +7,7 @@ d(n+1,b) + d(n+1,c) - d(b,c); the median sits at half that quantity from
 the new leaf, and at half-sum distances from b and c.  All arithmetic is
 generic, so Fraction matrices reconstruct exactly.  `reconstruct` builds,
 verifies the rebuilt leaf matrix in O(n^2), and runs the O(n^4) quadruple
-pass only on a mismatch or a failed build.
+pass and the O(n^3) triangle pass only on a mismatch or a failed build.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from .continuum import MetricTree
 from .errors import (FourPointViolation, IndexOutOfRange, NegativeLength,
-                     ValidationError)
+                     TriangleViolation, ValidationError)
 from .trees import _climb, _search
 
 DEFAULT_TOL = 1e-9
@@ -77,6 +77,19 @@ def _require_four_point(m: list, tol):
     if not ok:
         raise FourPointViolation(
             f"four-point condition fails on quadruple {witness}", witness=witness)
+
+
+def _require_triangle(m: list, tol):
+    """TriangleViolation on the first (i, j, k), i < j, with
+    d(i,j) > d(i,k) + d(k,j) + tol; O(n^3)."""
+    n = len(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k != i and k != j and m[i][j] - m[i][k] - m[k][j] > tol:
+                    raise TriangleViolation(
+                        f"triangle inequality fails on triple {(i, j, k)}",
+                        witness=(i, j, k))
 
 
 def _locate(adj, marks, b, c, target, tol, steiner_count):
@@ -156,7 +169,8 @@ def reconstruct(matrix, tol=DEFAULT_TOL) -> MetricTree:
 
     Marks are positional, 1..N.  Degenerate attachments (zero grafts) are
     allowed: the mark then names an existing, possibly internal, node.
-    Accepts and rejects exactly as check_four_point followed by the build.
+    Accepts and rejects exactly as check_four_point, then the build, then
+    the triangle inequality, each within tol.
     """
     m = _as_rows(matrix)
     _validate_matrix(m, tol)
@@ -171,7 +185,11 @@ def reconstruct(matrix, tol=DEFAULT_TOL) -> MetricTree:
     except ValidationError:
         pass  # the quadruple pass names the witness, else the build's error
     _require_four_point(m, tol)
-    return _build(m, tol)
+    tree = _build(m, tol)
+    # a rebuilt leaf matrix within tol/8 of the input leaves no triangle
+    # gap above tol, so only this path can meet one
+    _require_triangle(m, tol)
+    return tree
 
 
 def _interval_union_length(intervals: List[tuple], upper):

@@ -27,15 +27,17 @@ from .labels import Vertex, internal, star
 from .multigraph import Multigraph, bias_bound
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, DegreeSequence,
                      PVector, as_fraction)
-from .trees import (LabeledTree, PTreeGrowth, _base_multiset, _climb, _walk,
-                    multiset_arrangements, tree_count)
+from .trees import (LabeledTree, PTreeGrowth, _base_multiset, _climb,
+                    _decoded, _walk, _walk_base, multiset_arrangements,
+                    tree_count)
 
 # ---------------------------------------------------------------------------
 # bias evaluation from the walk's parent pointers
 
 
-def _bias_from_fathers(parent, depth, fathers):
-    """(bias, partial-gluing squares, leaf pair distances) for glue fathers.
+def _bias_core(parent, depth, fathers):
+    """(circ, partial-gluing squares, leaf pair distances) for glue fathers,
+    all integers; the bias is circ / prod(squares).
 
     fathers[2i], fathers[2i+1] attach the i-th glued leaf pair; its tree
     path is the climb between them, each edge named by its lower end.
@@ -46,22 +48,33 @@ def _bias_from_fathers(parent, depth, fathers):
     """
     union = set()
     squares, dists = [], []
-    copies = Counter()
-    circ_val = 1
+    copies = {}
+    circ = 1
     for i in range(len(fathers) // 2):
         a, b = fathers[2 * i], fathers[2 * i + 1]
         pair = frozenset((a, b))
-        copies[pair] += 1
-        m = copies[pair]
+        m = copies[pair] = copies.get(pair, 0) + 1
         path = _climb(parent, depth, a, b)
         union.update(path)
         length = len(path)
-        circ_val *= 2 * m if length == 0 else (length == 1) + m
+        circ *= 2 * m if length == 0 else (length == 1) + m
         squares.append(len(union) + i + 1)
         dists.append(length + 2)
-    value = Fraction(circ_val, math.prod(squares))
-    assert value <= bias_bound(len(squares)), "bias bound violated"
-    return value, squares, dists
+    assert circ <= bias_bound(len(squares)) * math.prod(squares), \
+        "bias bound violated"
+    return circ, squares, dists
+
+
+def _bias_from_fathers(parent, depth, fathers):
+    """(bias, squares, dists) of _bias_core, the bias an exact Fraction."""
+    circ, squares, dists = _bias_core(parent, depth, fathers)
+    return Fraction(circ, math.prod(squares)), squares, dists
+
+
+def _accepts(rng: np.random.Generator, bound: int, circ: int, prod: int) -> bool:
+    """rng.random() * bound < circ / prod, decided exactly in integers."""
+    num, den = (rng.random() * bound).as_integer_ratio()
+    return num * prod < circ * den
 
 
 def _glued_graph(parent, glued, kept, vertex=internal) -> Multigraph:
@@ -112,7 +125,7 @@ _TABLE_CAP = 30000
 @dataclass
 class DkTable:
     """Memoized per-tuple outcomes for one surplus-k degree sequence."""
-    accept: np.ndarray
+    accept: list
     bias: list
     squares: list
     dists: list
@@ -158,7 +171,7 @@ def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
         dists_all.append(dists)
         graphs.append(glued)
         key_ids.append(key_id)
-    return DkTable(np.array(accept), biases, squares_all, dists_all, graphs,
+    return DkTable(accept, biases, squares_all, dists_all, graphs,
                    np.array(key_ids, dtype=np.int64), list(key_index))
 
 
@@ -179,17 +192,24 @@ def dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
     return table
 
 
+@lru_cache(maxsize=32)
+def _streaming_base(seq: DegreeSequence) -> np.ndarray:
+    """The walk base of a surplus sequence, converted to tree kind once."""
+    return _walk_base(seq.to_tree_kind())
+
+
 def _sample_dk_streaming(seq: DegreeSequence, rng: np.random.Generator):
-    """Walks each proposal only up to its 2k glued leaves until one passes."""
+    """Walks each proposal only up to its 2k glued leaves until one passes;
+    the whole shuffled tuple is decoded only for the accepted one."""
     k = seq.k
-    base = np.array(_base_multiset(seq.to_tree_kind()), dtype=np.int64)
+    base = _streaming_base(seq)
     bound = bias_bound(k)
     while True:
-        entries = base[rng.permutation(len(base))].tolist()
-        parent, depth, fathers = _walk(entries, 2 * k)
-        b, _, _ = _bias_from_fathers(parent, depth, fathers[:2 * k])
-        if rng.random() * bound < b:
-            return _dk_graph(entries, k)
+        perm = rng.permutation(len(base))
+        parent, depth, fathers = _walk(_decoded(base, perm), 2 * k)
+        circ, squares, _ = _bias_core(parent, depth, fathers[:2 * k])
+        if _accepts(rng, bound, circ, math.prod(squares)):
+            return _dk_graph(base[perm].tolist(), k)
 
 
 def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator) -> Multigraph:
@@ -204,10 +224,11 @@ def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator) -> Multigraph
     table = _cached_dk_table(seq, _TABLE_CAP)
     if table is None:
         return _sample_dk_streaming(seq, rng)
+    n_tuples, accept, graphs = table.n_tuples, table.accept, table.graphs
     while True:
-        idx = int(rng.integers(table.n_tuples))
-        if rng.random() < table.accept[idx]:
-            return table.graphs[idx]
+        idx = int(rng.integers(n_tuples))
+        if rng.random() < accept[idx]:
+            return graphs[idx]
 
 
 def sample_dk_graph_keys(seq: DegreeSequence, n_samples: int,
@@ -215,12 +236,13 @@ def sample_dk_graph_keys(seq: DegreeSequence, n_samples: int,
                          batch: int = 200000) -> Counter:
     """Bulk leaf-canonical keys of n_samples (D,k)-graph draws."""
     table = dk_table(seq)
+    accept = np.array(table.accept)
     counts = np.zeros(len(table.keys), dtype=np.int64)
     got = 0
     while got < n_samples:
         idx = rng.integers(table.n_tuples, size=batch)
         u = rng.random(batch)
-        hit = idx[u < table.accept[idx]]
+        hit = idx[u < accept[idx]]
         if got + len(hit) > n_samples:
             hit = hit[:n_samples - got]
         got += len(hit)
@@ -239,14 +261,15 @@ def sample_configuration_model(seq: DegreeSequence,
         raise ValidationError("configuration model needs a half-edge sequence")
     if seq.total % 2 != 0:
         raise OddSum("half-edge count must be even")
-    stubs = [i + 1 for i, d in enumerate(seq.degrees) for _ in range(d)]
-    perm = rng.permutation(len(stubs))
+    names = [internal(i + 1) for i in range(seq.s)]  # one label per vertex
+    stubs = [i for i, d in enumerate(seq.degrees) for _ in range(d)]
+    perm = rng.permutation(len(stubs)).tolist()
     mult = Counter()
     for a in range(0, len(stubs), 2):
         u, v = stubs[perm[a]], stubs[perm[a + 1]]
         mult[(min(u, v), max(u, v))] += 1
-    return Multigraph([(internal(u), internal(v), m) for (u, v), m in mult.items()],
-                      vertices=[internal(i + 1) for i in range(seq.s)])
+    return Multigraph([(names[u], names[v], m) for (u, v), m in mult.items()],
+                      vertices=names)
 
 
 def _cm_surplus(seq: DegreeSequence) -> int:
@@ -450,8 +473,8 @@ def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
         growth = PTreeGrowth(pvec, rng)
         growth.grow_until_stars(2 * k)
         parent, depth, fathers = _walk(growth.record, 2 * k + 1)
-        b, _, _ = _bias_from_fathers(parent, depth, fathers[1:2 * k + 1])
-        if rng.random() * bound < b:
+        circ, squares, _ = _bias_core(parent, depth, fathers[1:2 * k + 1])
+        if _accepts(rng, bound, circ, math.prod(squares)):
             while len(growth.record) < n_steps:
                 growth.step()
             growth.grow_until_stars(min_stars)

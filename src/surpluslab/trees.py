@@ -17,7 +17,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from typing import Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -214,12 +215,12 @@ def _climb(parent, depth, a, b) -> list:
     return ends
 
 
-def _walk(entries: Sequence, n_leaves: int):
+def _walk(entries: Iterable, n_leaves: int):
     """(parent, depth, fathers) of the branching walk, stopped once n_leaves
-    leaves are placed.  Each new entry hangs below the entry before it (the
-    first is the root); fathers[j] is the father of S_j, so fathers[0] is
-    the first entry, and a tuple that runs out first places its closing
-    leaf on its last entry."""
+    leaves are placed; entries is read in one pass, no further than that.
+    Each new entry hangs below the entry before it (the first is the root);
+    fathers[j] is the father of S_j, so fathers[0] is the first entry, and
+    a tuple that runs out first places its closing leaf on its last entry."""
     parent, depth, fathers = {}, {}, []
     prev = None
     for a in entries:
@@ -237,6 +238,26 @@ def _walk(entries: Sequence, n_leaves: int):
         prev = a
     fathers.append(prev)
     return parent, depth, fathers
+
+
+@lru_cache(maxsize=32)
+def _walk_base(seq: DegreeSequence) -> np.ndarray:
+    """_base_multiset of a tree sequence as a read-only array, built once
+    per sequence."""
+    base = np.array(_base_multiset(seq), dtype=np.int64)
+    base.flags.writeable = False
+    return base
+
+
+# a ladder walk glued at k = 1 (n = 512) reads about 58 entries
+_DECODE_BLOCK = 64
+
+
+def _decoded(base: np.ndarray, perm: np.ndarray):
+    """The entries of base[perm], decoded one block at a time: a walk that
+    stops early reads only a prefix of the shuffled tuple."""
+    for start in range(0, len(perm), _DECODE_BLOCK):
+        yield from base[perm[start:start + _DECODE_BLOCK]].tolist()
 
 
 def sample_d_tuple(seq: DegreeSequence, rng: np.random.Generator) -> Tuple[Vertex, ...]:
@@ -267,7 +288,7 @@ def sample_d_tree_keys(seq: DegreeSequence, n_samples: int,
     Same tuple law and branching kernel as sample_d_tree, with the
     shuffles vectorized; used by the large uniformity checks.
     """
-    base = np.array(_base_multiset(seq), dtype=np.int64)
+    base = _walk_base(seq)
     counts = Counter()
     left = n_samples
     while left > 0:

@@ -100,6 +100,21 @@ def test_reconstruct_rejects_non_tree_metric(tmp_path, param_files, capsys):
     assert "witness" in err
 
 
+@pytest.mark.parametrize("rows", [
+    ["0,1,1", "1,0,5", "1,5,0"],
+    ["0,1,1,1", "1,0,5,5", "1,5,0,5", "1,5,5,0"],
+], ids=["3-leaf", "4-leaf"])
+def test_reconstruct_rejects_triangle_violation(tmp_path, capsys, rows):
+    path = tmp_path / "triangle.csv"
+    header = ",".join("abcd"[:len(rows)])
+    path.write_text("\n".join([header] + rows) + "\n")
+    out = tmp_path / "rec"
+    code = run(["--out", str(out), "reconstruct", "--params", str(path)])
+    assert code == 2
+    assert "triangle inequality fails on triple (1, 2, 0)" in capsys.readouterr().err
+    assert not (out / "reconstruct.jsonl").exists()
+
+
 def test_core_measure_cli(tmp_path, param_files):
     out = tmp_path / "cm"
     assert run(["--out", str(out), "core-measure",

@@ -122,14 +122,22 @@ def test_reconstruct_rejects_square():
 
 
 def _reference(matrix, tol=DEFAULT_TOL):
-    """The quadruple pass first, then the build: what reconstruct must match."""
+    """The quadruple pass first, then the build, then every triangle: what
+    reconstruct must match."""
     m = [list(row) for row in matrix]
     _validate_matrix(m, tol)
     ok, witness = check_four_point(m, tol)
     if not ok:
         raise errors.FourPointViolation(
             f"four-point condition fails on quadruple {witness}", witness=witness)
-    return _build(m, tol)
+    tree = _build(m, tol)
+    for i, j in itertools.combinations(range(len(m)), 2):
+        for k in range(len(m)):
+            if k not in (i, j) and m[i][j] - m[i][k] - m[k][j] > tol:
+                raise errors.TriangleViolation(
+                    f"triangle inequality fails on triple {(i, j, k)}",
+                    witness=(i, j, k))
+    return tree
 
 
 def _outcome(rebuild, matrix):
@@ -169,7 +177,8 @@ def test_reconstruct_agrees_with_four_point_then_build(exact):
 
 def test_reconstruct_agrees_on_small_integer_matrices():
     # random distances 1..6 on 3..6 leaves: tree metrics, four-point
-    # failures, and matrices that pass the quadruple pass but fail the build
+    # failures, matrices that pass the quadruple pass but fail the build,
+    # and matrices that build but break a triangle
     rng = np.random.default_rng(22)
     messages = set()
     for trial in range(2000):
@@ -181,7 +190,23 @@ def test_reconstruct_agrees_on_small_integer_matrices():
         want = _outcome(_reference, m)
         assert _outcome(reconstruct, m) == want
         messages.add("tree" if want[0] == "tree" else want[1].split()[0])
-    assert messages == {"tree", "four-point", "negative", "attachment"}
+    assert messages == {"tree", "four-point", "negative", "attachment",
+                        "triangle"}
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0, 1, 1], [1, 0, 5], [1, 5, 0]],
+    [[0, 1, 1, 1], [1, 0, 5, 5], [1, 5, 0, 5], [1, 5, 5, 0]],
+], ids=["3-leaf", "4-leaf"])
+def test_reconstruct_rejects_triangle_violation(matrix):
+    # both pass the four-point check (three leaves have no quadruple; the
+    # 4-leaf pairings all sum to 6), yet d(1,2) = 5 > d(1,0) + d(0,2) = 2:
+    # no tree has this leaf matrix
+    assert check_four_point(matrix) == (True, None)
+    with pytest.raises(errors.TriangleViolation) as info:
+        reconstruct(matrix)
+    assert info.value.witness == (1, 2, 0)
+    assert isinstance(info.value, errors.FourPointViolation)
 
 
 def test_reconstruct_valid_input_skips_quadruple_pass(monkeypatch):

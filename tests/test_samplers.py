@@ -13,7 +13,7 @@ from surpluslab.experiments import VERSION, d_tree_bias_values, gp_matrix_sample
 from surpluslab.multigraph import (Multigraph, bias, bias_bound,
                                    bias_components, glue_tree_leaves)
 from surpluslab.params import PVector, validate
-from surpluslab.samplers import (_bias_from_fathers, _dk_graph,
+from surpluslab.samplers import (_accepts, _bias_from_fathers, _dk_graph,
                                  _leaf_key_from_counts, _pk_graph,
                                  _sample_dk_streaming,
                                  canonical_oriented_edges,
@@ -26,7 +26,8 @@ from surpluslab.samplers import (_bias_from_fathers, _dk_graph,
                                  sample_multiplicative_multigraph,
                                  sample_ordered_partition,
                                  sample_pk_graph_prefix, shortcut_edgepoints)
-from surpluslab.trees import (LabeledTree, PTreeGrowth, _base_multiset, _walk,
+from surpluslab.trees import (LabeledTree, PTreeGrowth, _base_multiset,
+                              _decoded, _walk, _walk_base,
                               enumerate_d_tree_keys, multiset_arrangements,
                               sample_d_tree, sample_d_tuple, stick_break_tree)
 
@@ -483,6 +484,93 @@ def test_bias_fast_matches_public_bias():
                                              fathers[1:2 * k + 1])
             assert value == bias(growth.tree(), k)
     assert stopped_early > 0
+
+
+class _FixedUniform:
+    """Stands in for a Generator whose next uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_accepts_is_the_exact_fraction_comparison():
+    # against rng.random() * bound < Fraction(circ, prod) on twin streams
+    rng = np.random.default_rng(42)
+    for _ in range(3000):
+        k = int(rng.integers(0, 4))
+        prod = int(rng.integers(1, 10 ** int(rng.integers(1, 7))))
+        circ = int(rng.integers(1, bias_bound(k) * prod + 1))
+        seed = int(rng.integers(2 ** 32))
+        want = (np.random.default_rng(seed).random() * bias_bound(k)
+                < Fraction(circ, prod))
+        assert _accepts(np.random.default_rng(seed), bias_bound(k),
+                        circ, prod) == want
+    # exact ties reject; a float one ulp below the bias accepts
+    for circ, prod in ((1, 2), (2, 4), (3, 6)):
+        assert not _accepts(_FixedUniform(0.25), 2, circ, prod)
+        below = math.nextafter(0.25, 0)
+        assert _accepts(_FixedUniform(below), 2, circ, prod)
+    # float(1/3) lies below 1/3, so it accepts where a float compare would not
+    third = 1 / 3
+    assert not third < 1 / 3 and third < Fraction(1, 3)
+    assert _accepts(_FixedUniform(third), 1, 1, 3)
+    assert not _accepts(_FixedUniform(math.nextafter(third, 1)), 1, 1, 3)
+
+
+@pytest.mark.parametrize("degrees", [
+    [0, 0], [1, 0, 0], [3, 3, 2, 1, 1] + [0] * 7, [2] * 64 + [0] * 66,
+], ids=["empty", "one-entry", "33211", "ladder64"])
+def test_prefix_decoded_walk_matches_full_list(degrees):
+    # ladder64's 128 entries cross the 64-entry block end; leaf counts
+    # past len(base) + 1 make the tuple run out first
+    seq = validate(degrees, "tree")
+    base = _walk_base(seq)
+    assert not base.flags.writeable
+    rng = np.random.default_rng(43)
+    for n_leaves in (0, 1, 2, 3, 5, 40, len(base) + 1, len(base) + 4):
+        for _ in range(10):
+            perm = rng.permutation(len(base))
+            want = _walk(base[perm].tolist(), n_leaves)
+            assert _walk(_decoded(base, perm), n_leaves) == want
+
+
+def test_d_tree_bias_values_match_fraction_reference():
+    # the whole shuffled tuple, its public tree and the multigraph.bias
+    # oracle as a Fraction, draw for draw; the stream ends in the same state
+    for degrees, n in (([3, 3, 2, 1, 1] + [0] * 7, 150), ([2] * 24 + [0] * 26, 60)):
+        seq = validate(degrees, "tree")
+        for k in (1, 2, 3):
+            got_rng = np.random.default_rng(44 + k)
+            got = d_tree_bias_values(seq, k, n, got_rng)
+            rng = np.random.default_rng(44 + k)
+            base = _base_multiset(seq)
+            want = []
+            for _ in range(n):
+                tup = [V(base[j]) for j in rng.permutation(len(base))]
+                want.append(float(bias(stick_break_tree(seq, tup), k)))
+            assert got.tobytes() == np.array(want).tobytes()
+            assert got_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_streaming_proposals_match_fraction_reference():
+    # the streaming (D,1) sampler against the whole tuple, the Fraction
+    # bias and the float-against-Fraction acceptance, graph for graph
+    seq = validate([2] * 24 + [0] * 24, "surplus", k=1)
+    base = np.array(_base_multiset(seq.to_tree_kind()), dtype=np.int64)
+    got_rng, rng = np.random.default_rng(47), np.random.default_rng(47)
+    for _ in range(30):
+        got = _sample_dk_streaming(seq, got_rng)
+        while True:
+            entries = base[rng.permutation(len(base))].tolist()
+            parent, depth, fathers = _walk(entries, len(entries) + 1)
+            value, _, _ = _bias_from_fathers(parent, depth, fathers[:2])
+            if rng.random() * bias_bound(1) < value:
+                break
+        assert _same_graph(got, _dk_graph(entries, 1))
+    assert got_rng.bit_generator.state == rng.bit_generator.state
 
 
 def _same_graph(g, h) -> bool:
