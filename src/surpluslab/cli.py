@@ -197,7 +197,8 @@ def cmd_reconstruct(args):
 def cmd_core_measure(args):
     _, rows = read_matrix_csv(args.params)
     if not 0 <= args.pairs <= len(rows) // 2:
-        raise ValidationError(f"--pairs must lie in 1..{len(rows) // 2}")
+        raise ValidationError(
+            f"--pairs must lie in 0..{len(rows) // 2} (0 = all pairs)")
     pairs = args.pairs or len(rows) // 2
     value = core_measure_from_matrix([r[:2 * pairs] for r in rows[:2 * pairs]])
     line = json.dumps({"pairs": pairs, "value": float(value)})

@@ -20,7 +20,15 @@ import numpy as np
 from .errors import (AnchorOutOfRange, CutsNotIncreasing, InsufficientMarks,
                      UnknownMark, ValidationError)
 from .params import ThetaVector
-from .trees import _climb, _search
+from .trees import _climb, _climb_matrix, _search
+
+
+def _edge_list(adj) -> list:
+    """(u, v, length) once per edge of a loopless symmetric adjacency map,
+    listed where the map first reaches it: at u, with v later in the map."""
+    rank = {u: i for i, u in enumerate(adj)}
+    return [(u, v, w) for u, nbrs in adj.items() for v, w in nbrs.items()
+            if rank[u] < rank[v]]
 
 
 class MetricTree:
@@ -66,15 +74,7 @@ class MetricTree:
         return len(self._adj[node])
 
     def edges(self):
-        seen = set()
-        out = []
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                e = frozenset((u, v))
-                if e not in seen:
-                    seen.add(e)
-                    out.append((u, v, w))
-        return out
+        return _edge_list(self._adj)
 
     def total_length(self):
         return sum(w for _, _, w in self.edges())
@@ -111,19 +111,14 @@ class MetricTree:
         return self._node_matrix([self.node_of(l) for l in labels])
 
     def _node_matrix(self, nodes: Sequence) -> list:
-        """One search from the first node, then a climb per pair."""
-        rows = [[0] * len(nodes) for _ in nodes]
-        if nodes:
-            parent, hops = _search(self._adj, nodes[0])
-            for i, a in enumerate(nodes):
-                for j in range(i + 1, len(nodes)):
-                    ends = _climb(parent, hops, a, nodes[j])
-                    rows[i][j] = rows[j][i] = sum(self._adj[x][parent[x]] for x in ends)
-        return rows
+        """One search from the first node, then a climb per pair; each
+        distance sums the edge lengths in climb order."""
+        parent, hops = _search(self._adj, nodes[0]) if nodes else ({}, {})
+        return _climb_matrix(parent, hops, nodes, lambda ends: sum(
+            self._adj[x][parent[x]] for x in ends))
 
-    def with_uniform_marks(self, n: int, rng: np.random.Generator,
-                           prefix: str = "U") -> "MetricTree":
-        """Split edges at n length-uniform positions and mark them."""
+    def with_uniform_marks(self, n: int, rng: np.random.Generator) -> "MetricTree":
+        """Split edges at n length-uniform positions and mark them U0..U(n-1)."""
         edges = self.edges()
         lengths = np.array([float(w) for _, _, w in edges])
         cum = np.cumsum(lengths)
@@ -141,8 +136,8 @@ class MetricTree:
                 continue
             prev, pos_prev = u, 0.0
             for off, j in sorted(by_edge[e]):
-                node = (prefix, j)
-                marks[f"{prefix}{j}"] = node
+                node = ("U", j)
+                marks[f"U{j}"] = node
                 new_edges.append((prev, node, off - pos_prev))
                 prev, pos_prev = node, off
             new_edges.append((prev, v, w - pos_prev))
@@ -208,14 +203,13 @@ class IcrtRealization:
     def anchors(self):
         return [z for _, z in self.points]
 
-    def tree(self, n_points: Optional[int] = None) -> MetricTree:
-        pts = self.points if n_points is None else self.points[:n_points]
-        return sb_build([y for y, _ in pts], [z for _, z in pts])
+    def tree(self) -> MetricTree:
+        return sb_build(self.cuts, self.anchors)
 
     def to_json(self) -> str:
         return json.dumps({
-            "cuts": [y for y, _ in self.points],
-            "anchors": [z for _, z in self.points],
+            "cuts": self.cuts,
+            "anchors": self.anchors,
             "atoms": [{"i": i, "X": x} for i, x in self.atoms],
             "theta0": self.theta.theta0,
             "mu_infinite": self.mu_infinite,

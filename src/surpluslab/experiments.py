@@ -26,7 +26,7 @@ from .samplers import (_bias_core, _sample_pk_glued,
                        sample_configuration_model, sample_dk_graph,
                        sample_multiplicative_graph,
                        sample_multiplicative_multigraph)
-from .trees import PTreeGrowth, _climb, _decoded, _walk, _walk_base
+from .trees import PTreeGrowth, _climb_matrix, _decoded, _walk, _walk_base
 
 VERSION = "0.1.0"
 
@@ -101,13 +101,11 @@ def _walk_matrix(entries: list, n_leaves: int, points: Sequence[Vertex]):
         parent[star(j)] = f
         depth[star(j)] = 0 if f is None else depth[f] + 1
     nodes = [v.index if v.kind == "V" else v for v in points]
-    out = np.zeros((len(points), len(points)))
-    for i, (v, a) in enumerate(zip(points, nodes)):
+    for v, a in zip(points, nodes):
         if a not in parent:
             raise UnknownVertex(f"{v} not in tree")
-        for j in range(i):
-            out[i, j] = out[j, i] = len(_climb(parent, depth, a, nodes[j]))
-    return out
+    rows = _climb_matrix(parent, depth, nodes)
+    return np.array(rows, dtype=float).reshape(len(nodes), len(nodes))
 
 
 _MEASURE_MODELS = ("d-tree", "dk-graph", "cm", "mult", "mult-multi")
@@ -152,15 +150,13 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
         labels = list(range(2 * k + 1, 2 * k + n_points + 1))
         mat = ws.payload.mark_distance_matrix(labels)
         return np.array(mat, dtype=float), ws.weight
-    if name == "cm":
-        g = sample_configuration_model(params, rng)
-        mea = measure or VertexMeasure.uniform(g.vertices)
-        return multigraph_distance_matrix(g, mea.sample(rng, n_points)), 1.0
-    if name in ("mult", "mult-multi"):
-        lam, weights = params
-        sampler = (sample_multiplicative_graph if name == "mult"
-                   else sample_multiplicative_multigraph)
-        g = sampler(lam, weights, rng)
+    if name in ("cm", "mult", "mult-multi"):
+        if name == "cm":
+            g = sample_configuration_model(params, rng)
+        else:
+            lam, weights = params
+            g = (sample_multiplicative_graph if name == "mult"
+                 else sample_multiplicative_multigraph)(lam, weights, rng)
         mea = measure or VertexMeasure.uniform(g.vertices)
         return multigraph_distance_matrix(g, mea.sample(rng, n_points)), 1.0
     raise ValidationError(f"unknown model {name!r}")
@@ -297,6 +293,8 @@ def converge_experiment(family: List[dict], target: dict, n_points: int,
     target_factor times as often as each member, so target-side noise does
     not dominate the member discrepancies.
     """
+    if not family:
+        raise ValidationError("converge needs at least one family member")
     for model in [target, *family]:
         # a d-tree or dk-graph marks points with its star leaves, one per
         # zero degree but S0; the other models grow until they hold them
@@ -310,7 +308,6 @@ def converge_experiment(family: List[dict], target: dict, n_points: int,
     tm, tw = gp_matrix_sample(target, n_points, target_factor * n_reps, rng)
     tvec = _upper_triangles(tm)
     rows = []
-    last_x = None
     for i, model in enumerate(family):
         mm, mw = gp_matrix_sample(model, n_points, n_reps, rng)
         mvec = _upper_triangles(mm)
@@ -319,14 +316,14 @@ def converge_experiment(family: List[dict], target: dict, n_points: int,
                  for j in range(mvec.shape[1]))
         rows.append({"member": i, "label": model.get("label", str(i)),
                      "energy": e, "ks_max": ks})
-        last_x = (mvec, mw)
     energies = [r["energy"] for r in rows]
     decreasing = all(energies[i] > energies[i + 1] for i in range(len(energies) - 1))
     if np.allclose(tw, tw[0]):
         ty = tvec
     else:
         ty = importance_unweight(tvec, tw, rng)
-    observed, pval, thresh95 = permutation_energy_test(last_x[0], ty, n_perms, rng)
+    # mvec still holds the last member's sample
+    observed, pval, thresh95 = permutation_energy_test(mvec, ty, n_perms, rng)
     return {"rows": rows, "decreasing": decreasing,
             "last_member_permutation": {"observed": observed, "p": pval,
                                         "threshold95": thresh95}}

@@ -12,9 +12,10 @@ pass and the O(n^3) triangle pass only on a mismatch or a failed build.
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
-from .continuum import MetricTree
+from .continuum import MetricTree, _edge_list
 from .errors import (FourPointViolation, IndexOutOfRange, NegativeLength,
                      TriangleViolation, ValidationError)
 from .trees import _climb, _search
@@ -26,7 +27,8 @@ def _as_rows(matrix) -> list:
     return [list(row) for row in matrix]
 
 
-def _validate_matrix(m: list, tol):
+def _check_distances(m: list, tol):
+    """Square, zero diagonal, finite, symmetric within tol, no negative entry."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValidationError("matrix must be square")
@@ -34,11 +36,20 @@ def _validate_matrix(m: list, tol):
         if m[i][i] != 0:
             raise ValidationError("diagonal must be zero")
         for j in range(i + 1, n):
+            if not all(abs(x) < math.inf for x in (m[i][j], m[j][i])):  # NaN too
+                raise ValidationError(f"non-finite distance at ({i},{j})")
             if abs(m[i][j] - m[j][i]) > tol:
                 raise ValidationError("matrix must be symmetric")
             if m[i][j] < 0:
                 raise NegativeLength(f"negative distance at ({i},{j})")
-            if m[i][j] == 0:
+
+
+def _validate_matrix(m: list, tol):
+    """_check_distances, and distinct marks at positive distance."""
+    _check_distances(m, tol)
+    for i, row in enumerate(m):
+        for j in range(i + 1, len(m)):
+            if row[j] == 0:
                 raise ValidationError(
                     f"zero distance between distinct marks {i},{j}; quotient first")
 
@@ -153,15 +164,7 @@ def _build(m: list, tol) -> MetricTree:
             adj.setdefault(w, {})[node] = graft
             adj.setdefault(node, {})[w] = graft
             marks[new + 1] = node
-    edges = []
-    seen = set()
-    for u, nbrs in adj.items():
-        for v, w in nbrs.items():
-            e = frozenset((u, v))
-            if e not in seen:
-                seen.add(e)
-                edges.append((u, v, w))
-    return MetricTree(edges, marks)
+    return MetricTree(_edge_list(adj), marks)
 
 
 def reconstruct(matrix, tol=DEFAULT_TOL) -> MetricTree:
@@ -224,6 +227,7 @@ def core_measure_from_matrix(matrix, tol=DEFAULT_TOL):
     m = _as_rows(matrix)
     if len(m) % 2 != 0 or not m:
         raise ValidationError("need a 2c x 2c matrix")
+    _check_distances(m, tol)
     _require_four_point(m, tol)
     c = len(m) // 2
     total = m[0][1]

@@ -65,12 +65,6 @@ def _bias_core(parent, depth, fathers):
     return circ, squares, dists
 
 
-def _bias_from_fathers(parent, depth, fathers):
-    """(bias, squares, dists) of _bias_core, the bias an exact Fraction."""
-    circ, squares, dists = _bias_core(parent, depth, fathers)
-    return Fraction(circ, math.prod(squares)), squares, dists
-
-
 def _accepts(rng: np.random.Generator, bound: int, circ: int, prod: int) -> bool:
     """rng.random() * bound < circ / prod, decided exactly in integers."""
     num, den = (rng.random() * bound).as_integer_ratio()
@@ -158,7 +152,8 @@ def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
     shared: Dict[tuple, tuple] = {}
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
         parent, depth, fathers = _walk(arrangement, len(arrangement) + 1)
-        b, squares, dists = _bias_from_fathers(parent, depth, fathers[:2 * k])
+        circ, squares, dists = _bias_core(parent, depth, fathers[:2 * k])
+        b = Fraction(circ, math.prod(squares))
         glued = _glued_graph(parent, *_designated(fathers, k))
         label = glued.key()
         if label not in shared:
@@ -232,9 +227,10 @@ def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator) -> Multigraph
 
 
 def sample_dk_graph_keys(seq: DegreeSequence, n_samples: int,
-                         rng: np.random.Generator,
-                         batch: int = 200000) -> Counter:
-    """Bulk leaf-canonical keys of n_samples (D,k)-graph draws."""
+                         rng: np.random.Generator) -> Counter:
+    """Bulk leaf-canonical keys of n_samples (D,k)-graph draws, proposed
+    200000 tuples at a time."""
+    batch = 200000
     table = dk_table(seq)
     accept = np.array(table.accept)
     counts = np.zeros(len(table.keys), dtype=np.int64)
@@ -318,30 +314,10 @@ def _matching_counts(degrees) -> Dict[tuple, int]:
     return {edges: count for (_, edges), count in layer.items()}
 
 
-def _leaf_key_from_counts(s: int, degrees, mult: Dict[tuple, int]) -> tuple:
-    """leaf_canonical_key computed directly from a multiplicity map."""
-    leaves = {v for v in range(1, s + 1) if degrees[v - 1] == 1}
-    for (u, v), m in mult.items():
-        if u in leaves and v in leaves:
-            leaves -= {u, v}
-    core_edges = []
-    pendant = Counter()
-    for (u, v), m in mult.items():
-        lu, lv = u in leaves, v in leaves
-        if lu:
-            pendant[internal(v)] += m
-        elif lv:
-            pendant[internal(u)] += m
-        else:
-            core_edges.append(((internal(u), internal(v)), m))
-    core_vertices = tuple(sorted(internal(v) for v in range(1, s + 1)
-                                 if v not in leaves))
-    return (core_vertices, tuple(sorted(core_edges)),
-            tuple(sorted(pendant.items())), len(leaves))
+_CM_CAP_SUM = 14
 
 
-def cm_conditioned_oracle(seq: DegreeSequence, k: int,
-                          cap_sum: int = 14) -> Dict[tuple, Fraction]:
+def cm_conditioned_oracle(seq: DegreeSequence, k: int) -> Dict[tuple, Fraction]:
     """Exact law of the configuration model biased by its symmetry factor
     and conditioned on connectivity, keyed by leaf-canonical form.
 
@@ -351,12 +327,13 @@ def cm_conditioned_oracle(seq: DegreeSequence, k: int,
     """
     if seq.kind != KIND_HALF_EDGE:
         raise ValidationError("oracle needs a half-edge sequence")
-    if seq.total > cap_sum:
-        raise TooLarge(f"sum {seq.total} exceeds enumeration cap {cap_sum}")
+    if seq.total > _CM_CAP_SUM:
+        raise TooLarge(f"sum {seq.total} exceeds enumeration cap {_CM_CAP_SUM}")
     if _cm_surplus(seq) != k:
         raise ValidationError(
             f"sum {seq.total} corresponds to surplus {_cm_surplus(seq)}, not {k}")
     s = seq.s
+    names = [internal(v) for v in range(1, s + 1)]
     weights: Dict[tuple, int] = {}
     total = 0
     for edges, count in _matching_counts(seq.degrees).items():
@@ -370,7 +347,9 @@ def cm_conditioned_oracle(seq: DegreeSequence, k: int,
         w = count
         for (u, v), m in mult.items():
             w *= (2 ** m if u == v else 1) * math.factorial(m)
-        key = _leaf_key_from_counts(s, seq.degrees, mult)
+        key = Multigraph([(names[u - 1], names[v - 1], m)
+                          for (u, v), m in mult.items()],
+                         vertices=names).leaf_canonical_key()
         weights[key] = weights.get(key, 0) + w
         total += w
     if total == 0:

@@ -121,17 +121,12 @@ class LabeledTree:
 def tree_distance_matrix(tree: LabeledTree, marks: Sequence[Vertex]) -> np.ndarray:
     """Edge-count distances between the marked vertices: one search from
     the first mark, then a climb per pair."""
-    n = len(marks)
-    out = np.zeros((n, n), dtype=np.int64)
     for m in marks:
         if m not in tree:
             raise UnknownVertex(f"{m} not in tree")
-    if n:
-        parent, hops = _search(tree._adj, marks[0])
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = len(_climb(parent, hops, marks[i], marks[j]))
-    return out
+    parent, hops = _search(tree._adj, marks[0]) if len(marks) else ({}, {})
+    rows = _climb_matrix(parent, hops, marks)
+    return np.array(rows, dtype=np.int64).reshape(len(marks), len(marks))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +210,16 @@ def _climb(parent, depth, a, b) -> list:
     return ends
 
 
+def _climb_matrix(parent, depth, nodes: Sequence, length=len) -> list:
+    """Rows of length(_climb(parent, depth, a, b)) over the nodes, a before
+    b in the list: the one pair loop behind every mark distance matrix."""
+    rows = [[0] * len(nodes) for _ in nodes]
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            rows[i][j] = rows[j][i] = length(_climb(parent, depth, a, nodes[j]))
+    return rows
+
+
 def _walk(entries: Iterable, n_leaves: int):
     """(parent, depth, fathers) of the branching walk, stopped once n_leaves
     leaves are placed; entries is read in one pass, no further than that.
@@ -282,17 +287,17 @@ def sample_d_tree(seq: DegreeSequence, rng: np.random.Generator) -> LabeledTree:
 
 
 def sample_d_tree_keys(seq: DegreeSequence, n_samples: int,
-                       rng: np.random.Generator, batch: int = 20000) -> Counter:
+                       rng: np.random.Generator) -> Counter:
     """Bulk sampler: canonical edge keys of n_samples trees.
 
     Same tuple law and branching kernel as sample_d_tree, with the
-    shuffles vectorized; used by the large uniformity checks.
+    shuffles vectorized 20000 at a time; used by the large uniformity checks.
     """
     base = _walk_base(seq)
     counts = Counter()
     left = n_samples
     while left > 0:
-        b = min(batch, left)
+        b = min(20000, left)
         left -= b
         if len(base) == 0:
             counts[((-2, -1),)] += b
@@ -421,13 +426,13 @@ class PTreeGrowth:
         else:
             self._seen.add(b)
 
-    def grow_until_stars(self, n_stars: int, max_steps: int = 10 ** 7):
+    def grow_until_stars(self, n_stars: int):
         if n_stars > self.n_stars and not self.pvec.p:
             raise ValidationError("with p_inf = 1 no draw repeats, so no "
                                   "leaf label besides S0 is ever placed")
         while self.n_stars < n_stars:
-            if self._step >= max_steps:
-                raise ValidationError("star quota not reached within max_steps")
+            if self._step >= 10 ** 7:
+                raise ValidationError("star quota not reached within 10^7 draws")
             self.step()
 
     def tree(self) -> LabeledTree:

@@ -129,7 +129,7 @@ def test_core_measure_pairs_out_of_range(tmp_path, param_files, pairs, capsys):
     out = tmp_path / "cm"
     assert run(["--out", str(out), "core-measure", "--params",
                 str(param_files["matrix"]), "--pairs", pairs]) == 2
-    assert "--pairs" in capsys.readouterr().err
+    assert "--pairs must lie in 0..2 (0 = all pairs)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -258,8 +258,11 @@ def test_sample_graph_rejects_empty_surplus_sequence(tmp_path):
 
 @pytest.mark.parametrize("command", ["reconstruct", "core-measure"])
 @pytest.mark.parametrize("text", ["a,b,c\n0,1,x\n1,0,1\nx,1,0\n", "",
-                                  "a,b,c,d\n0,2,3\n2,0,3\n3,3,0\n3,3,2\n"],
-                         ids=["non-numeric", "empty", "ragged"])
+                                  "a,b,c,d\n0,2,3\n2,0,3\n3,3,0\n3,3,2\n",
+                                  "a,b\n0,nan\nnan,0\n", "a,b\n0,inf\ninf,0\n",
+                                  "a,b\n0,-1\n-1,0\n", "a,b\n0,1\n2,0\n"],
+                         ids=["non-numeric", "empty", "ragged", "nan", "inf",
+                              "negative", "asymmetric"])
 def test_malformed_matrix_csv_is_validation_failure(tmp_path, command, text, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)

@@ -8,6 +8,7 @@ import pytest
 
 from scipy.spatial.distance import cdist
 
+from surpluslab.continuum import sample_icrt
 from surpluslab.errors import UnknownVertex, ValidationError
 from surpluslab.experiments import (ExperimentManifest, VertexMeasure,
                                     bias_tail_experiment, converge_experiment,
@@ -125,6 +126,15 @@ def test_converge_same_law_indistinguishable():
     pm = report["last_member_permutation"]
     assert pm["observed"] < pm["threshold95"]
     assert pm["p"] > 0.01
+
+
+def test_converge_empty_family_fails_before_any_draw():
+    rng = rng_stream(9, 1)
+    state = rng.bit_generator.state
+    model = {"model": "icrt", "params": BROWNIAN}
+    with pytest.raises(ValidationError, match="at least one family member"):
+        converge_experiment([], model, 3, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_bias_tail_k0_and_m0():
@@ -291,6 +301,25 @@ def test_tree_matrix_typed_errors():
     with pytest.raises(ValidationError):
         gp_matrix_sample({"model": "d-tree", "params": surplus}, 1, 1,
                          rng_stream(0, 0))
+
+
+def test_empty_and_one_mark_matrices_keep_their_shapes():
+    # every mark matrix comes from one climb loop; with no pair to climb
+    # it must still give the empty, or the one-zero, matrix of its type
+    seq = validate([2, 1, 0, 0, 0], "tree")
+    tree = sample_d_tree(seq, rng_stream(0, 0))
+    empty = tree_distance_matrix(tree, [])
+    assert empty.shape == (0, 0) and empty.dtype == np.int64
+    one = tree_distance_matrix(tree, [S(1)])
+    assert one.tolist() == [[0]] and one.dtype == np.int64
+    metric = sample_icrt(BROWNIAN, rng_stream(0, 1), n_points=3).tree()
+    assert metric.mark_distance_matrix([]) == []
+    assert metric.mark_distance_matrix([2]) == [[0]]
+    model = {"model": "d-tree", "params": seq}
+    mats, _ = gp_matrix_sample(model, 0, 4, rng_stream(0, 2))
+    assert mats.shape == (4, 0, 0)
+    mats, _ = gp_matrix_sample(model, 1, 4, rng_stream(0, 2))
+    assert mats.tolist() == [[[0.0]]] * 4
 
 
 @pytest.mark.parametrize("model", [

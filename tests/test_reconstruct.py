@@ -258,6 +258,26 @@ def test_core_measure_matrix_permutation_covariant():
     assert core_measure_from_matrix(perm.tolist()) == pytest.approx(base)
 
 
+@pytest.mark.parametrize("matrix,error", [
+    ([[0, float("nan")], [float("nan"), 0]], "non-finite"),
+    ([[0, 1], [float("inf"), 0]], "non-finite"),
+    ([[0, -1], [-1, 0]], "negative"),
+    ([[0, 1], [2, 0]], "symmetric"),
+    ([[0, 1, 2], [1, 0, 1]], "square"),
+], ids=["nan", "inf", "negative", "asymmetric", "ragged"])
+def test_matrix_consumers_reject_non_metrics(matrix, error):
+    for consumer in (reconstruct, core_measure_from_matrix):
+        with pytest.raises(errors.ValidationError, match=error):
+            consumer(matrix)
+
+
+def test_core_measure_matrix_allows_zero_distances():
+    # unlike reconstruct, the core length needs no distinct marks
+    assert core_measure_from_matrix([[0, 0], [0, 0]]) == 0
+    with pytest.raises(errors.ValidationError, match="zero distance"):
+        reconstruct([[0, 0], [0, 0]])
+
+
 def test_core_measure_matrix_rejects_square():
     with pytest.raises(errors.FourPointViolation):
         core_measure_from_matrix(UNIT_SQUARE)
