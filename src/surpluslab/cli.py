@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import continuum, experiments, samplers, trees
 from .errors import CapExceeded, ValidationError
-from .reconstruct import core_measure_from_matrix, reconstruct as rebuild_tree
+from .reconstruct import (_check_distances, core_measure_from_matrix,
+                          reconstruct as rebuild_tree)
 from .experiments import ExperimentManifest, content_hash, rng_stream
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, KIND_TREE, DegreeSequence,
                      PVector, ThetaVector, _check_real, validate)
@@ -196,6 +197,7 @@ def cmd_reconstruct(args):
 
 def cmd_core_measure(args):
     _, rows = read_matrix_csv(args.params)
+    _check_distances(rows)  # the whole matrix, whichever pairs are read
     if not 0 <= args.pairs <= len(rows) // 2:
         raise ValidationError(
             f"--pairs must lie in 0..{len(rows) // 2} (0 = all pairs)")

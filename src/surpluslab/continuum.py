@@ -45,6 +45,9 @@ class MetricTree:
                 raise ValidationError("edge lengths must be >= 0")
             adj.setdefault(u, {})[v] = w
             adj.setdefault(v, {})[u] = w
+        self.marks = dict(marks or {})
+        if not edges:  # a tree with no edges is the one node its marks name
+            adj = {node: {} for node in self.marks.values()}
         if not adj:
             raise ValidationError("metric tree needs at least one edge or node")
         if len(adj) != len(edges) + 1:
@@ -52,17 +55,9 @@ class MetricTree:
         if len(_search(adj, next(iter(adj)))[0]) != len(adj):
             raise ValidationError("edge list does not describe a connected tree")
         self._adj = adj
-        self.marks = dict(marks or {})
         for label, node in self.marks.items():
             if node not in adj:
                 raise UnknownMark(f"mark {label!r} points at unknown node {node!r}")
-
-    @classmethod
-    def single_node(cls, node, marks=None):
-        obj = cls.__new__(cls)
-        obj._adj = {node: {}}
-        obj.marks = dict(marks or {})
-        return obj
 
     def nodes(self):
         return self._adj.keys()

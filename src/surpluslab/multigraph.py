@@ -310,16 +310,6 @@ def cycle_break(g: Multigraph, k: int, rng: np.random.Generator):
     return LabeledTree(edges + star_edges), trace
 
 
-def _removal_sequence(g: Multigraph, tree: LabeledTree, k: int):
-    """Oriented edges CB must have removed to produce `tree`, in order."""
-    seq = []
-    for i in range(1, k + 1):
-        hi = star(2 * k - 2 * i + 2)
-        lo = star(2 * k - 2 * i + 1)
-        seq.append((tree.father(hi), tree.father(lo)))
-    return seq
-
-
 def cb_probability(g: Multigraph, tree: LabeledTree) -> Fraction:
     """Exact hitting probability of `tree` under cycle-breaking of `g`.
 
@@ -338,14 +328,13 @@ def cb_probability(g: Multigraph, tree: LabeledTree) -> Fraction:
     for v in g.vertices:
         if tree.degree(v) != g.degree(v):
             raise ShapeMismatch(f"degree of {v} changed")
-    seq = _removal_sequence(g, tree, k)
     current = g
     denom = 1
-    for u, v in seq:
-        if current.multiplicity(u, v) < 1:
-            return Fraction(0)
-        removable = {p: r for p, r in current.cyc_items()}
-        if removable.get(_pair(u, v), 0) < 1:
+    for i in range(1, k + 1):
+        # step i removed the edge the leaves S_{2k-2i+2}, S_{2k-2i+1} hang from
+        u = tree.father(star(2 * k - 2 * i + 2))
+        v = tree.father(star(2 * k - 2 * i + 1))
+        if dict(current.cyc_items()).get(_pair(u, v), 0) < 1:
             return Fraction(0)
         denom *= current.square()
         current = current.remove_copy(u, v)

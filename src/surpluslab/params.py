@@ -135,8 +135,10 @@ def _integral(values, message: str) -> list:
 
 
 def _check_real(name: str, values) -> None:
-    if not all(isinstance(x, numbers.Real) for x in values):
-        raise ValidationError(f"{name} entries must be real numbers")
+    """Each value is an int, a Fraction (both always finite) or a finite float."""
+    if not all(isinstance(x, numbers.Rational) or isinstance(x, numbers.Real)
+               and math.isfinite(x) for x in values):
+        raise ValidationError(f"{name} entries must be finite real numbers")
 
 
 @dataclass(frozen=True)

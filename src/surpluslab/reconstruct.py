@@ -27,8 +27,8 @@ def _as_rows(matrix) -> list:
     return [list(row) for row in matrix]
 
 
-def _check_distances(m: list, tol):
-    """Square, zero diagonal, finite, symmetric within tol, no negative entry."""
+def _check_distances(m: list):
+    """Square, zero diagonal, finite, symmetric within DEFAULT_TOL, non-negative."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValidationError("matrix must be square")
@@ -38,15 +38,15 @@ def _check_distances(m: list, tol):
         for j in range(i + 1, n):
             if not all(abs(x) < math.inf for x in (m[i][j], m[j][i])):  # NaN too
                 raise ValidationError(f"non-finite distance at ({i},{j})")
-            if abs(m[i][j] - m[j][i]) > tol:
+            if abs(m[i][j] - m[j][i]) > DEFAULT_TOL:
                 raise ValidationError("matrix must be symmetric")
             if m[i][j] < 0:
                 raise NegativeLength(f"negative distance at ({i},{j})")
 
 
-def _validate_matrix(m: list, tol):
+def _validate_matrix(m: list):
     """_check_distances, and distinct marks at positive distance."""
-    _check_distances(m, tol)
+    _check_distances(m)
     for i, row in enumerate(m):
         for j in range(i + 1, len(m)):
             if row[j] == 0:
@@ -66,9 +66,9 @@ def gromov_height(matrix, a: int, b: int, c: int):
     return (m[a][b] + m[a][c] - m[b][c]) / 2
 
 
-def check_four_point(matrix, tol=DEFAULT_TOL) -> Tuple[bool, tuple]:
+def check_four_point(matrix) -> Tuple[bool, tuple]:
     """Tree-metric check: in every quadruple the two largest of the three
-    pairings must coincide.  Returns (ok, witness quadruple or None)."""
+    pairings agree within DEFAULT_TOL.  Returns (ok, witness or None)."""
     m = _as_rows(matrix)
     n = len(m)
     for i in range(n):
@@ -78,43 +78,43 @@ def check_four_point(matrix, tol=DEFAULT_TOL) -> Tuple[bool, tuple]:
                     sums = sorted((m[i][j] + m[k][l],
                                    m[i][k] + m[j][l],
                                    m[i][l] + m[j][k]))
-                    if sums[2] - sums[1] > tol:
+                    if sums[2] - sums[1] > DEFAULT_TOL:
                         return False, (i, j, k, l)
     return True, None
 
 
-def _require_four_point(m: list, tol):
-    ok, witness = check_four_point(m, tol)
+def _require_four_point(m: list):
+    ok, witness = check_four_point(m)
     if not ok:
         raise FourPointViolation(
             f"four-point condition fails on quadruple {witness}", witness=witness)
 
 
-def _require_triangle(m: list, tol):
+def _require_triangle(m: list):
     """TriangleViolation on the first (i, j, k), i < j, with
-    d(i,j) > d(i,k) + d(k,j) + tol; O(n^3)."""
+    d(i,j) > d(i,k) + d(k,j) + DEFAULT_TOL; O(n^3)."""
     n = len(m)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                if k != i and k != j and m[i][j] - m[i][k] - m[k][j] > tol:
+                if k != i and k != j and m[i][j] - m[i][k] - m[k][j] > DEFAULT_TOL:
                     raise TriangleViolation(
                         f"triangle inequality fails on triple {(i, j, k)}",
                         witness=(i, j, k))
 
 
-def _locate(adj, marks, b, c, target, tol, steiner_count):
+def _locate(adj, marks, b, c, target, steiner_count):
     """Node at distance `target` from mark b on the b-c geodesic,
     splitting an edge if needed.  Returns (node, new steiner count)."""
     nb, nc = marks[b], marks[c]
     parent, hops = _search(adj, nb)
     path = [nb] + _climb(parent, hops, nb, nc)[::-1]
     cum = 0
-    if target <= tol:
+    if target <= DEFAULT_TOL:
         return nb, steiner_count
     for u, v in zip(path, path[1:]):
         step = adj[u][v]
-        if abs(cum + step - target) <= tol:
+        if abs(cum + step - target) <= DEFAULT_TOL:
             return v, steiner_count
         if cum + step > target:
             off = target - cum
@@ -132,13 +132,13 @@ def _locate(adj, marks, b, c, target, tol, steiner_count):
         f"attachment point beyond the {b}-{c} geodesic", witness=(b, c))
 
 
-def _build(m: list, tol) -> MetricTree:
+def _build(m: list) -> MetricTree:
     """Incremental insertion of leaves 1..n, trusting m to be a tree metric."""
     n = len(m)
     if n == 0:
         raise ValidationError("empty matrix")
     if n == 1:
-        return MetricTree.single_node(0, marks={1: 0})
+        return MetricTree([], {1: 0})
     marks = {1: 0, 2: 1}
     adj = {0: {1: m[0][1]}, 1: {0: m[0][1]}}
     steiner = 0
@@ -147,17 +147,16 @@ def _build(m: list, tol) -> MetricTree:
         for b in range(new):
             for c in range(b + 1, new):
                 g = m[new][b] + m[new][c] - m[b][c]
-                if best is None or g < best[0] - tol:
+                if best is None or g < best[0] - DEFAULT_TOL:
                     best = (g, b, c)
         g, b, c = best
         graft = g / 2
-        if graft < -tol:
+        if graft < -DEFAULT_TOL:
             raise FourPointViolation(
                 f"negative graft length for leaf {new + 1}", witness=(b, c, new))
         height_b = (m[b][new] + m[b][c] - m[new][c]) / 2
-        w, steiner = _locate(adj, {i + 1: marks[i + 1] for i in range(new)},
-                             b + 1, c + 1, height_b, tol, steiner)
-        if graft <= tol:
+        w, steiner = _locate(adj, marks, b + 1, c + 1, height_b, steiner)
+        if graft <= DEFAULT_TOL:
             marks[new + 1] = w
         else:
             node = new
@@ -167,31 +166,32 @@ def _build(m: list, tol) -> MetricTree:
     return MetricTree(_edge_list(adj), marks)
 
 
-def reconstruct(matrix, tol=DEFAULT_TOL) -> MetricTree:
+def reconstruct(matrix) -> MetricTree:
     """Incremental insertion; output's leaf matrix equals the input.
 
     Marks are positional, 1..N.  Degenerate attachments (zero grafts) are
     allowed: the mark then names an existing, possibly internal, node.
     Accepts and rejects exactly as check_four_point, then the build, then
-    the triangle inequality, each within tol.
+    the triangle inequality, each within DEFAULT_TOL.
     """
     m = _as_rows(matrix)
-    _validate_matrix(m, tol)
+    _validate_matrix(m)
     try:
-        tree = _build(m, tol)
-        # entries within tol/8 move each pairing sum by at most tol/4: the
-        # four-point gap is <= tol/2 plus rounding, so check_four_point passes
+        tree = _build(m)
+        # entries within DEFAULT_TOL/8 move each pairing sum by at most
+        # DEFAULT_TOL/4: the four-point gap is <= DEFAULT_TOL/2 plus
+        # rounding, so check_four_point passes
         rebuilt = tree.mark_distance_matrix(range(1, len(m) + 1))
-        if all(abs(x - y) <= tol / 8 for row, new in zip(m, rebuilt)
+        if all(abs(x - y) <= DEFAULT_TOL / 8 for row, new in zip(m, rebuilt)
                for x, y in zip(row, new)):
             return tree
     except ValidationError:
         pass  # the quadruple pass names the witness, else the build's error
-    _require_four_point(m, tol)
-    tree = _build(m, tol)
-    # a rebuilt leaf matrix within tol/8 of the input leaves no triangle
-    # gap above tol, so only this path can meet one
-    _require_triangle(m, tol)
+    _require_four_point(m)
+    tree = _build(m)
+    # a rebuilt leaf matrix within DEFAULT_TOL/8 of the input leaves no
+    # triangle gap above DEFAULT_TOL, so only this path can meet one
+    _require_triangle(m)
     return tree
 
 
@@ -217,7 +217,7 @@ def _interval_union_length(intervals: List[tuple], upper):
     return total
 
 
-def core_measure_from_matrix(matrix, tol=DEFAULT_TOL):
+def core_measure_from_matrix(matrix):
     """Core length from the 2c x 2c mark distance matrix alone.
 
     The increment for pair j is the length of its geodesic minus the parts
@@ -227,8 +227,8 @@ def core_measure_from_matrix(matrix, tol=DEFAULT_TOL):
     m = _as_rows(matrix)
     if len(m) % 2 != 0 or not m:
         raise ValidationError("need a 2c x 2c matrix")
-    _check_distances(m, tol)
-    _require_four_point(m, tol)
+    _check_distances(m)
+    _require_four_point(m)
     c = len(m) // 2
     total = m[0][1]
     for j in range(2, c + 1):

@@ -364,8 +364,8 @@ def cm_conditioned_oracle(seq: DegreeSequence, k: int) -> Dict[tuple, Fraction]:
 def sample_multiplicative_graph(lam: float, weights: Sequence[float],
                                 rng: np.random.Generator) -> Multigraph:
     """Simple graph; edge {i,j} present with probability 1-exp(-lam w_i w_j)."""
-    if lam < 0 or any(w <= 0 for w in weights):
-        raise ValidationError("lambda must be >= 0 and weights positive")
+    if not 0 <= lam < math.inf or not all(0 < w < math.inf for w in weights):
+        raise ValidationError("lambda must be finite and >= 0, weights finite and > 0")
     s = len(weights)
     edges = []
     for i in range(s):
@@ -378,14 +378,17 @@ def sample_multiplicative_graph(lam: float, weights: Sequence[float],
 def sample_multiplicative_multigraph(lam: float, weights: Sequence[float],
                                      rng: np.random.Generator) -> Multigraph:
     """Poisson multiplicities: mean lam w_i w_j off-diagonal, lam w_i^2/2 loops."""
-    if lam < 0 or any(w <= 0 for w in weights):
-        raise ValidationError("lambda must be >= 0 and weights positive")
+    if not 0 <= lam < math.inf or not all(0 < w < math.inf for w in weights):
+        raise ValidationError("lambda must be finite and >= 0, weights finite and > 0")
     s = len(weights)
     edges = []
     for i in range(s):
         for j in range(i, s):
             mean = lam * weights[i] * weights[j] * (0.5 if i == j else 1.0)
-            m = int(rng.poisson(mean))
+            try:
+                m = int(rng.poisson(mean))
+            except ValueError:  # numpy refuses means above about 9.2e18
+                raise ValidationError(f"Poisson mean {mean} is too large") from None
             if m:
                 edges.append((internal(i + 1), internal(j + 1), m))
     return Multigraph(edges, vertices=[internal(i + 1) for i in range(s)])
@@ -534,6 +537,4 @@ def sample_ordered_partition(items: Sequence, n_slots: int,
             out.append([])
         else:
             out[-1].append(x)
-    while len(out) < n_slots:
-        out.append([])
     return out

@@ -299,9 +299,6 @@ def sample_d_tree_keys(seq: DegreeSequence, n_samples: int,
     while left > 0:
         b = min(20000, left)
         left -= b
-        if len(base) == 0:
-            counts[((-2, -1),)] += b
-            continue
         rows = rng.permuted(np.broadcast_to(base, (b, len(base))), axis=1)
         for row in rows.tolist():
             counts[_stick_break_key(row)] += 1
@@ -325,25 +322,21 @@ def tree_count(seq: DegreeSequence) -> int:
 
 
 def multiset_arrangements(items: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """All distinct arrangements of a multiset, lexicographic order."""
-    counts = Counter(items)
-    keys = sorted(counts)
-    n = len(items)
-    slot: List[int] = []
-
-    def rec():
-        if len(slot) == n:
-            yield tuple(slot)
+    """All distinct arrangements of a multiset, lexicographic order: the
+    sorted items, then each next permutation until the order is reversed."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for k in keys:
-            if counts[k] > 0:
-                counts[k] -= 1
-                slot.append(k)
-                yield from rec()
-                slot.pop()
-                counts[k] += 1
-
-    yield from rec()
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 def _prufer_decode(code: Sequence[int], vertices: Sequence[int]):
@@ -408,14 +401,12 @@ class PTreeGrowth:
         self.record: List[Vertex] = []
         self.n_stars = 0
         self._seen = set()
-        self._step = 0
 
     def _draw(self) -> Vertex:
-        self._step += 1
         u = self.rng.random()
         j = int(np.searchsorted(self._cum, u, side="right"))
         if j >= len(self._cum):
-            return overflow(self._step)
+            return overflow(len(self.record) + 1)
         return internal(j + 1)
 
     def step(self):
@@ -431,7 +422,7 @@ class PTreeGrowth:
             raise ValidationError("with p_inf = 1 no draw repeats, so no "
                                   "leaf label besides S0 is ever placed")
         while self.n_stars < n_stars:
-            if self._step >= 10 ** 7:
+            if len(self.record) >= 10 ** 7:
                 raise ValidationError("star quota not reached within 10^7 draws")
             self.step()
 

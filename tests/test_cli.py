@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -256,18 +257,52 @@ def test_sample_graph_rejects_empty_surplus_sequence(tmp_path):
     assert run(["sample-graph", "--params", str(empty)]) == 2
 
 
-@pytest.mark.parametrize("command", ["reconstruct", "core-measure"])
+@pytest.mark.parametrize("command", ["reconstruct", "core-measure",
+                                     "core-measure --pairs 1"])
 @pytest.mark.parametrize("text", ["a,b,c\n0,1,x\n1,0,1\nx,1,0\n", "",
                                   "a,b,c,d\n0,2,3\n2,0,3\n3,3,0\n3,3,2\n",
                                   "a,b\n0,nan\nnan,0\n", "a,b\n0,inf\ninf,0\n",
-                                  "a,b\n0,-1\n-1,0\n", "a,b\n0,1\n2,0\n"],
+                                  "a,b\n0,-1\n-1,0\n", "a,b\n0,1\n2,0\n",
+                                  "a,b,c,d\n0,1,1,nan\n1,0,1,1\n1,1,0,1\nnan,1,1,0\n"],
                          ids=["non-numeric", "empty", "ragged", "nan", "inf",
-                              "negative", "asymmetric"])
+                              "negative", "asymmetric", "nan-past-first-pair"])
 def test_malformed_matrix_csv_is_validation_failure(tmp_path, command, text, capsys):
+    # --pairs 1 reads only the leading 2 x 2 block, but the whole matrix is checked
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
-    assert run([command, "--params", str(bad)]) == 2
+    assert run(command.split() + ["--params", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params,argv", [
+    pytest.param({"theta0": math.nan}, ["sample-icrt"], id="icrt-theta0"),
+    pytest.param({"theta": [math.nan]}, ["sample-icrt"], id="icrt-theta"),
+    pytest.param({"theta0": math.nan}, ["sample-icrg"], id="icrg-theta0"),
+    pytest.param({"theta0": math.nan}, ["experiment", "converge", "--points", "2",
+                                        "--family", "tree", "--target"],
+                 id="converge-theta0"),
+    pytest.param({"p": [math.nan]}, ["sample-tree"], id="tree-p"),
+    pytest.param({"p": [0.5, 0.5], "p_inf": math.nan}, ["sample-tree"],
+                 id="tree-p-inf"),
+    pytest.param({"lambda": math.nan, "weights": [1, 1]}, ["sample-mult"],
+                 id="mult-lambda"),
+    pytest.param({"lambda": 1, "weights": [1, math.nan]}, ["sample-mult"],
+                 id="mult-weight"),
+    pytest.param({"lambda": math.inf, "weights": [1, 1]}, ["sample-mult"],
+                 id="mult-lambda-inf"),
+    pytest.param({"p": [math.nan]}, ["oracle", "pk-law"], id="pk-law-p"),
+    pytest.param({"lambda": 1e300, "weights": [1, 1]}, ["sample-mult", "--multi"],
+                 id="multi-poisson-mean-too-large")])
+def test_non_finite_parameters_are_validation_failures(tmp_path, param_files,
+                                                       params, argv, capsys):
+    # a NaN theta never ends the ICRT cut loop; NaN p or lambda samples garbage
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(params))  # NaN and Infinity literals
+    argv = [str(param_files[a]) if a in param_files else a for a in argv]
+    flag = [] if argv[-1] == "--target" else ["--params"]
+    assert run(argv + flag + [str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("params,command", [

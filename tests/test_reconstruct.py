@@ -121,19 +121,19 @@ def test_reconstruct_rejects_square():
     assert info.value.witness == (0, 1, 2, 3)
 
 
-def _reference(matrix, tol=DEFAULT_TOL):
+def _reference(matrix):
     """The quadruple pass first, then the build, then every triangle: what
     reconstruct must match."""
     m = [list(row) for row in matrix]
-    _validate_matrix(m, tol)
-    ok, witness = check_four_point(m, tol)
+    _validate_matrix(m)
+    ok, witness = check_four_point(m)
     if not ok:
         raise errors.FourPointViolation(
             f"four-point condition fails on quadruple {witness}", witness=witness)
-    tree = _build(m, tol)
+    tree = _build(m)
     for i, j in itertools.combinations(range(len(m)), 2):
         for k in range(len(m)):
-            if k not in (i, j) and m[i][j] - m[i][k] - m[k][j] > tol:
+            if k not in (i, j) and m[i][j] - m[i][k] - m[k][j] > DEFAULT_TOL:
                 raise errors.TriangleViolation(
                     f"triangle inequality fails on triple {(i, j, k)}",
                     witness=(i, j, k))

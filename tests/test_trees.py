@@ -98,6 +98,22 @@ def test_enumeration_matches_stick_breaking_bijection():
         assert set(enum_keys) == walk_keys
 
 
+@pytest.mark.parametrize("items", [[], [3], [1, 1], [2, 1, 2, 3], [1, 1, 2, 2, 3]])
+def test_multiset_arrangements_distinct_and_lexicographic(items):
+    # the (D,k) table's index draws read the arrangements in this order
+    assert (list(multiset_arrangements(items))
+            == sorted(set(itertools.permutations(items))))
+
+
+def test_d_tree_keys_of_empty_multiset_draw_nothing():
+    # [0, 0] has one tree, the edge S0-S1; two batches, no generator draw
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    assert sample_d_tree_keys(validate([0, 0], "tree"), 25000, rng) == {
+        ((-2, -1),): 25000}
+    assert rng.bit_generator.state == state
+
+
 def test_uniformity_quick():
     rng = np.random.default_rng(3)
     for degs in [(1, 1, 0, 0), (2, 1, 0, 0, 0)]:
@@ -136,6 +152,14 @@ def test_p_tree_pure_overflow_is_path():
     assert tree == LabeledTree(
         [(S(0), overflow(1))] +
         [(overflow(i), overflow(i + 1)) for i in range(1, 5)])
+    # with atoms too, an overflow draw is named by its position in the record
+    growth = PTreeGrowth(PVector((0.5,), p_inf=0.5), rng)
+    for _ in range(20):
+        growth.step()
+    kinds = {v.kind for v in growth.record}
+    assert kinds == {"V", "Vinf"}
+    assert all(v == overflow(i) for i, v in enumerate(growth.record, 1)
+               if v.kind == "Vinf")
 
 
 def test_p_tree_pure_overflow_star_quota_fails_fast():
