@@ -11,6 +11,7 @@ lengths may be floats or Fractions; nothing coerces them.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
@@ -169,7 +170,8 @@ def sb_build(cuts: Sequence, anchors: Sequence = ()) -> MetricTree:
     node_coords = sorted(set([zero] + cuts + anchors))
     edges = []
     for i, (lo, hi) in enumerate(zip(starts, cuts)):
-        interior = [c for c in node_coords if lo < c < hi]
+        interior = node_coords[bisect.bisect_right(node_coords, lo):
+                               bisect.bisect_left(node_coords, hi)]
         prev = anchor_of[i]
         pos = lo
         for c in interior + [hi]:

@@ -156,10 +156,10 @@ def _build(m: list) -> MetricTree:
                 f"negative graft length for leaf {new + 1}", witness=(b, c, new))
         height_b = (m[b][new] + m[b][c] - m[new][c]) / 2
         w, steiner = _locate(adj, marks, b + 1, c + 1, height_b, steiner)
-        if graft <= DEFAULT_TOL:
+        if graft <= DEFAULT_TOL and w not in marks.values():
             marks[new + 1] = w
         else:
-            node = new
+            node, graft = new, max(graft, 0)
             adj.setdefault(w, {})[node] = graft
             adj.setdefault(node, {})[w] = graft
             marks[new + 1] = node
@@ -170,7 +170,8 @@ def reconstruct(matrix) -> MetricTree:
     """Incremental insertion; output's leaf matrix equals the input.
 
     Marks are positional, 1..N.  Degenerate attachments (zero grafts) are
-    allowed: the mark then names an existing, possibly internal, node.
+    allowed: the mark then names an existing unmarked, possibly internal,
+    node, or hangs below a marked one, so no two marks share a node.
     Accepts and rejects exactly as check_four_point, then the build, then
     the triangle inequality, each within DEFAULT_TOL.
     """

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -132,15 +132,10 @@ class DkTable:
         return len(self.bias)
 
 
-def _check_surplus_kind(seq: DegreeSequence) -> int:
-    if seq.kind != KIND_SURPLUS:
-        raise ValidationError("sample_dk_graph needs a surplus-kind sequence")
-    return seq.k
-
-
 def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
-    k = _check_surplus_kind(seq)
-    tree_seq = seq.to_tree_kind()
+    """Every tuple's outcome for a surplus sequence of at most cap tuples;
+    dk_table and sample_dk_graph keep one per sequence (_dk_path)."""
+    k, tree_seq = seq.k, seq.to_tree_kind()
     count = tree_count(tree_seq)
     if count > cap:
         raise TooLarge(f"{count} tuples exceeds the table cap {cap}")
@@ -171,33 +166,29 @@ def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
 
 
 @lru_cache(maxsize=128)
-def _cached_dk_table(seq: DegreeSequence, cap: int) -> Optional[DkTable]:
-    """The table, or None above cap tuples; worked out once per sequence."""
-    if tree_count(seq.to_tree_kind()) > cap:
-        return None
+def _dk_path(seq: DegreeSequence, cap: int):
+    """The sequence's DkTable, or above cap tuples the walk base of its
+    tree kind: the kind is checked, the tuples counted and the path chosen
+    once per sequence."""
+    if seq.kind != KIND_SURPLUS:
+        raise ValidationError("sample_dk_graph needs a surplus-kind sequence")
+    tree_seq = seq.to_tree_kind()
+    if tree_count(tree_seq) > cap:
+        return _walk_base(tree_seq)
     return build_dk_table(seq, cap)
 
 
 def dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
-    _check_surplus_kind(seq)
-    table = _cached_dk_table(seq, cap)
-    if table is None:
+    path = _dk_path(seq, cap)
+    if not isinstance(path, DkTable):
         raise TooLarge(f"{tree_count(seq.to_tree_kind())} tuples exceeds "
                        f"the table cap {cap}")
-    return table
+    return path
 
 
-@lru_cache(maxsize=32)
-def _streaming_base(seq: DegreeSequence) -> np.ndarray:
-    """The walk base of a surplus sequence, converted to tree kind once."""
-    return _walk_base(seq.to_tree_kind())
-
-
-def _sample_dk_streaming(seq: DegreeSequence, rng: np.random.Generator):
+def _sample_dk_streaming(k: int, base: np.ndarray, rng: np.random.Generator):
     """Walks each proposal only up to its 2k glued leaves until one passes;
     the whole shuffled tuple is decoded only for the accepted one."""
-    k = seq.k
-    base = _streaming_base(seq)
     bound = bias_bound(k)
     while True:
         perm = rng.permutation(len(base))
@@ -215,11 +206,10 @@ def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator) -> Multigraph
     with at most 30000 tuples draw from the memoized table; larger ones
     stream.
     """
-    _check_surplus_kind(seq)
-    table = _cached_dk_table(seq, _TABLE_CAP)
-    if table is None:
-        return _sample_dk_streaming(seq, rng)
-    n_tuples, accept, graphs = table.n_tuples, table.accept, table.graphs
+    path = _dk_path(seq, _TABLE_CAP)
+    if not isinstance(path, DkTable):
+        return _sample_dk_streaming(seq.k, path, rng)
+    n_tuples, accept, graphs = path.n_tuples, path.accept, path.graphs
     while True:
         idx = int(rng.integers(n_tuples))
         if rng.random() < accept[idx]:

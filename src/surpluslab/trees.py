@@ -14,6 +14,7 @@ Internally vertices are small ints (internal rank i -> +i, leaf Sj ->
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from collections import Counter
@@ -314,11 +315,10 @@ def tree_from_key(key) -> LabeledTree:
 
 
 def tree_count(seq: DegreeSequence) -> int:
-    """(s-2)! / prod(d_i!) distinct trees."""
-    n = math.factorial(seq.s - 2)
-    for d in seq.degrees:
-        n //= math.factorial(d)
-    return n
+    """(s-2)! / prod(d_i!) distinct trees, as one exact quotient with the
+    equal degrees grouped."""
+    return math.factorial(seq.s - 2) // math.prod(
+        math.factorial(d) ** m for d, m in Counter(seq.degrees).items())
 
 
 def multiset_arrangements(items: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -397,14 +397,13 @@ class PTreeGrowth:
     def __init__(self, pvec: PVector, rng: np.random.Generator):
         self.pvec = pvec
         self.rng = rng
-        self._cum = np.cumsum(np.asarray(pvec.p, dtype=float))
+        self._cum = np.cumsum(np.asarray(pvec.p, dtype=float)).tolist()
         self.record: List[Vertex] = []
         self.n_stars = 0
         self._seen = set()
 
     def _draw(self) -> Vertex:
-        u = self.rng.random()
-        j = int(np.searchsorted(self._cum, u, side="right"))
+        j = bisect.bisect_right(self._cum, self.rng.random())
         if j >= len(self._cum):
             return overflow(len(self.record) + 1)
         return internal(j + 1)

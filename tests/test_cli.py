@@ -86,12 +86,16 @@ def test_sample_graph_cm_mult_icrt_icrg(tmp_path, param_files):
 
 
 def test_reconstruct_cli(tmp_path, param_files):
-    out = tmp_path / "rec"
-    code = run(["--out", str(out), "reconstruct",
-                "--params", str(param_files["matrix"])])
-    assert code == 0
-    payload = json.loads((out / "reconstruct.jsonl").read_text())
-    assert len(payload["marks"]) == 4
+    # in "close", c and d lie 1e-10 apart, within the build's tolerance,
+    # and still name two nodes
+    close = tmp_path / "close.csv"
+    close.write_text("a,b,c,d\n0,2,1,1\n2,0,1,1\n1,1,0,1e-10\n1,1,1e-10,0\n")
+    for name, path in (("matrix", param_files["matrix"]), ("close", close)):
+        out = tmp_path / name
+        code = run(["--out", str(out), "reconstruct", "--params", str(path)])
+        assert code == 0
+        payload = json.loads((out / "reconstruct.jsonl").read_text())
+        assert sorted(payload["marks"].values()) == ["a", "b", "c", "d"]
 
 
 def test_reconstruct_rejects_non_tree_metric(tmp_path, param_files, capsys):
@@ -341,7 +345,7 @@ def test_integral_k_reads_as_int(tmp_path, param_files, capsys):
     # k = 1.0 is the integer 1, as a degree 1.0 is the degree 1; the
     # table cache is emptied so the float-k sequence builds its own
     from surpluslab import samplers
-    samplers._cached_dk_table.cache_clear()
+    samplers._dk_path.cache_clear()
     as_float = tmp_path / "dk_float.json"
     as_float.write_text(json.dumps(
         {"kind": "surplus", "k": 1.0, "degrees": [2, 1, 1, 0]}))

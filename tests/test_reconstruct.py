@@ -110,6 +110,19 @@ def test_reconstruct_degenerate_interior_mark():
     assert np.allclose(tree.mark_distance_matrix([1, 2, 3]), m)
 
 
+@pytest.mark.parametrize("gap", [1e-10, Fraction(1, 10 ** 10)],
+                         ids=["float", "fraction"])
+def test_reconstruct_marks_within_tolerance_keep_own_nodes(gap):
+    # marks 3 and 4 sit gap < DEFAULT_TOL apart at the 1-2 median: mark 4
+    # hangs below mark 3's node instead of taking it over
+    m = [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, gap], [1, 1, gap, 0]]
+    tree = reconstruct(m)
+    assert len({tree.node_of(i) for i in range(1, 5)}) == 4
+    got = tree.mark_distance_matrix(range(1, 5))
+    assert all(abs(x - y) <= DEFAULT_TOL for row, want in zip(got, m)
+               for x, y in zip(row, want))
+
+
 def test_reconstruct_rejects_zero_distance():
     with pytest.raises(errors.ValidationError):
         reconstruct([[0, 0], [0, 0]])

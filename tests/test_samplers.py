@@ -76,8 +76,10 @@ def test_dk_table_and_streaming_agree():
     oracle = cm_conditioned_oracle(validate([3, 2, 2, 1], "half-edge"), 1)
     rng = np.random.default_rng(2)
     n = 6000
+    base = _walk_base(seq.to_tree_kind())
     stream_counts = Counter(
-        _sample_dk_streaming(seq, rng).leaf_canonical_key() for _ in range(n))
+        _sample_dk_streaming(1, base, rng).leaf_canonical_key()
+        for _ in range(n))
     assert tv_against(oracle, stream_counts, n) < 0.03
     table_counts = sample_dk_graph_keys(seq, n, rng)
     assert tv_against(oracle, table_counts, n) < 0.03
@@ -563,7 +565,7 @@ def test_streaming_proposals_match_fraction_reference():
     base = np.array(_base_multiset(seq.to_tree_kind()), dtype=np.int64)
     got_rng, rng = np.random.default_rng(47), np.random.default_rng(47)
     for _ in range(30):
-        got = _sample_dk_streaming(seq, got_rng)
+        got = _sample_dk_streaming(1, base, got_rng)
         while True:
             entries = base[rng.permutation(len(base))].tolist()
             parent, depth, fathers = _walk(entries, len(entries) + 1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -80,6 +81,23 @@ def test_enumerate_counts():
     assert len(list(enumerate_d_trees(validate([0, 0], "tree")))) == 1
     assert len(list(enumerate_d_trees(validate([1, 1, 0, 0], "tree")))) == 2
     assert tree_count(EX12) == 50400
+
+
+def test_tree_count_is_a_product_of_binomials():
+    # (s-2)!/prod(d_i!) = prod C(left, d_i), left counting the entries of
+    # the tuple not yet given to a vertex; equality is exact
+    rng = np.random.default_rng(61)
+    seqs = [validate([2] * 4096 + [0] * 4098, "tree")]
+    for _ in range(40):
+        positive = rng.integers(1, 6, size=int(rng.integers(0, 25))).tolist()
+        degrees = positive + [0] * (sum(positive) + 2 - len(positive))
+        seqs.append(validate(rng.permutation(degrees).tolist(), "tree"))
+    for seq in seqs:
+        left, want = seq.s - 2, 1
+        for d in seq.degrees:
+            want *= math.comb(left, d)
+            left -= d
+        assert tree_count(seq) == want
 
 
 def test_enumerate_cap():
