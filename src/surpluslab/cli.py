@@ -160,8 +160,9 @@ def cmd_sample_icrt(args):
         real = continuum.sample_icrt(theta, rng, n_points=args.points)
         if args.format == "json":
             return [real.to_json()]
+        segments = continuum._segment_tree(real.cuts, real.anchors, args.points)
         return _matrix_csv(f"rep = {r}", labels,
-                           real.tree().mark_distance_matrix(labels))
+                           continuum._mark_matrix(segments, labels))
     _per_rep(args, "sample-icrt", draw, points=args.points)
     return 0
 
@@ -180,7 +181,7 @@ def cmd_sample_icrg(args):
                        weight=ws.weight, k=args.k)
             return [json.dumps(obj, sort_keys=True)]
         return _matrix_csv(f"rep = {r}, weight = {ws.weight!r}", labels,
-                           ws.payload.mark_distance_matrix(labels))
+                           continuum._mark_matrix(ws._segments, labels, args.k))
     _per_rep(args, "sample-icrg", draw, points=args.points, k=args.k)
     return 0
 

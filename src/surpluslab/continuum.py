@@ -2,10 +2,11 @@
 branch-point construction, metric gluing, and the core-length measure.
 
 A realization is a list of (cut, anchor) pairs: segment (y_i, y_{i+1}]
-hangs from the point at position z_i, with (y_0, z_0) = (0, 0).  The tree
-is materialized as an explicit node/segment complex: every cut tip and
-every anchor becomes a node, so distances, geodesics, and the
-core-length measure are plain graph walks with no root finding.  Edge
+hangs from the point at position z_i, with (y_0, z_0) = (0, 0).  The
+public oracle is a node/segment complex (sb_build, MetricTree, GluedSpace,
+core_measure) in which every cut tip and anchor is a node, so distances,
+geodesics and core lengths are plain graph walks.  Sampling reads the same
+bits off parent pointers over the first n segments (_segment_tree).  Edge
 lengths may be floats or Fractions; nothing coerces them.
 """
 
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -106,12 +108,16 @@ class MetricTree:
     def mark_distance_matrix(self, labels: Sequence) -> list:
         return self._node_matrix([self.node_of(l) for l in labels])
 
+    def _rooted(self, root):
+        """(parent, hops, weight[x] = length of edge (x, parent[x])) from root."""
+        parent, hops = _search(self._adj, root)
+        return parent, hops, {x: self._adj[x][u] for x, u in parent.items()
+                              if u is not None}
+
     def _node_matrix(self, nodes: Sequence) -> list:
-        """One search from the first node, then a climb per pair; each
-        distance sums the edge lengths in climb order."""
-        parent, hops = _search(self._adj, nodes[0]) if nodes else ({}, {})
-        return _climb_matrix(parent, hops, nodes, lambda ends: sum(
-            self._adj[x][parent[x]] for x in ends))
+        """One search from the first node, then a climb per pair."""
+        parent, hops, weight = self._rooted(nodes[0]) if nodes else ({}, {}, {})
+        return _climb_matrix(parent, hops, nodes, weight)
 
     def with_uniform_marks(self, n: int, rng: np.random.Generator) -> "MetricTree":
         """Split edges at n length-uniform positions and mark them U0..U(n-1)."""
@@ -163,24 +169,35 @@ def sb_build(cuts: Sequence, anchors: Sequence = ()) -> MetricTree:
     at the origin.  Anchors may repeat (hub nodes) or hit segment tips.
     Marks: 0 at the origin, i at cut y_i.
     """
+    parent, length, node = _segment_tree(cuts, anchors, len(cuts))
+    edges = [(u, c, length[c]) for c, u in parent.items() if u is not None]
+    return MetricTree(edges, dict(enumerate(node)))
+
+
+def _segment_tree(cuts: Sequence, anchors: Sequence, n: int):
+    """Origin-rooted parent pointers, edge lengths and node[i] of mark i over
+    the first n segments, split at every node coordinate, as sb_build splits."""
     cuts, anchors = _check_cut_anchor(cuts, anchors)
-    zero = 0 * cuts[0]  # stays a Fraction in exact mode
-    starts = [zero] + cuts[:-1]
-    anchor_of = [zero] + anchors
-    node_coords = sorted(set([zero] + cuts + anchors))
-    edges = []
-    for i, (lo, hi) in enumerate(zip(starts, cuts)):
-        interior = node_coords[bisect.bisect_right(node_coords, lo):
-                               bisect.bisect_left(node_coords, hi)]
-        prev = anchor_of[i]
-        pos = lo
-        for c in interior + [hi]:
-            edges.append((prev, c, c - pos))
-            prev, pos = c, c
-    marks = {0: zero}
-    for i, y in enumerate(cuts, start=1):
-        marks[i] = y
-    return MetricTree(edges, marks)
+    node = [0 * cuts[0]] + cuts[:n]
+    coords = sorted(set(node[:1] + cuts + anchors))
+    hang = dict(zip(node, node[:1] + anchors))  # segment start -> its anchor
+    parent, length = {node[0]: None}, {}
+    for pos, c in zip(coords, coords[1:bisect.bisect_right(coords, node[-1])]):
+        parent[c], length[c] = hang.get(pos, pos), c - pos
+    return parent, length, node
+
+
+def _rooted(parent, length, root):
+    """MetricTree._rooted(root) of the segment tree: root's path to the
+    origin turns round; a parent precedes its child in parent."""
+    par, weight, hops, x = {**parent, root: None}, dict(length), {root: 0}, root
+    while parent[x] is not None:
+        x, low = parent[x], x
+        par[x], weight[x], hops[x] = low, length[low], hops[low] + 1
+    for x in parent:
+        if x not in hops:
+            hops[x] = hops[par[x]] + 1
+    return par, hops, weight
 
 
 @dataclass
@@ -290,11 +307,8 @@ class GluedSpace:
             raise UnknownMark("glued points must be tree nodes or marks")
 
     def _node_matrix(self, nodes: Sequence) -> list:
-        n = len(nodes)
-        rows = self.base._node_matrix(list(nodes) + self._ends)
-        for i in range(n, len(rows), 2):
-            rows = two_point_glue_matrix(rows, i, i + 1)
-        return [row[:n] for row in rows[:n]]
+        return _glued(self.base._node_matrix(list(nodes) + self._ends),
+                      len(nodes))
 
     def distance(self, a, b):
         self.base._known(a, b)
@@ -308,13 +322,23 @@ def metric_glue(tree: MetricTree, pairs: Sequence[tuple]) -> GluedSpace:
     return GluedSpace(tree, pairs)
 
 
-def two_point_glue_matrix(matrix: Sequence[Sequence], i: int, j: int) -> list:
-    """One application of the gluing formula to a distance matrix."""
-    n = len(matrix)
+def _glued(rows: list, n: int) -> list:
+    """The first n rows and columns, after gluing the later nodes in pairs."""
+    while len(rows) > n:
+        keep = [*range(n), *range(n + 2, len(rows))]
+        rows = two_point_glue_matrix(rows, n, n + 1, keep)
+    return rows
+
+
+def two_point_glue_matrix(matrix: Sequence[Sequence], i: int, j: int,
+                          keep=None) -> list:
+    """One application of the gluing formula to a distance matrix, over
+    the rows and columns in keep (all of them by default)."""
+    keep = range(len(matrix)) if keep is None else keep
     return [[min(matrix[a][b],
                  matrix[a][i] + matrix[b][j],
-                 matrix[a][j] + matrix[b][i]) for b in range(n)]
-            for a in range(n)]
+                 matrix[a][j] + matrix[b][i]) for b in keep]
+            for a in keep]
 
 
 def core_measure(tree: MetricTree, n_pairs: int):
@@ -322,19 +346,40 @@ def core_measure(tree: MetricTree, n_pairs: int):
     for m in range(1, 2 * n_pairs + 1):
         if m not in tree.marks:
             raise InsufficientMarks(f"mark {m} missing (need 1..{2 * n_pairs})")
-    parent, hops = _search(tree._adj, tree.node_of(1))
+    ends = [tree.node_of(m) for m in range(1, 2 * n_pairs + 1)]
+    return _core_length(*tree._rooted(tree.node_of(1)), ends)
+
+
+def _core_length(parent, depth, weight, ends: Sequence):
+    """Length of the union of the geodesics between ends (0, 1), (2, 3), ..."""
     union = {}  # lower ends of the union's edges, in a reproducible order
-    for b in range(1, n_pairs + 1):
-        union.update(dict.fromkeys(_climb(parent, hops, tree.node_of(2 * b - 1),
-                                          tree.node_of(2 * b))))
-    return sum(tree._adj[x][parent[x]] for x in union)
+    for a, b in zip(ends[::2], ends[1::2]):
+        union.update(dict.fromkeys(_climb(parent, depth, a, b)))
+    return sum(weight[x] for x in union)
+
+
+def _mark_matrix(segments: tuple, labels: Sequence, k: int = 0) -> list:
+    """The mark matrix over labels of sb_build's tree glued at (1, 2), ...,
+    (2k-1, 2k), off segments that cover every label and 2k."""
+    parent, length, node = segments
+    nodes = [node[m] for m in [*labels, *range(1, 2 * k + 1)]]
+    par, hops, weight = _rooted(parent, length, nodes[0])
+    return _glued(_climb_matrix(par, hops, nodes, weight), len(labels))
 
 
 @dataclass
 class WeightedSample:
-    payload: object
+    """An ICRG draw and its segment tree over the first n_points segments;
+    payload, the GluedSpace of the full tree, is built on first access."""
+    realization: IcrtRealization
     weight: float
-    realization: Optional[IcrtRealization] = None
+    k: int
+    _segments: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def payload(self) -> "GluedSpace":
+        return GluedSpace(self.realization.tree(),
+                          [(2 * i - 1, 2 * i) for i in range(1, self.k + 1)])
 
 
 def sample_icrg_weighted(theta: ThetaVector, k: int, rng: np.random.Generator,
@@ -345,17 +390,17 @@ def sample_icrg_weighted(theta: ThetaVector, k: int, rng: np.random.Generator,
     partial core has positive length); expectations under the glued law
     are self-normalized weighted averages.
     """
+    if k < 0:
+        raise ValidationError("k must be >= 0")
     n = max(n_points or 0, 2 * k, 1)
     real = sample_icrt(theta, rng, n_points=n)
-    tree = real.tree()
+    parent, length, node = segments = _segment_tree(real.cuts, real.anchors, n)
     weight = 1.0
     for i in range(1, k + 1):
-        c = core_measure(tree, i)
+        c = _core_length(*_rooted(parent, length, node[1]), node[1:2 * i + 1])
         assert c > 0, "degenerate core"
         weight /= float(c)
-    pairs = [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
-    glued = GluedSpace(tree, pairs)
-    return WeightedSample(glued, weight, real)
+    return WeightedSample(real, weight, k, segments)
 
 
 def sampled_distance_matrix(space, labels: Sequence = None, n: int = None,

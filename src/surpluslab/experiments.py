@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .continuum import sample_icrg_weighted, sample_icrt
+from .continuum import (_mark_matrix, _segment_tree, sample_icrg_weighted,
+                        sample_icrt)
 from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
@@ -143,12 +144,13 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
         return multigraph_distance_matrix(g, points), 1.0
     if name == "icrt":
         real = sample_icrt(params, rng, n_points=n_points)
-        mat = real.tree().mark_distance_matrix(list(range(1, n_points + 1)))
+        segments = _segment_tree(real.cuts, real.anchors, n_points)
+        mat = _mark_matrix(segments, range(1, n_points + 1))
         return np.array(mat, dtype=float), 1.0
     if name == "icrg":
         ws = sample_icrg_weighted(params, k, rng, n_points=2 * k + n_points)
-        labels = list(range(2 * k + 1, 2 * k + n_points + 1))
-        mat = ws.payload.mark_distance_matrix(labels)
+        labels = range(2 * k + 1, 2 * k + n_points + 1)
+        mat = _mark_matrix(ws._segments, labels, k)
         return np.array(mat, dtype=float), ws.weight
     if name in ("cm", "mult", "mult-multi"):
         if name == "cm":

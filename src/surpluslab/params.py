@@ -40,6 +40,12 @@ class DegreeSequence:
     kind: str = KIND_TREE
     k: int = 0
 
+    def __post_init__(self):  # hashed once; int tuples hash alike in any process
+        object.__setattr__(self, "_hash", hash(self.degrees))
+
+    def __hash__(self):
+        return hash((self._hash, self.kind, self.k))
+
     @property
     def s(self) -> int:
         return len(self.degrees)

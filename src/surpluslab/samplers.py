@@ -240,6 +240,11 @@ def sample_dk_graph_keys(seq: DegreeSequence, n_samples: int,
 # configuration model and its conditioned oracle
 
 
+@lru_cache(maxsize=16)
+def _internal_labels(s: int) -> tuple:  # V1..Vs; labels are immutable
+    return tuple(internal(i + 1) for i in range(s))
+
+
 def sample_configuration_model(seq: DegreeSequence,
                                rng: np.random.Generator) -> Multigraph:
     """Multigraph of a uniform perfect matching of labeled half-edges."""
@@ -247,7 +252,7 @@ def sample_configuration_model(seq: DegreeSequence,
         raise ValidationError("configuration model needs a half-edge sequence")
     if seq.total % 2 != 0:
         raise OddSum("half-edge count must be even")
-    names = [internal(i + 1) for i in range(seq.s)]  # one label per vertex
+    names = _internal_labels(seq.s)
     stubs = [i for i, d in enumerate(seq.degrees) for _ in range(d)]
     perm = rng.permutation(len(stubs)).tolist()
     mult = Counter()

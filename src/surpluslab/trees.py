@@ -211,13 +211,20 @@ def _climb(parent, depth, a, b) -> list:
     return ends
 
 
-def _climb_matrix(parent, depth, nodes: Sequence, length=len) -> list:
-    """Rows of length(_climb(parent, depth, a, b)) over the nodes, a before
-    b in the list: the one pair loop behind every mark distance matrix."""
+def _climb_matrix(parent, depth, nodes: Sequence, weight=None) -> list:
+    """The one pair loop behind every mark matrix: each pair climbed as by
+    _climb, counting steps or folding d + weight[x] from int 0 (as sum() does
+    up to Python 3.11; later sum()s compensate floats, this keeps the bits)."""
     rows = [[0] * len(nodes) for _ in nodes]
     for i, a in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
-            rows[i][j] = rows[j][i] = length(_climb(parent, depth, a, nodes[j]))
+            x, b, d = a, nodes[j], 0
+            while x != b:
+                if depth[x] < depth[b]:
+                    x, b = b, x
+                d = d + (1 if weight is None else weight[x])
+                x = parent[x]
+            rows[i][j] = rows[j][i] = d
     return rows
 
 

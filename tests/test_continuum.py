@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scistats
 
-from surpluslab import errors
-from surpluslab.continuum import (GluedSpace, MetricTree, core_measure,
-                                  metric_glue, sample_icrg_weighted,
-                                  sample_icrt, sampled_distance_matrix,
-                                  sb_build, two_point_glue_matrix)
+from surpluslab import errors, experiments
+from surpluslab.continuum import (GluedSpace, MetricTree, _core_length,
+                                  _mark_matrix, _rooted, _segment_tree,
+                                  core_measure, metric_glue,
+                                  sample_icrg_weighted, sample_icrt,
+                                  sampled_distance_matrix, sb_build,
+                                  two_point_glue_matrix)
 from surpluslab.params import ThetaVector
 from surpluslab.reconstruct import check_four_point
 
@@ -290,3 +294,99 @@ def test_realization_json():
     assert set(obj) == {"cuts", "anchors", "atoms", "theta0", "mu_infinite"}
     assert obj["mu_infinite"] is True
     assert len(obj["cuts"]) >= 3
+
+
+# ---------------------------------------------------------------------------
+# the segment tree that sampling reads, against the node complex
+
+
+THETAS = [BROWNIAN, ThetaVector(theta0=0.5, theta=(0.5, 0.5, 0.5)),
+          ThetaVector(theta0=0.0, theta=(0.8, 0.6))]
+
+
+@st.composite
+def cuts_and_anchors(draw):
+    """The float cuts and anchors of a sampled realization (atoms make hub
+    anchors), or exact Fraction cuts whose anchors may repeat or hit nodes."""
+    if draw(st.booleans()):
+        real = sample_icrt(draw(st.sampled_from(THETAS)),
+                           np.random.default_rng(draw(st.integers(0, 2 ** 32))),
+                           n_points=draw(st.integers(1, 8)))
+        return real.cuts, real.anchors
+    steps = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 6)),
+                          min_size=1, max_size=8))
+    cuts = list(accumulate(Fraction(a, b) for a, b in steps))
+    anchors = []
+    for y in cuts[:-1]:
+        nodes = [Fraction(0)] + [c for c in cuts if c <= y] + anchors
+        anchors.append(draw(st.sampled_from(nodes))
+                       if draw(st.booleans())
+                       else Fraction(draw(st.integers(0, 4)), 4) * y)
+    return cuts, anchors
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cuts_and_anchors(), st.integers(0, 3), st.data())
+def test_segment_tree_matches_the_node_complex_exactly(case, k, data):
+    cuts, anchors = case
+    k = min(k, len(cuts) // 2)
+    labels = data.draw(st.lists(st.integers(0, len(cuts)), min_size=1,
+                                unique=True))  # any order, origin included
+    n = data.draw(st.integers(max(labels + [2 * k, 1]), len(cuts)))
+    segments = _segment_tree(cuts, anchors, n)
+    tree = sb_build(cuts, anchors)
+    pairs = [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
+    # == on every float: the same sums in the same order, not a tolerance
+    assert _mark_matrix(segments, labels, k) == \
+        GluedSpace(tree, pairs).mark_distance_matrix(labels)
+    assert _mark_matrix(segments, labels) == tree.mark_distance_matrix(labels)
+    parent, length, node = segments
+    rooted = _rooted(parent, length, node[1])
+    for c in range(1, k + 1):
+        assert _core_length(*rooted, node[1:2 * c + 1]) == core_measure(tree, c)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_icrg_weight_and_payload_are_the_node_complex_values(theta):
+    rng = np.random.default_rng(14)
+    for k in range(4):
+        for _ in range(25):
+            ws = sample_icrg_weighted(theta, k, rng, n_points=2 * k + 3)
+            tree = ws.realization.tree()
+            weight = 1.0
+            for i in range(1, k + 1):
+                weight /= float(core_measure(tree, i))
+            assert ws.weight == weight
+            labels = list(range(2 * k + 3, 0, -1))
+            assert _mark_matrix(ws._segments, labels, k) == \
+                ws.payload.mark_distance_matrix(labels)
+
+
+def test_icrt_and_icrg_sampling_build_no_metric_tree(monkeypatch):
+    built = []
+    init = MetricTree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricTree, "__init__", counting_init)
+    rng = np.random.default_rng(15)
+    experiments.gp_matrix_sample({"model": "icrt", "params": BROWNIAN}, 5, 20, rng)
+    experiments.gp_matrix_sample({"model": "icrg", "params": BROWNIAN, "k": 1},
+                                 5, 20, rng)
+    ws = sample_icrg_weighted(BROWNIAN, 2, rng, n_points=6)
+    assert built == []
+    base = ws.payload.base  # built on first access, then kept
+    assert built == [base] and ws.payload.base is base
+    assert base.mark_distance_matrix(range(1, 7)) == _mark_matrix(
+        _segment_tree(ws.realization.cuts, ws.realization.anchors, 6),
+        range(1, 7))
+
+
+def test_icrg_negative_k_is_a_validation_error():
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    with pytest.raises(errors.ValidationError):
+        sample_icrg_weighted(BROWNIAN, -1, rng, n_points=3)
+    assert rng.bit_generator.state == state  # rejected before any draw

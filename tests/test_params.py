@@ -157,3 +157,23 @@ def test_regime_gap_theta_target():
     # d1/s = 1/3 is not small for Hypothesis-2 purposes
     assert gap.d1_over_s == pytest.approx(1 / 3)
     assert not gap.d1_over_s_small
+
+
+def test_degree_sequence_hash_is_kept_and_cache_lookups_hit():
+    import dataclasses
+    import pickle
+
+    from surpluslab import samplers
+    ladder = [2] * 64 + [0] * 64
+    a, b = validate(ladder, "surplus", k=1), validate(ladder, "surplus", k=1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != validate(ladder, "half-edge")
+    assert a != DegreeSequence(a.degrees, a.kind, 2)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.k = 2
+    samplers._dk_path(a, 30000)
+    hits = samplers._dk_path.cache_info().hits
+    samplers._dk_path(b, 30000)
+    assert samplers._dk_path.cache_info().hits == hits + 1

@@ -116,6 +116,19 @@ def test_cm_trivial_laws():
         Multigraph([(V(1), V(1))])
 
 
+def test_cm_draw_is_the_matching_of_its_permutation():
+    # one shared label tuple per vertex count; each draw is still the
+    # multigraph of the stubs its permutation pairs up
+    seq = validate([3, 2, 2, 1, 0, 2], "half-edge")
+    stubs = [i + 1 for i, d in enumerate(seq.degrees) for _ in range(d)]
+    for seed in range(20):
+        perm = np.random.default_rng(seed).permutation(len(stubs))
+        pairs = [(V(stubs[perm[a]]), V(stubs[perm[a + 1]]))
+                 for a in range(0, len(stubs), 2)]
+        want = Multigraph(pairs, vertices=[V(i + 1) for i in range(seq.s)])
+        assert sample_configuration_model(seq, np.random.default_rng(seed)) == want
+
+
 def test_cm_two_twos_frequencies():
     rng = np.random.default_rng(5)
     seq = validate([2, 2], "half-edge")
