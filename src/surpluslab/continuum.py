@@ -322,23 +322,25 @@ def metric_glue(tree: MetricTree, pairs: Sequence[tuple]) -> GluedSpace:
     return GluedSpace(tree, pairs)
 
 
-def _glued(rows: list, n: int) -> list:
-    """The first n rows and columns, after gluing the later nodes in pairs."""
+def _glued(rows: list, n: int, length=0) -> list:
+    """The first n rows and columns, after joining the later nodes in pairs
+    by shortcuts of the given length (0 glues each pair to one point)."""
     while len(rows) > n:
         keep = [*range(n), *range(n + 2, len(rows))]
-        rows = two_point_glue_matrix(rows, n, n + 1, keep)
+        rows = two_point_glue_matrix(rows, n, n + 1, keep, length)
     return rows
 
 
 def two_point_glue_matrix(matrix: Sequence[Sequence], i: int, j: int,
-                          keep=None) -> list:
+                          keep=None, length=0) -> list:
     """One application of the gluing formula to a distance matrix, over
-    the rows and columns in keep (all of them by default)."""
+    the rows and columns in keep (all of them by default): i and j are
+    joined by a shortcut of the given length, 0 identifying them."""
     keep = range(len(matrix)) if keep is None else keep
-    return [[min(matrix[a][b],
-                 matrix[a][i] + matrix[b][j],
-                 matrix[a][j] + matrix[b][i]) for b in keep]
+    rows = [(matrix[a], matrix[a][i] + length, matrix[a][j] + length)
             for a in keep]
+    return [[min(row[b], ai + matrix[b][j], aj + matrix[b][i]) for b in keep]
+            for row, ai, aj in rows]
 
 
 def core_measure(tree: MetricTree, n_pairs: int):

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .continuum import (_mark_matrix, _segment_tree, sample_icrg_weighted,
-                        sample_icrt)
+from .continuum import (_glued, _mark_matrix, _segment_tree,
+                        sample_icrg_weighted, sample_icrt)
 from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
@@ -92,21 +92,50 @@ def _scale_of(model: dict) -> float:
     return float(scale)
 
 
-def _walk_matrix(entries: list, n_leaves: int, points: Sequence[Vertex]):
-    """Edge counts between points of the tree that _walk(entries, n_leaves)
-    folds, one climb per pair: S_j hangs one hop below fathers[j], and V_i
-    of a degree sequence is the int entry i.  An empty walk is the
-    two-leaf tree S0 - S1."""
-    parent, depth, fathers = _walk(entries, n_leaves)
-    for j, f in enumerate(fathers if entries else [None, star(0)]):
-        parent[star(j)] = f
-        depth[star(j)] = 0 if f is None else depth[f] + 1
-    nodes = [v.index if v.kind == "V" else v for v in points]
-    for v, a in zip(points, nodes):
+def _walk_matrix(parent, depth, leaves: dict, points: Sequence[Vertex],
+                 glued=()) -> np.ndarray:
+    """Edge counts between points of a walk's tree with one length-1
+    shortcut per glued pair glued[2i], glued[2i+1]: one climb matrix over
+    the points and the glued fathers.  A leaf S_j hangs one hop below its
+    father leaves[j]; any other point is a walk entry, V_i of a degree
+    sequence the int entry i.  The walk is only read: table graphs share it."""
+    nodes, hops = [], []
+    for p in points:
+        if p.kind == "S" and p.index in leaves:
+            a, hop = leaves[p.index], 1
+        else:
+            a, hop = p if p in parent else p.index if p.kind == "V" else None, 0
         if a not in parent:
-            raise UnknownVertex(f"{v} not in tree")
-    rows = _climb_matrix(parent, depth, nodes)
-    return np.array(rows, dtype=float).reshape(len(nodes), len(nodes))
+            raise UnknownVertex(f"{p} not in tree")
+        nodes.append(a)
+        hops.append(hop)
+    rows = _glued(_climb_matrix(parent, depth, nodes + list(glued)),
+                  len(nodes), 1)
+    # a point drawn twice is 0 from itself, though both copies add a hop
+    return np.array([[0 if p == q else d + hp + hq
+                      for q, d, hq in zip(points, row, hops)]
+                     for p, row, hp in zip(points, rows, hops)],
+                    dtype=float).reshape(len(nodes), len(nodes))
+
+
+def _tree_matrix(entries: list, n_leaves: int, points: Sequence[Vertex]):
+    """Edge counts between points of the tree _walk(entries, n_leaves)
+    folds, S_j one hop below fathers[j]; an empty walk is the two-leaf
+    tree S0 - S1."""
+    if not entries:
+        return _walk_matrix({star(0): None}, {star(0): 0}, {1: star(0)},
+                            points)
+    parent, depth, fathers = _walk(entries, n_leaves)
+    return _walk_matrix(parent, depth, dict(enumerate(fathers)), points)
+
+
+def _graph_matrix(g: Multigraph, points: Sequence[Vertex]) -> np.ndarray:
+    """A sampled glued graph's distances, read off the walk it was glued
+    from; a graph with no walk (the single edge of [0, 0]) takes the BFS."""
+    if g._walk is None:
+        return multigraph_distance_matrix(g, points)
+    parent, depth, glued, kept = g._walk
+    return _walk_matrix(parent, depth, dict(kept), points, glued)
 
 
 _MEASURE_MODELS = ("d-tree", "dk-graph", "cm", "mult", "mult-multi")
@@ -123,8 +152,8 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
     if name == "d-tree":
         entries = base[rng.permutation(len(base))].tolist()
         if measure is None:  # the walk stops once S1..S_n_points are placed
-            return _walk_matrix(entries, n_points + 1, marks), 1.0
-        return _walk_matrix(entries, len(entries) + 2,
+            return _tree_matrix(entries, n_points + 1, marks), 1.0
+        return _tree_matrix(entries, len(entries) + 2,
                             measure.sample(rng, n_points)), 1.0
     if name == "dk-graph":
         g = sample_dk_graph(params, rng)
@@ -132,16 +161,16 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
             points = measure.sample(rng, n_points)
         else:
             points = [star(2 * k + j) for j in range(1, n_points + 1)]
-        return multigraph_distance_matrix(g, points), 1.0
+        return _graph_matrix(g, points), 1.0
     if name == "p-tree":
         growth = PTreeGrowth(params, rng)
         growth.grow_until_stars(n_points)
-        return _walk_matrix(growth.record, n_points + 1, marks), 1.0
+        return _tree_matrix(growth.record, n_points + 1, marks), 1.0
     if name == "pk-graph":
         g = _sample_pk_glued(params, k, model.get("n_steps", 1), rng,
                              min_stars=2 * k + n_points)
         points = [star(2 * k + j) for j in range(1, n_points + 1)]
-        return multigraph_distance_matrix(g, points), 1.0
+        return _graph_matrix(g, points), 1.0
     if name == "icrt":
         real = sample_icrt(params, rng, n_points=n_points)
         segments = _segment_tree(real.cuts, real.anchors, n_points)

@@ -34,7 +34,7 @@ def _pair(u, v):
 class Multigraph:
     """Vertex set plus an edge multiset (loops allowed), immutable."""
 
-    __slots__ = ("_mult", "_vertices", "_adj_map", "_cyc")
+    __slots__ = ("_mult", "_vertices", "_adj_map", "_cyc", "_walk")
 
     def __init__(self, edges=(), vertices=()):
         mult: Dict[tuple, int] = {}
@@ -56,6 +56,7 @@ class Multigraph:
         self._vertices = frozenset(vs)
         self._adj_map = None  # lazy, like _cyc; instances are immutable
         self._cyc = None
+        self._walk = None  # a sampled glued graph's walk (samplers._glued_graph)
 
     @property
     def _adj(self) -> Dict[Vertex, Dict[Vertex, int]]:

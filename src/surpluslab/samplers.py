@@ -71,20 +71,31 @@ def _accepts(rng: np.random.Generator, bound: int, circ: int, prod: int) -> bool
     return num * prod < circ * den
 
 
-def _glued_graph(parent, glued, kept, vertex=internal) -> Multigraph:
+@lru_cache(maxsize=64)
+def _labels(make, n: int) -> tuple:  # make(0)..make(n - 1); labels are immutable
+    return tuple(map(make, range(n)))
+
+
+def _glued_graph(parent, depth, glued, kept, name=None) -> Multigraph:
     """A walk's tree with leaf pairs glued, made by one constructor call.
 
     glued[2i], glued[2i+1] are the fathers of the i-th glued pair, kept
-    lists (j, father) for each leaf S_j that stays, and vertex decodes
-    walk entries.  Edges come in walk order: tree edges by discovery, the
-    kept leaves, then one edge per glued pair."""
+    lists (j, father) for each leaf S_j that stays, and name[a] labels walk
+    entry a (V_a by default); labels come from cached tuples.  Edges come
+    in walk order: tree edges by discovery, the kept leaves, then one edge
+    per glued pair.  The graph keeps its walk, which experiments reads its
+    mark matrices from; a table graph is shared, so nothing may change it."""
     if not parent:  # the empty tuple of the sequence [0, 0]: one edge S0-S1
         return Multigraph([(star(0), star(1))])
-    name = {a: vertex(a) for a in parent}
+    if name is None:
+        name = _labels(internal, max(parent) + 1)
+    stars = _labels(star, len(glued) + len(kept))
     edges = [(name[p], name[a]) for a, p in parent.items() if p is not None]
-    edges += [(star(j), name[f]) for j, f in kept]
+    edges += [(stars[j], name[f]) for j, f in kept]
     edges += [(name[a], name[b]) for a, b in zip(glued[::2], glued[1::2])]
-    return Multigraph(edges, vertices=name.values())
+    g = Multigraph(edges, vertices=[name[a] for a in parent])
+    g._walk = (parent, depth, glued, kept)
+    return g
 
 
 def _designated(fathers: list, k: int):
@@ -97,17 +108,17 @@ def _designated(fathers: list, k: int):
 
 def _dk_graph(entries: Sequence[int], k: int) -> Multigraph:
     """A tuple's tree with leaves S0..S2k-1 renamed S1..S2k, glued."""
-    parent, _, fathers = _walk(entries, len(entries) + 1)  # the whole walk
-    return _glued_graph(parent, *_designated(fathers, k))
+    parent, depth, fathers = _walk(entries, len(entries) + 1)  # the whole walk
+    return _glued_graph(parent, depth, *_designated(fathers, k))
 
 
 def _pk_graph(record, k: int, leaves: bool = True) -> Multigraph:
     """A draw record's P-tree with (S1,S2)..(S2k-1,S2k) glued; a P-tree
     has no closing leaf, so the walk's last father is dropped."""
-    parent, _, fathers = _walk(record, len(record) + 1)
+    parent, depth, fathers = _walk(record, len(record) + 1)
     kept = [(j, f) for j, f in enumerate(fathers[:-1]) if not 0 < j <= 2 * k]
-    return _glued_graph(parent, fathers[1:2 * k + 1], kept if leaves else [],
-                        lambda v: v)
+    return _glued_graph(parent, depth, fathers[1:2 * k + 1],
+                        kept if leaves else [], dict(zip(parent, parent)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +160,7 @@ def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
         parent, depth, fathers = _walk(arrangement, len(arrangement) + 1)
         circ, squares, dists = _bias_core(parent, depth, fathers[:2 * k])
         b = Fraction(circ, math.prod(squares))
-        glued = _glued_graph(parent, *_designated(fathers, k))
+        glued = _glued_graph(parent, depth, *_designated(fathers, k))
         label = glued.key()
         if label not in shared:
             key = glued.leaf_canonical_key()
@@ -241,26 +252,30 @@ def sample_dk_graph_keys(seq: DegreeSequence, n_samples: int,
 
 
 @lru_cache(maxsize=16)
-def _internal_labels(s: int) -> tuple:  # V1..Vs; labels are immutable
-    return tuple(internal(i + 1) for i in range(s))
+def _stubs(seq: DegreeSequence) -> np.ndarray:
+    """Rank i + 1 once per half-edge of V_{i+1}, as a read-only array built
+    once per sequence."""
+    stubs = np.repeat(np.arange(1, seq.s + 1), seq.degrees)
+    stubs.flags.writeable = False
+    return stubs
 
 
 def sample_configuration_model(seq: DegreeSequence,
                                rng: np.random.Generator) -> Multigraph:
-    """Multigraph of a uniform perfect matching of labeled half-edges."""
+    """Multigraph of a uniform perfect matching of labeled half-edges:
+    stubs 2i and 2i + 1 of the permuted stub array are paired."""
     if seq.kind != KIND_HALF_EDGE:
         raise ValidationError("configuration model needs a half-edge sequence")
     if seq.total % 2 != 0:
         raise OddSum("half-edge count must be even")
-    names = _internal_labels(seq.s)
-    stubs = [i for i, d in enumerate(seq.degrees) for _ in range(d)]
-    perm = rng.permutation(len(stubs)).tolist()
-    mult = Counter()
-    for a in range(0, len(stubs), 2):
-        u, v = stubs[perm[a]], stubs[perm[a + 1]]
-        mult[(min(u, v), max(u, v))] += 1
-    return Multigraph([(names[u], names[v], m) for (u, v), m in mult.items()],
-                      vertices=names)
+    names = _labels(internal, seq.s + 1)
+    ends = _stubs(seq)[rng.permutation(seq.total)]
+    lo, hi = np.minimum(ends[::2], ends[1::2]), np.maximum(ends[::2], ends[1::2])
+    pairs, mult = np.unique(lo * len(names) + hi, return_counts=True)
+    lo, hi = np.divmod(pairs, len(names))
+    return Multigraph([(names[u], names[v], m) for u, v, m in
+                       zip(lo.tolist(), hi.tolist(), mult.tolist())],
+                      vertices=names[1:])
 
 
 def _cm_surplus(seq: DegreeSequence) -> int:

@@ -200,14 +200,19 @@ def _search(adj, source):
 
 def _climb(parent, depth, a, b) -> list:
     """Lower ends of the edges on the a-b path of a tree given by parent
-    and depth pointers: climb from the deeper side until the sides meet.
+    and depth pointers: the deeper side climbs by the depth difference,
+    then both sides step together, taking turns to go first (the order of
+    a one-edge-at-a-time climb, which continuum's float sums follow).
     Each edge is named by its lower end x, i.e. the edge (x, parent[x])."""
+    if depth[a] < depth[b]:
+        a, b = b, a
     ends = []
-    while a != b:
-        if depth[a] < depth[b]:
-            a, b = b, a
+    for _ in range(depth[a] - depth[b]):
         ends.append(a)
         a = parent[a]
+    while a != b:
+        ends += (a, b)
+        a, b = parent[b], parent[a]
     return ends
 
 
@@ -218,12 +223,15 @@ def _climb_matrix(parent, depth, nodes: Sequence, weight=None) -> list:
     rows = [[0] * len(nodes) for _ in nodes]
     for i, a in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
-            x, b, d = a, nodes[j], 0
-            while x != b:
-                if depth[x] < depth[b]:
-                    x, b = b, x
-                d = d + (1 if weight is None else weight[x])
+            x, y, d = a, nodes[j], 0
+            if depth[x] < depth[y]:
+                x, y = y, x
+            for _ in range(depth[x] - depth[y]):
+                d = d + 1 if weight is None else d + weight[x]
                 x = parent[x]
+            while x != y:
+                d = d + 2 if weight is None else d + weight[x] + weight[y]
+                x, y = parent[y], parent[x]
             rows[i][j] = rows[j][i] = d
     return rows
 
@@ -299,17 +307,24 @@ def sample_d_tree_keys(seq: DegreeSequence, n_samples: int,
     """Bulk sampler: canonical edge keys of n_samples trees.
 
     Same tuple law and branching kernel as sample_d_tree, with the
-    shuffles vectorized 20000 at a time; used by the large uniformity checks.
+    shuffles vectorized 20000 at a time and each distinct arrangement of a
+    batch keyed once; used by the large uniformity checks.
     """
     base = _walk_base(seq)
+    # a row of ranks 1..s as one mixed-radix integer, where that fits int64
+    place = ((seq.s + 1) ** np.arange(len(base))
+             if (seq.s + 1) ** len(base) < 2 ** 63 else None)
     counts = Counter()
     left = n_samples
     while left > 0:
         b = min(20000, left)
         left -= b
         rows = rng.permuted(np.broadcast_to(base, (b, len(base))), axis=1)
-        for row in rows.tolist():
-            counts[_stick_break_key(row)] += 1
+        _, first, count = np.unique(rows if place is None else rows @ place,
+                                    axis=0, return_index=True,
+                                    return_counts=True)
+        for i in np.argsort(first):  # keys in first-draw order, as row by row
+            counts[_stick_break_key(rows[first[i]].tolist())] += int(count[i])
     return counts
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import sys
@@ -13,6 +14,7 @@ from surpluslab import continuum, samplers
 from surpluslab.continuum import sample_icrt
 from surpluslab.errors import UnknownVertex, ValidationError
 from surpluslab.experiments import (ExperimentManifest, VertexMeasure,
+                                    _graph_matrix,
                                     bias_tail_experiment, converge_experiment,
                                     d_tree_bias_values, energy_distance,
                                     gp_matrix_sample, importance_unweight,
@@ -20,7 +22,7 @@ from surpluslab.experiments import (ExperimentManifest, VertexMeasure,
                                     permutation_energy_test, rng_stream,
                                     table_csv_lines)
 from surpluslab.labels import internal as V, star as S
-from surpluslab.multigraph import bias
+from surpluslab.multigraph import Multigraph, bias
 from surpluslab.params import PVector, ThetaVector, validate
 from surpluslab.samplers import _sample_pk_glued
 from surpluslab.trees import (PTreeGrowth, enumerate_d_trees, sample_d_tree,
@@ -317,11 +319,75 @@ def test_pk_graph_matrices_are_the_glued_graph_distances():
     mats, w = gp_matrix_sample(model, 3, 20, a)
     for m in mats:
         g = _sample_pk_glued(pvec, 1, 8, b, min_stars=5)
+        assert g._walk is not None  # the matrix came from the walk
         assert np.array_equal(m, multigraph_distance_matrix(g, [S(3), S(4), S(5)]))
         assert np.array_equal(m, m.T)
         assert np.all(m[~np.eye(3, dtype=bool)] >= 2)  # distinct pendant leaves
     assert np.all(w == 1)
     assert a.random() == b.random()
+
+
+# ---------------------------------------------------------------------------
+# glued-graph matrices read from the walk, against the BFS
+
+
+def _plain(g):
+    """g rebuilt without its walk, for the BFS oracle."""
+    return Multigraph([(u, v, m) for (u, v), m in g.edge_items()],
+                      vertices=g.vertices)
+
+
+@pytest.mark.parametrize("degrees, k", [
+    ([2] * 10 + [0] * 12, 0), ([2] * 10 + [0] * 10, 1),   # streaming
+    ([2] * 10 + [0] * 8, 2), ([3] * 4 + [0] * 4, 3),
+    ([1, 1, 0, 0], 0), ([3, 2, 1, 1, 0, 0, 0], 1),        # table
+    ([3, 3, 2, 0, 0, 0], 2), ([4, 3, 3, 0, 0, 0], 3), ([0, 0], 0)])
+@pytest.mark.parametrize("measured", [False, True])
+def test_dk_graph_matrices_are_the_glued_graph_distances(degrees, k, measured):
+    # marks S_{2k+j}, or measure points over every vertex (V_i and the
+    # stars that stay), against a BFS on the same draws
+    seq = validate(degrees, "surplus", k=k)
+    labels = sorted(samplers.sample_dk_graph(seq, rng_stream(0, 0)).vertices)
+    measure = (VertexMeasure({v: 1.0 + i for i, v in enumerate(labels)})
+               if measured else None)
+    n_points = 6 if measured else min(3, seq.n_zero - 1)
+    model = {"model": "dk-graph", "params": seq, "k": k}
+    a, b = _twin_rngs(10 + k)
+    mats, _ = gp_matrix_sample(model, n_points, 15, a, measure)
+    for m in mats:
+        g = samplers.sample_dk_graph(seq, b)
+        points = (measure.sample(b, n_points) if measured
+                  else [S(2 * k + j) for j in range(1, n_points + 1)])
+        assert (g._walk is None) == (degrees == [0, 0])
+        assert np.array_equal(m, multigraph_distance_matrix(_plain(g), points))
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_pk_graph_walk_matrices_with_overflow_draws(k):
+    pvec = PVector((0.5, 0.3), p_inf=0.2)
+    model = {"model": "pk-graph", "params": pvec, "k": k, "n_steps": 12}
+    a, b = _twin_rngs(20 + k)
+    mats, _ = gp_matrix_sample(model, 4, 15, a)
+    for m in mats:
+        g = _sample_pk_glued(pvec, k, 12, b, min_stars=2 * k + 4)
+        points = [S(2 * k + j) for j in range(1, 5)]
+        assert np.array_equal(m, multigraph_distance_matrix(_plain(g), points))
+    assert a.random() == b.random()
+
+
+def test_shared_table_graph_reads_the_same_matrix_and_keeps_its_walk():
+    seq = validate([3, 2, 1, 1, 0, 0, 0], "surplus", k=1)
+    graphs = samplers.dk_table(seq).graphs
+    uses = Counter(map(id, graphs))
+    g = max(graphs, key=lambda h: uses[id(h)])
+    assert uses[id(g)] > 1  # drawn through several tuples
+    walk = copy.deepcopy(g._walk)
+    points = sorted(g.vertices)
+    first = _graph_matrix(g, points)
+    assert np.array_equal(_graph_matrix(g, points), first)
+    assert np.array_equal(first, multigraph_distance_matrix(_plain(g), points))
+    assert g._walk == walk
 
 
 def test_tree_matrix_typed_errors():

@@ -15,7 +15,8 @@ from surpluslab.trees import (LabeledTree, PTreeGrowth, enumerate_d_tree_keys,
                               sample_d_tuple, sample_p_tree_prefix,
                               stick_break_tree, tree_count,
                               tree_distance_matrix, tree_from_key,
-                              _base_multiset, _stick_break_key)
+                              _base_multiset, _climb, _climb_matrix,
+                              _stick_break_key, _walk_base)
 
 EX12 = validate([1, 2, 1, 3, 3, 0, 0, 0, 0, 0, 0, 0], "tree")
 EX12_TUPLE = (V(4), V(5), V(2), V(5), V(3), V(4), V(5), V(4), V(1), V(2))
@@ -130,6 +131,28 @@ def test_d_tree_keys_of_empty_multiset_draw_nothing():
     assert sample_d_tree_keys(validate([0, 0], "tree"), 25000, rng) == {
         ((-2, -1),): 25000}
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("degrees, n", [
+    ((2, 1, 1, 1, 1, 0, 0, 0), 45000), ((1, 1, 0, 0), 25000),
+    ((3, 3, 2, 1, 1) + (0,) * 7, 45000),
+    ((2,) * 40 + (0,) * 42, 3000)])  # 83^80 rows: keyed without the radix
+def test_d_tree_keys_match_the_row_by_row_loop(degrees, n):
+    # each distinct arrangement keyed once gives the old loop's Counter,
+    # keys in the same order, from the same draws
+    seq = validate(list(degrees), "tree")
+    got_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+    got = sample_d_tree_keys(seq, n, got_rng)
+    base = _walk_base(seq)
+    want, left = Counter(), n
+    while left > 0:
+        b = min(20000, left)
+        left -= b
+        for row in rng.permuted(np.broadcast_to(base, (b, len(base))),
+                                axis=1).tolist():
+            want[_stick_break_key(row)] += 1
+    assert list(got.items()) == list(want.items())
+    assert got_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_uniformity_quick():
@@ -281,3 +304,43 @@ def test_tree_from_key_consistency():
     trees = {tree_from_key(k) for k in keys}
     assert len(trees) == len(keys)
     assert trees == set(enumerate_d_trees(seq))
+
+
+def _one_step_climb(parent, depth, a, b):
+    """The climb _climb replaced: the deeper side, or on a tie the side
+    that stepped last, climbs one edge at a time."""
+    ends = []
+    while a != b:
+        if depth[a] < depth[b]:
+            a, b = b, a
+        ends.append(a)
+        a = parent[a]
+    return ends
+
+
+def test_climb_lifts_first_in_the_one_step_order():
+    # the same edges in the same order, so continuum's float sums, folded
+    # along the climb, keep their bits
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        parent, depth = {0: None}, {0: 0}
+        for v in range(1, n):
+            parent[v] = int(rng.integers(v))
+            depth[v] = depth[parent[v]] + 1
+        weight = {v: float(rng.exponential()) for v in range(1, n)}
+        nodes = rng.integers(n, size=6).tolist()
+        want = [[0] * len(nodes) for _ in nodes]
+        hops = [[0] * len(nodes) for _ in nodes]
+        for i, a in enumerate(nodes):
+            for j, b in enumerate(nodes):
+                ends = _one_step_climb(parent, depth, a, b)
+                assert _climb(parent, depth, a, b) == ends
+                if i < j:  # the matrix climbs each pair from its first node
+                    d = 0
+                    for x in ends:
+                        d = d + weight[x]
+                    want[i][j] = want[j][i] = d
+                    hops[i][j] = hops[j][i] = len(ends)
+        assert _climb_matrix(parent, depth, nodes, weight) == want
+        assert _climb_matrix(parent, depth, nodes) == hops
