@@ -23,7 +23,7 @@ from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
 from .params import KIND_SURPLUS, DegreeSequence
-from .samplers import (_bias_core, _sample_pk_glued,
+from .samplers import (_glue_bias, _sample_pk_glued,
                        sample_configuration_model, sample_dk_graph,
                        sample_multiplicative_graph,
                        sample_multiplicative_multigraph)
@@ -363,15 +363,16 @@ def converge_experiment(family: List[dict], target: dict, n_points: int,
 def d_tree_bias_values(tree_seq: DegreeSequence, k: int, n_samples: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Bias of n_samples unbiased trees, glued at their own labels S1..S2k."""
+    if k < 0:
+        raise ValidationError("surplus k must be >= 0")
     if tree_seq.N + 1 < 2 * k:
         raise InsufficientLeaves("need at least 2k leaves besides S0")
     base = _walk_base(tree_seq)
     out = np.empty(n_samples)
     for r in range(n_samples):
         perm = rng.permutation(len(base))
-        parent, depth, fathers = _walk(_decoded(base, perm), 2 * k + 1)
-        circ, squares, _ = _bias_core(parent, depth, fathers[1:2 * k + 1])
-        out[r] = circ / math.prod(squares)  # int division rounds correctly
+        circ, prod = _glue_bias(_decoded(base, perm), k, first=1)
+        out[r] = circ / prod  # int division rounds correctly
     return out
 
 

@@ -13,6 +13,7 @@ deterministically, and serialize to the compact strings "V3" / "S0" /
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
 KIND_INTERNAL = "V"
@@ -43,6 +44,11 @@ def star(j: int) -> Vertex:
 
 def overflow(i: int) -> Vertex:
     return Vertex(KIND_OVERFLOW, i)
+
+
+@lru_cache(maxsize=64)
+def _labels(make, n: int) -> tuple:  # make(0)..make(n - 1); labels are immutable
+    return tuple(map(make, range(n)))
 
 
 def parse_vertex(label: str) -> Vertex:

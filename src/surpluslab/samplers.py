@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import (OddSum, TooLarge, ValidationError, VertexCollision)
-from .labels import Vertex, internal, star
+from .labels import Vertex, _labels, internal, star
 from .multigraph import Multigraph, bias_bound
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, DegreeSequence,
                      PVector, as_fraction)
@@ -71,9 +71,11 @@ def _accepts(rng: np.random.Generator, bound: int, circ: int, prod: int) -> bool
     return num * prod < circ * den
 
 
-@lru_cache(maxsize=64)
-def _labels(make, n: int) -> tuple:  # make(0)..make(n - 1); labels are immutable
-    return tuple(map(make, range(n)))
+def _glue_bias(entries, k: int, first: int = 0):
+    """(circ, prod(squares)) of the walk glued at leaves first..first+2k-1."""
+    parent, depth, fathers = _walk(entries, first + 2 * k)
+    circ, squares, _ = _bias_core(parent, depth, fathers[first:first + 2 * k])
+    return circ, math.prod(squares)
 
 
 def _glued_graph(parent, depth, glued, kept, name=None) -> Multigraph:
@@ -129,18 +131,15 @@ _TABLE_CAP = 30000
 
 @dataclass
 class DkTable:
-    """Memoized per-tuple outcomes for one surplus-k degree sequence."""
+    """Per tuple: bias / bias_bound(k) as a float, glued graph, key index."""
     accept: list
-    bias: list
-    squares: list
-    dists: list
     graphs: list
     key_ids: np.ndarray
     keys: list
 
     @property
     def n_tuples(self) -> int:
-        return len(self.bias)
+        return len(self.accept)
 
 
 def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
@@ -151,29 +150,25 @@ def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
     if count > cap:
         raise TooLarge(f"{count} tuples exceeds the table cap {cap}")
     bound = bias_bound(k)
-    accept, biases, squares_all, dists_all, graphs, key_ids = \
-        [], [], [], [], [], []
+    accept, graphs, key_ids = [], [], []
     key_index: Dict[tuple, int] = {}
     # tuples whose glued graphs are equal share one object and its key id
     shared: Dict[tuple, tuple] = {}
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
         parent, depth, fathers = _walk(arrangement, len(arrangement) + 1)
-        circ, squares, dists = _bias_core(parent, depth, fathers[:2 * k])
-        b = Fraction(circ, math.prod(squares))
+        circ, squares, _ = _bias_core(parent, depth, fathers[:2 * k])
         glued = _glued_graph(parent, depth, *_designated(fathers, k))
         label = glued.key()
         if label not in shared:
             key = glued.leaf_canonical_key()
             shared[label] = (glued, key_index.setdefault(key, len(key_index)))
         glued, key_id = shared[label]
-        accept.append(float(b) / bound)
-        biases.append(b)
-        squares_all.append(squares)
-        dists_all.append(dists)
+        # equals float(Fraction(circ, prod)) / bound: int division rounds once
+        accept.append(circ / math.prod(squares) / bound)
         graphs.append(glued)
         key_ids.append(key_id)
-    return DkTable(accept, biases, squares_all, dists_all, graphs,
-                   np.array(key_ids, dtype=np.int64), list(key_index))
+    return DkTable(accept, graphs, np.array(key_ids, dtype=np.int64),
+                   list(key_index))
 
 
 @lru_cache(maxsize=128)
@@ -191,10 +186,7 @@ def _dk_path(seq: DegreeSequence, cap: int):
 
 def dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
     path = _dk_path(seq, cap)
-    if not isinstance(path, DkTable):
-        raise TooLarge(f"{tree_count(seq.to_tree_kind())} tuples exceeds "
-                       f"the table cap {cap}")
-    return path
+    return path if isinstance(path, DkTable) else build_dk_table(seq, cap)
 
 
 def _sample_dk_streaming(k: int, base: np.ndarray, rng: np.random.Generator):
@@ -203,9 +195,7 @@ def _sample_dk_streaming(k: int, base: np.ndarray, rng: np.random.Generator):
     bound = bias_bound(k)
     while True:
         perm = rng.permutation(len(base))
-        parent, depth, fathers = _walk(_decoded(base, perm), 2 * k)
-        circ, squares, _ = _bias_core(parent, depth, fathers[:2 * k])
-        if _accepts(rng, bound, circ, math.prod(squares)):
+        if _accepts(rng, bound, *_glue_bias(_decoded(base, perm), k)):
             return _dk_graph(base[perm].tolist(), k)
 
 
@@ -460,13 +450,13 @@ def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
                      rng: np.random.Generator, min_stars: int = 0,
                      leaves: bool = True) -> Multigraph:
     """Accepted, glued (P,k) prefix; its surviving leaf labels stay if leaves."""
+    if k < 0:
+        raise ValidationError("surplus k must be >= 0")
     bound = bias_bound(k)
     while True:
         growth = PTreeGrowth(pvec, rng)
         growth.grow_until_stars(2 * k)
-        parent, depth, fathers = _walk(growth.record, 2 * k + 1)
-        circ, squares, _ = _bias_core(parent, depth, fathers[1:2 * k + 1])
-        if _accepts(rng, bound, circ, math.prod(squares)):
+        if _accepts(rng, bound, *_glue_bias(growth.record, k, first=1)):
             while len(growth.record) < n_steps:
                 growth.step()
             growth.grow_until_stars(min_stars)

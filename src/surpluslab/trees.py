@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .errors import TooLarge, TupleMismatch, UnknownVertex, ValidationError
-from .labels import Vertex, internal, is_star, overflow, parse_vertex, star
+from .labels import Vertex, _labels, internal, is_star, overflow, parse_vertex, star
 from .params import KIND_TREE, DegreeSequence, PVector
 
 
@@ -420,6 +420,7 @@ class PTreeGrowth:
         self.pvec = pvec
         self.rng = rng
         self._cum = np.cumsum(np.asarray(pvec.p, dtype=float)).tolist()
+        self._names = _labels(internal, len(self._cum) + 1)
         self.record: List[Vertex] = []
         self.n_stars = 0
         self._seen = set()
@@ -428,7 +429,7 @@ class PTreeGrowth:
         j = bisect.bisect_right(self._cum, self.rng.random())
         if j >= len(self._cum):
             return overflow(len(self.record) + 1)
-        return internal(j + 1)
+        return self._names[j + 1]
 
     def step(self):
         b = self._draw()

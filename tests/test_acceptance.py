@@ -24,10 +24,11 @@ from surpluslab.multigraph import (Multigraph, bias_bound, cb_probability,
 from surpluslab.params import validate
 from surpluslab.reconstruct import (check_four_point, core_measure_from_matrix,
                                     reconstruct)
-from surpluslab.samplers import (cm_conditioned_oracle, dk_table,
+from surpluslab.samplers import (_bias_core, cm_conditioned_oracle, dk_table,
                                  pk_law_oracle, sample_dk_graph_keys,
                                  sample_pk_graph_prefix)
-from surpluslab.trees import (enumerate_d_tree_keys, sample_d_tree_keys,
+from surpluslab.trees import (_base_multiset, _walk, enumerate_d_tree_keys,
+                              multiset_arrangements, sample_d_tree_keys,
                               stick_break_tree, tree_count)
 
 EX12 = validate([1, 2, 1, 3, 3, 0, 0, 0, 0, 0, 0, 0], "tree")
@@ -169,8 +170,12 @@ def test_criterion_06_bias_bound_and_square_lower_bound():
             table = dk_table(seq, cap=5000)
         except sl.CapExceeded:
             continue
-        for b, squares, dists in zip(table.bias, table.squares, table.dists):
-            bound_ok &= b <= bias_bound(k)
+        # every tuple of the table, from its walk and the integer bias
+        tree_seq = seq.to_tree_kind()
+        for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
+            parent, depth, fathers = _walk(arrangement, 2 * k)
+            circ, squares, dists = _bias_core(parent, depth, fathers[:2 * k])
+            bound_ok &= Fraction(circ, math.prod(squares)) <= bias_bound(k)
             square_ok &= all(sq >= d - 1 for sq, d in zip(squares, dists))
             tuples_checked += 1
         # draw a block of iterations; each lands on a tuple checked above

@@ -188,6 +188,17 @@ def test_bias_tail_k0_and_m0():
     assert rows[0]["estimate"] > 0
 
 
+def test_bias_values_and_tail_reject_negative_k_before_any_draw():
+    seq = validate([2, 0, 0, 0], "tree")
+    rng = rng_stream(10, 2)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError):
+        d_tree_bias_values(seq, -1, 3, rng)
+    with pytest.raises(ValidationError):
+        bias_tail_experiment(seq, -1, [0.0], 3, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_bias_tail_decreasing_in_m():
     seq = validate([2] * 16 + [0] * 18, "tree")
     rows = bias_tail_experiment(seq, 1, [0.0, 1.0, 10.0, 1000.0], 2000,

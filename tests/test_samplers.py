@@ -13,8 +13,8 @@ from surpluslab.experiments import VERSION, d_tree_bias_values, gp_matrix_sample
 from surpluslab.multigraph import (Multigraph, bias, bias_bound,
                                    bias_components, glue_tree_leaves)
 from surpluslab.params import PVector, validate
-from surpluslab.samplers import (_accepts, _bias_core, _dk_graph, _pk_graph,
-                                 _sample_dk_streaming,
+from surpluslab.samplers import (_accepts, _bias_core, _dk_graph, _glue_bias,
+                                 _pk_graph, _sample_dk_streaming,
                                  canonical_oriented_edges,
                                  cm_conditioned_oracle, dk_table,
                                  insert_edgepoints, pk_law_oracle,
@@ -28,7 +28,8 @@ from surpluslab.samplers import (_accepts, _bias_core, _dk_graph, _pk_graph,
 from surpluslab.trees import (LabeledTree, PTreeGrowth, _base_multiset,
                               _decoded, _walk, _walk_base,
                               enumerate_d_tree_keys, multiset_arrangements,
-                              sample_d_tree, sample_d_tuple, stick_break_tree)
+                              sample_d_tree, sample_d_tuple, stick_break_tree,
+                              tree_count)
 
 
 def tv_against(law, counts, n):
@@ -382,6 +383,14 @@ def test_pk_sampler_k0_plain_prefix():
         sample_pk_graph_prefix(PVector((0.5, 0.5)), 0, 0, rng)
 
 
+def test_pk_sampler_rejects_negative_k_before_any_draw():
+    rng = np.random.default_rng(14)
+    state = rng.bit_generator.state
+    with pytest.raises(errors.ValidationError):
+        sample_pk_graph_prefix(PVector((0.5, 0.5)), -1, 5, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_pk_bias_bound_assertion_holds():
     rng = np.random.default_rng(15)
     for _ in range(200):
@@ -461,11 +470,11 @@ def test_ordered_partition_composition_law():
 
 
 def test_bias_fast_matches_public_bias():
-    # the early-stopped walk and the parent-pointer bias against the
-    # multigraph.bias oracle on the whole tree, for the three slices the
-    # samplers take: fathers[1:2k+1] (bias tail), fathers[:2k] with the
-    # (D,k) relabelling S0..S2k-1 -> S1..S2k, S2k -> S0, and the walk of
-    # a P-tree's draws
+    # the early-stopped walk, the parent-pointer bias and the proposal
+    # kernel _glue_bias against the multigraph.bias oracle on the whole
+    # tree, for the three proposals the samplers make: a tree's own S1..S2k
+    # (bias tail, first = 1), the (D,k) tuple with S0..S2k-1 -> S1..S2k and
+    # S2k -> S0 (first = 0), and a P-tree's draws (first = 1)
     rng = np.random.default_rng(21)
     seq = validate([3, 3, 2, 1, 1] + [0] * 7, "tree")
     pvec = PVector((0.5, 0.3, 0.2))
@@ -488,17 +497,16 @@ def test_bias_fast_matches_public_bias():
             assert squares == bias_components(tree, k)[1]
             assert dists == [tree.distance(S(2 * i - 1), S(2 * i))
                              for i in range(1, k + 1)]
-            parent, depth, fathers = _walk(entries, 2 * k)
+            assert _glue_bias(entries, k, first=1) == \
+                (circ, math.prod(squares))
             shift = {S(j): S(j + 1) for j in range(2 * k)}
             shift[S(2 * k)] = S(0)
-            circ, squares, _ = _bias_core(parent, depth, fathers[:2 * k])
-            assert Fraction(circ, math.prod(squares)) == \
-                bias(tree.relabel(shift), k)
+            circ, prod = _glue_bias(entries, k)
+            assert Fraction(circ, prod) == bias(tree.relabel(shift), k)
             growth = PTreeGrowth(pvec, rng)
             growth.grow_until_stars(2 * k)
-            parent, depth, fathers = _walk(growth.record, 2 * k + 1)
-            circ, squares, _ = _bias_core(parent, depth, fathers[1:2 * k + 1])
-            assert Fraction(circ, math.prod(squares)) == bias(growth.tree(), k)
+            circ, prod = _glue_bias(growth.record, k, first=1)
+            assert Fraction(circ, prod) == bias(growth.tree(), k)
     assert stopped_early > 0
 
 
@@ -600,18 +608,26 @@ def _glue_pairs(k):
 def test_dk_graph_matches_public_glue():
     # the one-step build from the walk against the public path (tree,
     # relabel S0..S2k-1 -> S1..S2k and S2k -> S0, glue) on every tuple of
-    # small tables, the empty tuple of [0, 0] and tables without S0 included
+    # small tables, the empty tuple of [0, 0] and tables without S0 included;
+    # the table, in the same order, holds the Fraction bias over the bound
+    # as a float, bit for bit
     for degs, k in [((0, 0), 0), ((1, 1, 0, 0), 0), ((1, 1), 1),
                     ((2, 1, 1, 0), 1), ((2, 2), 2), ((4, 0), 2),
                     ((3, 2, 2, 0, 0), 2), ((3, 3, 1, 1), 3),
                     ((4, 2, 2, 1, 0), 3)]:
-        tree_seq = validate(list(degs), "surplus", k=k).to_tree_kind()
+        seq = validate(list(degs), "surplus", k=k)
+        tree_seq = seq.to_tree_kind()
+        table = dk_table(seq)
+        assert table.n_tuples == tree_count(tree_seq)
         shift = {S(j): S(j + 1) for j in range(2 * k)}
         shift[S(2 * k)] = S(0)
-        for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
+        for i, arrangement in enumerate(
+                multiset_arrangements(_base_multiset(tree_seq))):
             tree = stick_break_tree(tree_seq, [V(x) for x in arrangement])
-            expected = glue_tree_leaves(tree.relabel(shift), _glue_pairs(k))
+            shifted = tree.relabel(shift)
+            expected = glue_tree_leaves(shifted, _glue_pairs(k))
             assert _same_graph(_dk_graph(list(arrangement), k), expected)
+            assert table.accept[i] == float(bias(shifted, k)) / bias_bound(k)
 
 
 def test_pk_graph_matches_public_glue():
