@@ -1,7 +1,11 @@
 """Uniform connected multigraphs with fixed degrees and surplus.
 
-The sampler proposes uniform trees for the degree sequence with 2k extra
-leaf slots, accepts with probability bias/((k+1)! 2^k), and glues.  The
+A uniform tree for the degree sequence with 2k extra leaf slots, weighted
+by its bias and glued at those leaves, is a uniform surplus-k graph.  The
+sequences here have few enough tuples (at most 30,000) for a table: every
+tuple's bias is summed per glued graph as an exact fraction, and the draws
+pick graphs from that law, with no rejection.  Larger sequences stream:
+propose, accept with probability bias/((k+1)! 2^k), glue.  The
 ground truth is independent: enumerate all half-edge matchings of the
 configuration model, bias by the symmetry factor, condition on
 connectivity.  The two laws agree in total variation.

@@ -29,7 +29,7 @@ from .samplers import (_glue_bias, _sample_pk_glued,
                        sample_multiplicative_multigraph)
 from .trees import PTreeGrowth, _climb_matrix, _decoded, _walk, _walk_base
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -365,6 +365,8 @@ def d_tree_bias_values(tree_seq: DegreeSequence, k: int, n_samples: int,
     """Bias of n_samples unbiased trees, glued at their own labels S1..S2k."""
     if k < 0:
         raise ValidationError("surplus k must be >= 0")
+    if n_samples < 0:
+        raise ValidationError("n_samples must be >= 0")
     if tree_seq.N + 1 < 2 * k:
         raise InsufficientLeaves("need at least 2k leaves besides S0")
     base = _walk_base(tree_seq)
@@ -380,6 +382,8 @@ def bias_tail_experiment(tree_seq: DegreeSequence, k: int,
                          m_grid: Sequence[float], n_reps: int,
                          rng: np.random.Generator) -> List[dict]:
     """Monte Carlo E[h_m(bias / lambda^k)] with standard errors."""
+    if n_reps < 1:
+        raise ValidationError("n_reps must be >= 1")
     lam = tree_seq.stats().lam
     values = d_tree_bias_values(tree_seq, k, n_reps, rng) / lam ** k
     rows = []
@@ -415,10 +419,14 @@ class ExperimentManifest:
     @staticmethod
     def from_json(text: str) -> "ExperimentManifest":
         obj = json.loads(text)
+        version = obj.get("version", VERSION)
+        if version != VERSION:  # its streams were drawn another way
+            raise ValidationError(
+                f"manifest version {version} does not replay under {VERSION}")
         return ExperimentManifest(
             obj["experiment"], obj["seed"], obj["reps"],
             obj.get("param_hashes", {}), obj.get("streams", []),
-            obj.get("options", {}), obj.get("version", VERSION))
+            obj.get("options", {}), version)
 
 
 def content_hash(data: bytes) -> str:

@@ -5,9 +5,9 @@ transforms, each paired with a small-instance enumeration oracle.
 The surplus-k sampler draws a uniform tree for the degree sequence with 2k
 extra zeros, designates 2k of its exchangeable leaf labels as S1..S2k by a
 fixed relabelling, accepts with probability bias/((k+1)! 2^k), and glues
-the pairs.  For sequences whose tuple support is small the per-tuple
-(bias, glued graph) values are memoized once and tuples are drawn as
-uniform arrangement indices, which is the same law as shuffling.
+the pairs.  A sequence with at most 30,000 tuples is decided once: its
+table sums every tuple's bias per glued graph as an exact Fraction, and
+each draw picks one graph from that law, with no rejection.
 """
 
 from __future__ import annotations
@@ -131,44 +131,34 @@ _TABLE_CAP = 30000
 
 @dataclass
 class DkTable:
-    """Per tuple: bias / bias_bound(k) as a float, glued graph, key index."""
-    accept: list
+    """The exact law of a small (D,k) sequence: per distinct glued graph,
+    in first-tuple order, the graph, the Fraction sum of its tuples'
+    biases and its probability w / sum(weights) as a float."""
     graphs: list
-    key_ids: np.ndarray
-    keys: list
-
-    @property
-    def n_tuples(self) -> int:
-        return len(self.accept)
+    weights: list
+    p: np.ndarray
 
 
 def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
-    """Every tuple's outcome for a surplus sequence of at most cap tuples;
-    dk_table and sample_dk_graph keep one per sequence (_dk_path)."""
+    """Every tuple's bias summed per glued graph, for a surplus sequence of
+    at most cap tuples; dk_table and sample_dk_graph keep one per sequence
+    (_dk_path)."""
     k, tree_seq = seq.k, seq.to_tree_kind()
     count = tree_count(tree_seq)
     if count > cap:
         raise TooLarge(f"{count} tuples exceeds the table cap {cap}")
-    bound = bias_bound(k)
-    accept, graphs, key_ids = [], [], []
-    key_index: Dict[tuple, int] = {}
-    # tuples whose glued graphs are equal share one object and its key id
-    shared: Dict[tuple, tuple] = {}
+    law: Dict[tuple, list] = {}  # Multigraph.key() -> [graph, summed bias]
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
         parent, depth, fathers = _walk(arrangement, len(arrangement) + 1)
         circ, squares, _ = _bias_core(parent, depth, fathers[:2 * k])
         glued = _glued_graph(parent, depth, *_designated(fathers, k))
-        label = glued.key()
-        if label not in shared:
-            key = glued.leaf_canonical_key()
-            shared[label] = (glued, key_index.setdefault(key, len(key_index)))
-        glued, key_id = shared[label]
-        # equals float(Fraction(circ, prod)) / bound: int division rounds once
-        accept.append(circ / math.prod(squares) / bound)
-        graphs.append(glued)
-        key_ids.append(key_id)
-    return DkTable(accept, graphs, np.array(key_ids, dtype=np.int64),
-                   list(key_index))
+        entry = law.setdefault(glued.key(), [glued, 0])
+        entry[1] += Fraction(circ, math.prod(squares))
+    graphs = [g for g, _ in law.values()]
+    weights = [w for _, w in law.values()]
+    total = sum(weights)
+    return DkTable(graphs, weights,
+                   np.array([float(w / total) for w in weights]))
 
 
 @lru_cache(maxsize=128)
@@ -204,37 +194,29 @@ def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator) -> Multigraph
 
     The sequence's zero entries survive as star leaves labeled S0,
     S_{2k+1}, ... (the glued labels S1..S2k are consumed).  Sequences
-    with at most 30000 tuples draw from the memoized table; larger ones
-    stream.
+    with at most 30000 tuples draw one graph from the table's exact law;
+    larger ones stream.
     """
     path = _dk_path(seq, _TABLE_CAP)
     if not isinstance(path, DkTable):
         return _sample_dk_streaming(seq.k, path, rng)
-    n_tuples, accept, graphs = path.n_tuples, path.accept, path.graphs
-    while True:
-        idx = int(rng.integers(n_tuples))
-        if rng.random() < accept[idx]:
-            return graphs[idx]
+    return path.graphs[rng.choice(len(path.graphs), p=path.p)]
 
 
 def sample_dk_graph_keys(seq: DegreeSequence, n_samples: int,
                          rng: np.random.Generator) -> Counter:
-    """Bulk leaf-canonical keys of n_samples (D,k)-graph draws, proposed
-    200000 tuples at a time."""
-    batch = 200000
+    """Leaf-canonical keys of n_samples (D,k)-graph table draws, made in
+    one rng.choice."""
+    if n_samples < 0:
+        raise ValidationError("n_samples must be >= 0")
     table = dk_table(seq)
-    accept = np.array(table.accept)
-    counts = np.zeros(len(table.keys), dtype=np.int64)
-    got = 0
-    while got < n_samples:
-        idx = rng.integers(table.n_tuples, size=batch)
-        u = rng.random(batch)
-        hit = idx[u < accept[idx]]
-        if got + len(hit) > n_samples:
-            hit = hit[:n_samples - got]
-        got += len(hit)
-        counts += np.bincount(table.key_ids[hit], minlength=len(table.keys))
-    return Counter({table.keys[i]: int(c) for i, c in enumerate(counts) if c})
+    counts = np.bincount(rng.choice(len(table.graphs), size=n_samples,
+                                    p=table.p), minlength=len(table.graphs))
+    keys: Counter = Counter()
+    for g, c in zip(table.graphs, counts.tolist()):
+        if c:
+            keys[g.leaf_canonical_key()] += c
+    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,43 @@ def test_criterion_04_dk_graph_law():
                   f"{time.time() - t0:.0f}s")
 
 
+def test_dk_table_law_is_the_conditioned_cm_law_exactly():
+    # the biased construction's identity, with no sampling: the table's
+    # summed biases, per leaf-canonical key and normalised, are the
+    # configuration model's law conditioned on connectivity
+    t0 = time.time()
+    tested = 0
+    for k in range(4):
+        for s in range(1, 12):
+            total = 2 * s + 2 * k - 2
+            if not s <= total <= 12:  # every degree positive, sum <= 12
+                continue
+            for degs in _half_edge_partitions(total, s):
+                half = validate(list(degs), "half-edge")
+                try:
+                    oracle = cm_conditioned_oracle(half, k)
+                except sl.ValidationError:
+                    continue
+                if degs == (1, 1):  # the one graph whose leaves keep their
+                    # labels: the CM's edge V1-V2 is the (D,0)-graph S0-S1
+                    edge = Multigraph([(V(1), V(2))]).leaf_canonical_key()
+                    oracle = {Multigraph([(S(0), S(1))]).leaf_canonical_key():
+                              oracle[edge]}
+                table = dk_table(half.shifted_down(k))
+                law = Counter()
+                for g, w in zip(table.graphs, table.weights):
+                    law[g.leaf_canonical_key()] += w
+                total_weight = sum(table.weights)
+                assert {key: w / total_weight for key, w in law.items()} \
+                    == oracle, (degs, k)
+                assert table.p.tolist() == [float(w / total_weight)
+                                            for w in table.weights]
+                tested += 1
+    assert tested == 107
+    print(f"{tested} half-edge sequences (sum<=12, k=0..3): table law == "
+          f"conditioned CM law exactly, {time.time() - t0:.1f}s")
+
+
 def test_criterion_05_pk_graph_law():
     t0 = time.time()
     pvec = sl.PVector((2 / 3, 1 / 3))
@@ -167,11 +204,12 @@ def test_criterion_06_bias_bound_and_square_lower_bound():
             continue
         seq = validate(degs + [0] * z, "surplus", k=k)
         try:
-            table = dk_table(seq, cap=5000)
+            dk_table(seq, cap=5000)
         except sl.CapExceeded:
             continue
         # every tuple of the table, from its walk and the integer bias
         tree_seq = seq.to_tree_kind()
+        n_tuples = tree_count(tree_seq)
         for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
             parent, depth, fathers = _walk(arrangement, 2 * k)
             circ, squares, dists = _bias_core(parent, depth, fathers[:2 * k])
@@ -179,8 +217,8 @@ def test_criterion_06_bias_bound_and_square_lower_bound():
             square_ok &= all(sq >= d - 1 for sq, d in zip(squares, dists))
             tuples_checked += 1
         # draw a block of iterations; each lands on a tuple checked above
-        draws = rng.integers(table.n_tuples, size=50000)
-        assert draws.max() < table.n_tuples
+        draws = rng.integers(n_tuples, size=50000)
+        assert draws.max() < n_tuples
         iterations += len(draws)
     ok = bound_ok and square_ok
     report(6, ok, f"bias <= (k+1)!2^k: {bound_ok}, square_i >= d-1: "

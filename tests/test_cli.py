@@ -462,19 +462,21 @@ _PINNED_COMMANDS = {
 }
 
 # sha256 of stdout, then of each --out file by name, recorded before the
-# CLI's per-repetition loop, flag parse and CSV formatter were merged
+# CLI's per-repetition loop, flag parse and CSV formatter were merged; the
+# manifests (which embed the version) and sample-graph's output re-recorded
+# at stream version 0.2.0, when table draws became one choice from the law
 _PINNED_DIGESTS = {
     "bias-tail": {
         "bias-tail.csv":
             "a531f21c4f50d80f42fd89e1fa784a19083d878b2256cbf5728c79a8709a4ef5",
         "manifest.json":
-            "81fc5b31faf4ec860af2294dbc27ff5c6f4e1c001f2c93f62e679dd1235d9138",
+            "cdae39869c19fdee9612f787984d920070e55eec88a50ff783efd950b804cea7",
         "stdout":
             "a531f21c4f50d80f42fd89e1fa784a19083d878b2256cbf5728c79a8709a4ef5",
     },
     "cm-law": {
         "manifest.json":
-            "632f8f243c2c27e7fcabe3ab9d0edee0527793a359ebb343d6166ce993e9049e",
+            "ced04662e7ce756351a422e939f85228b85c104d17872f07659221bd750b592e",
         "oracle-cm-law.jsonl":
             "6540d493655f84c8baa563a14bb144cd7cf99fa6b5b3d95c03b9f20a36fb1be8",
         "stdout":
@@ -484,7 +486,7 @@ _PINNED_DIGESTS = {
         "converge.csv":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
         "manifest.json":
-            "3fcfa844f97bad829e6e2e89c4c7f6bcb21f5f0fcc938609533c2c503a2f82d1",
+            "1614c09201cca4383ff37ec63caede4e67dcc5574272f513aa4e2c95fc6560f7",
         "stdout":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
     },
@@ -492,7 +494,7 @@ _PINNED_DIGESTS = {
         "converge.csv":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
         "manifest.json":
-            "3fcfa844f97bad829e6e2e89c4c7f6bcb21f5f0fcc938609533c2c503a2f82d1",
+            "1614c09201cca4383ff37ec63caede4e67dcc5574272f513aa4e2c95fc6560f7",
         "stdout":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
     },
@@ -500,13 +502,13 @@ _PINNED_DIGESTS = {
         "core-measure.jsonl":
             "5beb9682cc4e0ed99605cbf9a04fee0100c4377bfd9672f07d8898f2e703ef9b",
         "manifest.json":
-            "3b4abd8c27bffde5a6218005aade4530b62b5342ef69860abf084d6ccb4df48a",
+            "7ed291b639bd0fc3b8e59493a72a8dd073558788ee6cba0f03d99aa98d5da1bc",
         "stdout":
             "5beb9682cc4e0ed99605cbf9a04fee0100c4377bfd9672f07d8898f2e703ef9b",
     },
     "enumerate-trees": {
         "manifest.json":
-            "d4c18ce87be3bb4aecaaf1529e29865648df32c04f5a27e298dac2d42d5a9e82",
+            "9a2350e89255b3e420414a4a5bbd8c44a5ef82fbe3dd72d9fa6bbe2162d4b137",
         "oracle-enumerate-trees.jsonl":
             "191a70e19aa8cd57b42597356dfd9e90205486ed040c9975955e7cb0b07f6138",
         "stdout":
@@ -514,7 +516,7 @@ _PINNED_DIGESTS = {
     },
     "pk-law": {
         "manifest.json":
-            "1f452142a5e50ae38f5866d20a004e0380643678069accf073c28ceba89cb0bd",
+            "5b171b82e7a5674f892724306fca53e2fa0e13f22a1cb8d7d3454e753feacdf8",
         "oracle-pk-law.jsonl":
             "240e6a786cb95a4bf9cccad23545ab44583c838e1064b8cbcc31e6827c36a8a9",
         "stdout":
@@ -522,7 +524,7 @@ _PINNED_DIGESTS = {
     },
     "reconstruct": {
         "manifest.json":
-            "40505326231812db16b6f8925c56bd78adeac839da7eff4865fe5db6711a1748",
+            "a8827303f350709ec7189cc993c8d2f862e30563393ee788fd1a9f9ec67aab4b",
         "reconstruct.jsonl":
             "1e2c1bf3756c68be80a7d9f22fce7f82de5d47caa0da74269a4e0c210f3bd177",
         "stdout":
@@ -530,7 +532,7 @@ _PINNED_DIGESTS = {
     },
     "sample-cm": {
         "manifest.json":
-            "61d05c2365681295d8c8820a30c715c5e251a7b15b3be48718861f849677b88c",
+            "11fe86b986afbb923ce69971d468a1675a5e079ea6423f90f38a227a0fcde0b1",
         "sample-cm.jsonl":
             "dca1e08a9e958ba83a2768d62307c8eca9a057a052553e99700cf490f6238fb2",
         "stdout":
@@ -538,15 +540,15 @@ _PINNED_DIGESTS = {
     },
     "sample-graph": {
         "manifest.json":
-            "aee66a6efcb0807c0976c78eaa908b3dccb785eacd1ea6377af652793db1ff95",
+            "23194f95b38e859a9cc928d6d048f5c1630cf6ca794ddb79fd700767202c8fe7",
         "sample-graph.jsonl":
-            "4d66177f84e98e2ec801ba55954e26e8f243a845d9e89f3374c779b8ff6f306c",
+            "2f09d98a947a909c37ca943e5c837b124bd00a1759e83859077ec2092014b070",
         "stdout":
-            "4d66177f84e98e2ec801ba55954e26e8f243a845d9e89f3374c779b8ff6f306c",
+            "2f09d98a947a909c37ca943e5c837b124bd00a1759e83859077ec2092014b070",
     },
     "sample-icrg": {
         "manifest.json":
-            "01432aa851a6479cd8a11fcf8deb35f1adfb4fc2e322641e46045e168a87a5bb",
+            "ee56df0753cf71f7c884a007447c633cfa91c02f48f6e0e96edd74fefe31e484",
         "sample-icrg.jsonl":
             "d7af856a5c94b555a5bc4663c884bd9c3116de14569954f919f3ba9e35354beb",
         "stdout":
@@ -554,7 +556,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrg-csv": {
         "manifest.json":
-            "01432aa851a6479cd8a11fcf8deb35f1adfb4fc2e322641e46045e168a87a5bb",
+            "ee56df0753cf71f7c884a007447c633cfa91c02f48f6e0e96edd74fefe31e484",
         "sample-icrg.csv":
             "c94c60c6cc4ff608fbe0d31324f7be8ed9a23b564aaacc50b408f256fd6b2ef0",
         "stdout":
@@ -562,7 +564,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrt": {
         "manifest.json":
-            "7a63542230e7bdcf731f40ae6935a5d0024df03545b1040dcca50c4426e43a80",
+            "334339e89464842ddc07e8c41a6b7718d9ae3bcb991f1102993af44680c4201d",
         "sample-icrt.jsonl":
             "f47d1201d2974072982b19386c94d27d7bb4a95cb2bf1051fc19968a39ab918c",
         "stdout":
@@ -570,7 +572,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrt-csv": {
         "manifest.json":
-            "7a63542230e7bdcf731f40ae6935a5d0024df03545b1040dcca50c4426e43a80",
+            "334339e89464842ddc07e8c41a6b7718d9ae3bcb991f1102993af44680c4201d",
         "sample-icrt.csv":
             "89b3b2108e8b6e9bd51e379599acd11d33b25317a8a29860dd01cad351c9c80e",
         "stdout":
@@ -578,7 +580,7 @@ _PINNED_DIGESTS = {
     },
     "sample-mult": {
         "manifest.json":
-            "917071abdc55c8f0bd9bc1baa676c45a8b6c6566c0b12e5b1ea1d1574bb13cac",
+            "f528603e2bd193015f3391be5a24f50153019e259c9de851dc2284155a677496",
         "sample-mult.jsonl":
             "3633c783f407ae363ed5dfb9ffcf13b9763263123522ce9ae03f4f0829ea6cf1",
         "stdout":
@@ -586,7 +588,7 @@ _PINNED_DIGESTS = {
     },
     "sample-tree": {
         "manifest.json":
-            "cf3c30ff9b8934b4f5bce5a6d4b74a385d4790b91daf435e70c260ec5f417af6",
+            "56f8a78812df394dff0c04c562edff98993d122d6e77a21f9437a6d072cd31e7",
         "sample-tree.jsonl":
             "0d5743d92cd4b7eb37ee6c3e792dfc808eb0920c81a17f958e55a451c8abd1db",
         "stdout":
@@ -594,7 +596,7 @@ _PINNED_DIGESTS = {
     },
     "sample-tree-p": {
         "manifest.json":
-            "0c8f3e9a38581cc24974664721c84f105fde82e435082ce8bfdf08a6bbde5985",
+            "e1f7c0d993660ce2c1d79f387dcdcadad2d4ab66fca02ded890f2ed8f3d4662e",
         "sample-tree.jsonl":
             "f430d82ecae7889e6a489463d7b788280e017e070cb300ea84a7615dd6671302",
         "stdout":

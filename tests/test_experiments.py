@@ -199,6 +199,20 @@ def test_bias_values_and_tail_reject_negative_k_before_any_draw():
     assert rng.bit_generator.state == state
 
 
+def test_bias_values_and_tail_reject_bad_counts_before_any_draw():
+    # n_reps = 0 gave a NaN estimate, and a negative count numpy's ValueError
+    seq = validate([2, 0, 0, 0], "tree")
+    rng = rng_stream(10, 3)
+    state = rng.bit_generator.state
+    for n_reps in (0, -2):
+        with pytest.raises(ValidationError, match="n_reps"):
+            bias_tail_experiment(seq, 1, [0.0], n_reps, rng)
+    with pytest.raises(ValidationError, match="n_samples"):
+        d_tree_bias_values(seq, 1, -2, rng)
+    assert rng.bit_generator.state == state
+    assert len(d_tree_bias_values(seq, 1, 0, rng)) == 0
+
+
 def test_bias_tail_decreasing_in_m():
     seq = validate([2] * 16 + [0] * 18, "tree")
     rows = bias_tail_experiment(seq, 1, [0.0, 1.0, 10.0, 1000.0], 2000,
@@ -233,6 +247,13 @@ def test_manifest_roundtrip():
                            {"k": 1})
     again = ExperimentManifest.from_json(m.to_json())
     assert again == m
+
+
+def test_manifest_of_another_version_does_not_replay():
+    old = json.loads(ExperimentManifest("sample-graph", 3, 2).to_json())
+    old["version"] = "0.1.0"
+    with pytest.raises(ValidationError, match=r"0\.1\.0.*0\.2\.0"):
+        ExperimentManifest.from_json(json.dumps(old))
 
 
 def test_write_table_deterministic():
@@ -390,9 +411,11 @@ def test_pk_graph_walk_matrices_with_overflow_draws(k):
 def test_shared_table_graph_reads_the_same_matrix_and_keeps_its_walk():
     seq = validate([3, 2, 1, 1, 0, 0, 0], "surplus", k=1)
     graphs = samplers.dk_table(seq).graphs
-    uses = Counter(map(id, graphs))
-    g = max(graphs, key=lambda h: uses[id(h)])
-    assert uses[id(g)] > 1  # drawn through several tuples
+    rng = rng_stream(0, 0)
+    drawn = [samplers.sample_dk_graph(seq, rng) for _ in range(50)]
+    assert {id(h) for h in drawn} <= set(map(id, graphs))
+    uses = Counter(map(id, drawn))
+    g = next(h for h in drawn if uses[id(h)] > 1)  # one object, drawn again
     walk = copy.deepcopy(g._walk)
     points = sorted(g.vertices)
     first = _graph_matrix(g, points)

@@ -125,7 +125,7 @@ def test_cycle_break_roundtrip_and_degrees():
         table = dk_table(seq)
         pairs = [(S(2 * i - 1), S(2 * i)) for i in range(1, k + 1)]
         for _ in range(40):
-            g = table.graphs[int(rng.integers(table.n_tuples))]
+            g = table.graphs[int(rng.integers(len(table.graphs)))]
             tree, _ = cycle_break(g, k, rng)
             for v in g.vertices:
                 assert tree.degree(v) == g.degree(v)
@@ -233,7 +233,7 @@ def test_bias_is_two_to_k_times_cb_probability():
         pairs = [(S(2 * i - 1), S(2 * i)) for i in range(1, k + 1)]
         for _ in range(25):
             tree, _ = cycle_break(
-                table.graphs[int(rng.integers(table.n_tuples))], k, rng)
+                table.graphs[int(rng.integers(len(table.graphs)))], k, rng)
             g = glue_tree_leaves(tree, pairs)
             assert bias(tree, k) == 2 ** k * cb_probability(g, tree)
 

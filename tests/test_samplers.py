@@ -86,6 +86,16 @@ def test_dk_table_and_streaming_agree():
     assert tv_against(oracle, table_counts, n) < 0.03
 
 
+def test_dk_keys_reject_a_negative_count_before_any_draw():
+    seq = validate([2, 1, 1, 0], "surplus", k=1)
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(errors.ValidationError, match="n_samples"):
+        sample_dk_graph_keys(seq, -1, rng)
+    assert rng.bit_generator.state == state
+    assert sample_dk_graph_keys(seq, 0, rng) == Counter()
+
+
 def test_dk_k0_matches_tree_enumeration():
     # leaf-canonical keys are coarser than labeled trees: project the
     # uniform tree law through canonicalization and compare laws
@@ -609,8 +619,8 @@ def test_dk_graph_matches_public_glue():
     # the one-step build from the walk against the public path (tree,
     # relabel S0..S2k-1 -> S1..S2k and S2k -> S0, glue) on every tuple of
     # small tables, the empty tuple of [0, 0] and tables without S0 included;
-    # the table, in the same order, holds the Fraction bias over the bound
-    # as a float, bit for bit
+    # the table holds, per distinct glued graph, the Fraction bias summed
+    # over the tuples whose public glue is that graph
     for degs, k in [((0, 0), 0), ((1, 1, 0, 0), 0), ((1, 1), 1),
                     ((2, 1, 1, 0), 1), ((2, 2), 2), ((4, 0), 2),
                     ((3, 2, 2, 0, 0), 2), ((3, 3, 1, 1), 3),
@@ -618,16 +628,21 @@ def test_dk_graph_matches_public_glue():
         seq = validate(list(degs), "surplus", k=k)
         tree_seq = seq.to_tree_kind()
         table = dk_table(seq)
-        assert table.n_tuples == tree_count(tree_seq)
         shift = {S(j): S(j + 1) for j in range(2 * k)}
         shift[S(2 * k)] = S(0)
-        for i, arrangement in enumerate(
-                multiset_arrangements(_base_multiset(tree_seq))):
+        index = {g.key(): i for i, g in enumerate(table.graphs)}
+        assert len(index) == len(table.graphs)
+        weights, tuples = [0] * len(table.graphs), [0] * len(table.graphs)
+        for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
             tree = stick_break_tree(tree_seq, [V(x) for x in arrangement])
             shifted = tree.relabel(shift)
             expected = glue_tree_leaves(shifted, _glue_pairs(k))
             assert _same_graph(_dk_graph(list(arrangement), k), expected)
-            assert table.accept[i] == float(bias(shifted, k)) / bias_bound(k)
+            i = index[expected.key()]
+            weights[i] += bias(shifted, k)
+            tuples[i] += 1
+        assert table.weights == weights
+        assert all(tuples) and sum(tuples) == tree_count(tree_seq)
 
 
 def test_pk_graph_matches_public_glue():
@@ -661,8 +676,10 @@ def _digest(text) -> str:
 
 def test_seeded_outputs_pinned():
     # sha256 of seeded outputs taken before the walk kernel replaced the
-    # adjacency-and-BFS bias.  A change to how a sampler consumes its RNG
-    # stream breaks old manifests and must bump experiments.VERSION.
+    # adjacency-and-BFS bias; dk_table_221111_k2 re-recorded at 0.2.0, when
+    # table draws became one choice from the exact law.  A change to how a
+    # sampler consumes its RNG stream breaks old manifests and must bump
+    # experiments.VERSION.
     pins = {
         "bias_ladder64_k1":
             "232fc1d05053be887c4903e62e007517226b1167bf9a212f353361878b7627e4",
@@ -673,7 +690,7 @@ def test_seeded_outputs_pinned():
         "dk_stream_ladder128":
             "132a4263827956a141d369e04144dd4a595d2bc87990b3a5d6e7ae3898c45320",
         "dk_table_221111_k2":
-            "f4167af73ad3b181e8c698527b72cf3c60c1c771f6e5b0f999dc44180e296713",
+            "4d4252dd9d98cdc173152df47293f3d5d08128a400ec08e2b2a8ad0590bf7a69",
         "pk_prefix":
             "c3436837d3cf502757d558f6c1ad86551a7f259309f554e1e48a821f396a96a0",
         "gp_d_tree_ladder64":
@@ -712,4 +729,4 @@ def test_seeded_outputs_pinned():
                                5, 50, np.random.default_rng(40))
     got["gp_p_tree"] = _digest(mats.tobytes() + w.tobytes())
     assert got == pins
-    assert VERSION == "0.1.0"
+    assert VERSION == "0.2.0"
