@@ -5,10 +5,10 @@ by its bias and glued at those leaves, is a uniform surplus-k graph.  The
 sequences here have few enough tuples (at most 30,000) for a table: every
 tuple's bias is summed per glued graph as an exact fraction, and the draws
 pick graphs from that law, with no rejection.  Larger sequences stream:
-propose, accept with probability bias/((k+1)! 2^k), glue.  The
-ground truth is independent: enumerate all half-edge matchings of the
-configuration model, bias by the symmetry factor, condition on
-connectivity.  The two laws agree in total variation.
+propose, accept with probability bias/2^k, glue.  The ground truth is
+independent: enumerate all half-edge matchings of the configuration
+model, bias by the symmetry factor, condition on connectivity.  The two
+laws agree in total variation.
 """
 
 from fractions import Fraction

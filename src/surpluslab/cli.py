@@ -5,7 +5,7 @@ Every subcommand reads JSON parameter files, draws all randomness from
 one JSON object per structure per line, and drops a manifest.json next
 to any --out output so a rerun can be checked byte-for-byte.
 
-Exit codes: 1 bad arguments, 2 validation failure, 3 enumeration cap.
+Exit codes: 1 bad arguments, 2 validation failure, 3 cap exceeded.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from .samplers import (_glue_bias, _sample_pk_glued,
                        sample_multiplicative_multigraph)
 from .trees import PTreeGrowth, _climb_matrix, _decoded, _walk, _walk_base
 
-VERSION = "0.2.0"
+VERSION = "0.3.0"
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:

@@ -4,10 +4,10 @@ transforms, each paired with a small-instance enumeration oracle.
 
 The surplus-k sampler draws a uniform tree for the degree sequence with 2k
 extra zeros, designates 2k of its exchangeable leaf labels as S1..S2k by a
-fixed relabelling, accepts with probability bias/((k+1)! 2^k), and glues
-the pairs.  A sequence with at most 30,000 tuples is decided once: its
-table sums every tuple's bias per glued graph as an exact Fraction, and
-each draw picks one graph from that law, with no rejection.
+fixed relabelling, accepts with probability bias/2^k, and glues the
+pairs.  A sequence with at most 30,000 tuples is decided once: its table
+sums every tuple's bias per glued graph as an exact Fraction, and each
+draw picks one graph from that law, with no rejection.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _bias_core(parent, depth, fathers):
     Matches multigraph.bias exactly: the square after gluing pairs 1..i is
     |union of father paths| + i, and the symmetry factor, 2^m m! for m
     loops or (e+m)! for m copies beside e tree edges, grows by one factor
-    per copy.
+    per copy, at most 2 square_i (multigraph.bias_bound).
     """
     union = set()
     squares, dists = [], []
@@ -57,11 +57,11 @@ def _bias_core(parent, depth, fathers):
         path = _climb(parent, depth, a, b)
         union.update(path)
         length = len(path)
-        circ *= 2 * m if length == 0 else (length == 1) + m
         squares.append(len(union) + i + 1)
+        c = 2 * m if length == 0 else (length == 1) + m
+        assert c <= 2 * squares[-1], "bias bound violated"
+        circ *= c
         dists.append(length + 2)
-    assert circ <= bias_bound(len(squares)) * math.prod(squares), \
-        "bias bound violated"
     return circ, squares, dists
 
 
@@ -127,6 +127,7 @@ def _pk_graph(record, k: int, leaves: bool = True) -> Multigraph:
 # (D,k)-graph sampling
 
 _TABLE_CAP = 30000
+_PROPOSAL_CAP = 10 ** 7  # per accepted graph, in both rejection loops
 
 
 @dataclass
@@ -183,10 +184,11 @@ def _sample_dk_streaming(k: int, base: np.ndarray, rng: np.random.Generator):
     """Walks each proposal only up to its 2k glued leaves until one passes;
     the whole shuffled tuple is decoded only for the accepted one."""
     bound = bias_bound(k)
-    while True:
+    for _ in range(_PROPOSAL_CAP):
         perm = rng.permutation(len(base))
         if _accepts(rng, bound, *_glue_bias(_decoded(base, perm), k)):
             return _dk_graph(base[perm].tolist(), k)
+    raise TooLarge(f"nothing accepted in {_PROPOSAL_CAP} proposals")
 
 
 def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator) -> Multigraph:
@@ -435,7 +437,7 @@ def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
     if k < 0:
         raise ValidationError("surplus k must be >= 0")
     bound = bias_bound(k)
-    while True:
+    for _ in range(_PROPOSAL_CAP):
         growth = PTreeGrowth(pvec, rng)
         growth.grow_until_stars(2 * k)
         if _accepts(rng, bound, *_glue_bias(growth.record, k, first=1)):
@@ -445,6 +447,7 @@ def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
             if not growth.record:
                 raise ValidationError("a (P,0) prefix needs n_steps >= 1")
             return _pk_graph(growth.record, k, leaves)
+    raise TooLarge(f"nothing accepted in {_PROPOSAL_CAP} proposals")
 
 
 def sample_pk_graph_prefix(pvec: PVector, k: int, n_steps: int,
@@ -452,8 +455,8 @@ def sample_pk_graph_prefix(pvec: PVector, k: int, n_steps: int,
     """Rejection sampler for the (P,k)-graph restricted to n_steps draws.
 
     Grows the tree until 2k leaf labels exist (the bias is constant from
-    then on), accepts with probability bias/((k+1)! 2^k), keeps growing to
-    n_steps, glues (S1,S2)..(S2k-1,S2k), and drops every leaf label.
+    then on), accepts with probability bias/2^k, keeps growing to n_steps,
+    glues (S1,S2)..(S2k-1,S2k), and drops every leaf label.
     """
     return _sample_pk_glued(pvec, k, n_steps, rng, leaves=False)
 

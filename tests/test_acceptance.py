@@ -221,7 +221,7 @@ def test_criterion_06_bias_bound_and_square_lower_bound():
         assert draws.max() < n_tuples
         iterations += len(draws)
     ok = bound_ok and square_ok
-    report(6, ok, f"bias <= (k+1)!2^k: {bound_ok}, square_i >= d-1: "
+    report(6, ok, f"bias <= 2^k: {bound_ok}, square_i >= d-1: "
                   f"{square_ok}; {tuples_checked} distinct tuples covering "
                   f"{iterations} iterations, {time.time() - t0:.0f}s")
 

@@ -172,6 +172,30 @@ def test_oracle_cap_reaches_pk_law_and_is_refused_by_cm_law(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample-graph", "converge"])
+def test_proposal_cap_exit_code(tmp_path, param_files, monkeypatch, capsys,
+                                command):
+    # the streaming (D,k) loop (the ladder has too many tuples for a table)
+    # and the (P,k) loop of a pk-graph target (the family member is drawn
+    # from its table) raise TooLarge at the cap
+    from surpluslab import samplers
+    ladder, small = tmp_path / "ladder.json", tmp_path / "small.json"
+    ladder.write_text(json.dumps(
+        {"kind": "surplus", "k": 1, "degrees": [2] * 8 + [0] * 8}))
+    small.write_text(json.dumps(
+        {"kind": "surplus", "k": 1, "degrees": [2, 2, 2, 0, 0, 0]}))
+    sub = (["sample-graph", "--params", str(ladder)]
+           if command == "sample-graph" else
+           ["experiment", "converge", "--family", str(small),
+            "--target", str(param_files["p"]), "--k", "1", "--points", "2"])
+    argv = ["--seed", "3", "--reps", "20"] + sub
+    assert run(argv) == 0
+    monkeypatch.setattr(samplers, "_PROPOSAL_CAP", 1)
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert "nothing accepted in 1 proposals" in capsys.readouterr().err
+
+
 def test_oracle_cm_law_output_pinned(tmp_path, capsys):
     # sha256 of the stdout of `oracle cm-law` on [3,3,2,2,2,2], k = 2,
     # taken while the oracle still listed all 135,135 matchings one by one
@@ -462,21 +486,22 @@ _PINNED_COMMANDS = {
 }
 
 # sha256 of stdout, then of each --out file by name, recorded before the
-# CLI's per-repetition loop, flag parse and CSV formatter were merged; the
-# manifests (which embed the version) and sample-graph's output re-recorded
-# at stream version 0.2.0, when table draws became one choice from the law
+# CLI's per-repetition loop, flag parse and CSV formatter were merged;
+# sample-graph's output re-recorded at stream version 0.2.0, when table
+# draws became one choice from the law, and the manifests (which embed the
+# version) at 0.2.0 and again at 0.3.0, when the rejection bound became 2^k
 _PINNED_DIGESTS = {
     "bias-tail": {
         "bias-tail.csv":
             "a531f21c4f50d80f42fd89e1fa784a19083d878b2256cbf5728c79a8709a4ef5",
         "manifest.json":
-            "cdae39869c19fdee9612f787984d920070e55eec88a50ff783efd950b804cea7",
+            "65151190bfa2462bff73dd4cae8b6b560e2e3ea9c2f64a21fce19c7e1350d423",
         "stdout":
             "a531f21c4f50d80f42fd89e1fa784a19083d878b2256cbf5728c79a8709a4ef5",
     },
     "cm-law": {
         "manifest.json":
-            "ced04662e7ce756351a422e939f85228b85c104d17872f07659221bd750b592e",
+            "7d2a4a155c091939b58ae1295ad1c708c449f8e6ff68d8494e90aaa36fe895f2",
         "oracle-cm-law.jsonl":
             "6540d493655f84c8baa563a14bb144cd7cf99fa6b5b3d95c03b9f20a36fb1be8",
         "stdout":
@@ -486,7 +511,7 @@ _PINNED_DIGESTS = {
         "converge.csv":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
         "manifest.json":
-            "1614c09201cca4383ff37ec63caede4e67dcc5574272f513aa4e2c95fc6560f7",
+            "292bcd94aadb9467a12bd5d18fcacead100d226cb9b32ca06089ab094f9cceff",
         "stdout":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
     },
@@ -494,7 +519,7 @@ _PINNED_DIGESTS = {
         "converge.csv":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
         "manifest.json":
-            "1614c09201cca4383ff37ec63caede4e67dcc5574272f513aa4e2c95fc6560f7",
+            "292bcd94aadb9467a12bd5d18fcacead100d226cb9b32ca06089ab094f9cceff",
         "stdout":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
     },
@@ -502,13 +527,13 @@ _PINNED_DIGESTS = {
         "core-measure.jsonl":
             "5beb9682cc4e0ed99605cbf9a04fee0100c4377bfd9672f07d8898f2e703ef9b",
         "manifest.json":
-            "7ed291b639bd0fc3b8e59493a72a8dd073558788ee6cba0f03d99aa98d5da1bc",
+            "ca64cab70a66dda2e895e5ae8d88e6f4bf406c89c9c07057d87a794d1e614482",
         "stdout":
             "5beb9682cc4e0ed99605cbf9a04fee0100c4377bfd9672f07d8898f2e703ef9b",
     },
     "enumerate-trees": {
         "manifest.json":
-            "9a2350e89255b3e420414a4a5bbd8c44a5ef82fbe3dd72d9fa6bbe2162d4b137",
+            "abdee2f65cf43d2b9040bd61afe12d1ab0940ecdab6a9370bcdf18bff4792afb",
         "oracle-enumerate-trees.jsonl":
             "191a70e19aa8cd57b42597356dfd9e90205486ed040c9975955e7cb0b07f6138",
         "stdout":
@@ -516,7 +541,7 @@ _PINNED_DIGESTS = {
     },
     "pk-law": {
         "manifest.json":
-            "5b171b82e7a5674f892724306fca53e2fa0e13f22a1cb8d7d3454e753feacdf8",
+            "8e348597ec7261be75caed3f5bf35739f83aeab583873c433cbc0f29d5168677",
         "oracle-pk-law.jsonl":
             "240e6a786cb95a4bf9cccad23545ab44583c838e1064b8cbcc31e6827c36a8a9",
         "stdout":
@@ -524,7 +549,7 @@ _PINNED_DIGESTS = {
     },
     "reconstruct": {
         "manifest.json":
-            "a8827303f350709ec7189cc993c8d2f862e30563393ee788fd1a9f9ec67aab4b",
+            "168d2006f06d94e7f78dbe61faa2c72b3a9dcf5dd75373a4db3150cb509b085b",
         "reconstruct.jsonl":
             "1e2c1bf3756c68be80a7d9f22fce7f82de5d47caa0da74269a4e0c210f3bd177",
         "stdout":
@@ -532,7 +557,7 @@ _PINNED_DIGESTS = {
     },
     "sample-cm": {
         "manifest.json":
-            "11fe86b986afbb923ce69971d468a1675a5e079ea6423f90f38a227a0fcde0b1",
+            "92bc6c5806d082d537cf9d9b66acfc3708152198bf09cd7da8c21aab23be76a5",
         "sample-cm.jsonl":
             "dca1e08a9e958ba83a2768d62307c8eca9a057a052553e99700cf490f6238fb2",
         "stdout":
@@ -540,7 +565,7 @@ _PINNED_DIGESTS = {
     },
     "sample-graph": {
         "manifest.json":
-            "23194f95b38e859a9cc928d6d048f5c1630cf6ca794ddb79fd700767202c8fe7",
+            "e3b5ff0e45452e18494cf29fce73b0437485246c5ef63376eddad6447dbf0f5a",
         "sample-graph.jsonl":
             "2f09d98a947a909c37ca943e5c837b124bd00a1759e83859077ec2092014b070",
         "stdout":
@@ -548,7 +573,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrg": {
         "manifest.json":
-            "ee56df0753cf71f7c884a007447c633cfa91c02f48f6e0e96edd74fefe31e484",
+            "a39c6cd018f25ad488d2c03e026a86f1b9616db15c47576e1211dd0c270b4e70",
         "sample-icrg.jsonl":
             "d7af856a5c94b555a5bc4663c884bd9c3116de14569954f919f3ba9e35354beb",
         "stdout":
@@ -556,7 +581,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrg-csv": {
         "manifest.json":
-            "ee56df0753cf71f7c884a007447c633cfa91c02f48f6e0e96edd74fefe31e484",
+            "a39c6cd018f25ad488d2c03e026a86f1b9616db15c47576e1211dd0c270b4e70",
         "sample-icrg.csv":
             "c94c60c6cc4ff608fbe0d31324f7be8ed9a23b564aaacc50b408f256fd6b2ef0",
         "stdout":
@@ -564,7 +589,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrt": {
         "manifest.json":
-            "334339e89464842ddc07e8c41a6b7718d9ae3bcb991f1102993af44680c4201d",
+            "4ea470e153c0e3c6a2443efe1aa16aba9a7f9d82b66e4e7b2a74c986c80c8026",
         "sample-icrt.jsonl":
             "f47d1201d2974072982b19386c94d27d7bb4a95cb2bf1051fc19968a39ab918c",
         "stdout":
@@ -572,7 +597,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrt-csv": {
         "manifest.json":
-            "334339e89464842ddc07e8c41a6b7718d9ae3bcb991f1102993af44680c4201d",
+            "4ea470e153c0e3c6a2443efe1aa16aba9a7f9d82b66e4e7b2a74c986c80c8026",
         "sample-icrt.csv":
             "89b3b2108e8b6e9bd51e379599acd11d33b25317a8a29860dd01cad351c9c80e",
         "stdout":
@@ -580,7 +605,7 @@ _PINNED_DIGESTS = {
     },
     "sample-mult": {
         "manifest.json":
-            "f528603e2bd193015f3391be5a24f50153019e259c9de851dc2284155a677496",
+            "8d440bb50c1cd96ebc69946d1e3bcf2abb0c53823c944c08be8a8940a0a10fca",
         "sample-mult.jsonl":
             "3633c783f407ae363ed5dfb9ffcf13b9763263123522ce9ae03f4f0829ea6cf1",
         "stdout":
@@ -588,7 +613,7 @@ _PINNED_DIGESTS = {
     },
     "sample-tree": {
         "manifest.json":
-            "56f8a78812df394dff0c04c562edff98993d122d6e77a21f9437a6d072cd31e7",
+            "b23376c72fbef8e43e7591d841d07b4551c395948a6f82525e0ef53a033e2dfd",
         "sample-tree.jsonl":
             "0d5743d92cd4b7eb37ee6c3e792dfc808eb0920c81a17f958e55a451c8abd1db",
         "stdout":
@@ -596,7 +621,7 @@ _PINNED_DIGESTS = {
     },
     "sample-tree-p": {
         "manifest.json":
-            "e1f7c0d993660ce2c1d79f387dcdcadad2d4ab66fca02ded890f2ed8f3d4662e",
+            "ec23b4775c4bd4601e470c9127003ca590a086d5f87f5a4c317be2c720a8b07a",
         "sample-tree.jsonl":
             "f430d82ecae7889e6a489463d7b788280e017e070cb300ea84a7615dd6671302",
         "stdout":

@@ -251,10 +251,11 @@ def test_square_lower_bound_star_distance():
 
 
 def test_bias_bound_values():
+    # 2^k, the sharp bound (test_samplers checks it on every small sequence)
     assert bias_bound(0) == 1
-    assert bias_bound(1) == 4
-    assert bias_bound(2) == 24
-    assert bias_bound(3) == 192
+    assert bias_bound(1) == 2
+    assert bias_bound(2) == 4
+    assert bias_bound(3) == 8
 
 
 def test_cyc_matches_brute_force_removal():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from surpluslab import errors
+from surpluslab import errors, samplers
 from surpluslab.labels import internal as V, is_star, star as S
 from surpluslab.experiments import VERSION, d_tree_bias_values, gp_matrix_sample
 from surpluslab.multigraph import (Multigraph, bias, bias_bound,
@@ -607,6 +607,117 @@ def test_streaming_proposals_match_fraction_reference():
     assert got_rng.bit_generator.state == rng.bit_generator.state
 
 
+def test_bias_bound_is_sharp_pair_by_pair():
+    # every tuple of every surplus sequence on 2..7 vertices with at most
+    # 2000 tuples, k = 1..4: each pair's factor of circ (the circ of pairs
+    # 1..i over that of pairs 1..i-1) is at most 2 square_i, so bias <= 2^k,
+    # and k loops on one vertex, the one tuple of [2k, 0], reach it
+    n_seqs = n_tuples = 0
+    for k in range(1, 5):
+        largest = 0
+        for s in range(2, 8):
+            total = s + 2 * k - 2
+            for degs in itertools.combinations_with_replacement(
+                    range(total, -1, -1), s):
+                if sum(degs) != total:
+                    continue
+                tree_seq = validate(list(degs), "surplus", k=k).to_tree_kind()
+                if tree_count(tree_seq) > 2000:
+                    continue
+                n_seqs += 1
+                for entries in multiset_arrangements(_base_multiset(tree_seq)):
+                    parent, depth, fathers = _walk(entries, 2 * k)
+                    circ = 1
+                    for i in range(1, k + 1):
+                        c, squares, _ = _bias_core(parent, depth,
+                                                   fathers[:2 * i])
+                        assert c % circ == 0 and c // circ <= 2 * squares[-1]
+                        circ = c
+                    b = Fraction(circ, math.prod(squares))
+                    largest = max(largest, b)
+                    if degs == (2 * k, 0):
+                        assert b == 2 ** k
+                    n_tuples += 1
+        assert largest == bias_bound(k) == 2 ** k
+    assert (n_seqs, n_tuples) == (224, 79905)
+
+
+class _CountingRng:
+    """A Generator that counts its permutations, one per streaming proposal."""
+
+    def __init__(self, rng):
+        self.rng, self.permutations = rng, 0
+
+    def permutation(self, n):
+        self.permutations += 1
+        return self.rng.permutation(n)
+
+    def random(self):
+        return self.rng.random()
+
+
+@pytest.mark.parametrize("degrees, k, mean", [
+    ([2, 2, 2, 2, 0, 0, 0, 0], 1, Fraction(35, 13)),
+    ([3, 3, 2, 2, 0, 0, 0, 0], 2, Fraction(840, 79)),
+], ids=["2222-k1", "3322-k2"])
+def test_streaming_acceptance_rate_is_exact(degrees, k, mean):
+    # proposals per graph are geometric with mean 2^k / E[bias], and the
+    # table's weights sum the bias over every tuple; a bound of (k+1)! 2^k
+    # would multiply the mean by (k+1)!
+    seq = validate(degrees, "surplus", k=k)
+    tree_seq = seq.to_tree_kind()
+    exact = Fraction(2 ** k * tree_count(tree_seq), sum(dk_table(seq).weights))
+    assert exact == mean
+    n = 2000
+    rng = _CountingRng(np.random.default_rng(48))
+    base = _walk_base(tree_seq)
+    for _ in range(n):
+        _sample_dk_streaming(k, base, rng)
+    p = 1 / float(exact)
+    stderr = math.sqrt((1 - p) / p ** 2 / n)
+    assert abs(rng.permutations / n - float(exact)) < 4 * stderr
+
+
+def _first_cap(monkeypatch, draw):
+    """The smallest proposal cap under which draw() returns, and its graph;
+    every smaller cap must raise TooLarge."""
+    try:
+        for cap in range(1, 1000):
+            monkeypatch.setattr(samplers, "_PROPOSAL_CAP", cap)
+            try:
+                return cap, draw()
+            except errors.TooLarge as exc:
+                assert f"nothing accepted in {cap} proposals" in str(exc)
+        raise AssertionError("no cap below 1000 let the draw through")
+    finally:
+        monkeypatch.undo()
+
+
+def test_rejection_loops_raise_too_large_at_the_cap(monkeypatch):
+    # both loops stop after exactly _PROPOSAL_CAP rejected proposals; one
+    # more lets the uncapped draw through
+    base = _walk_base(validate([2] * 8 + [0] * 8, "surplus", k=1).to_tree_kind())
+    pvec = PVector((0.6, 0.3, 0.1))
+    dk_caps, pk_caps = [], []
+    for seed in range(5):
+        def dk(rng=None):
+            return _sample_dk_streaming(
+                1, base, rng or np.random.default_rng(seed))
+
+        def pk():
+            return sample_pk_graph_prefix(
+                pvec, 2, 30, np.random.default_rng(seed))
+        counting = _CountingRng(np.random.default_rng(seed))
+        want = dk(counting)
+        assert _first_cap(monkeypatch, dk) == (counting.permutations, want)
+        dk_caps.append(counting.permutations)
+        want = pk()
+        cap, got = _first_cap(monkeypatch, pk)
+        assert got == want
+        pk_caps.append(cap)
+    assert max(dk_caps) > 1 and max(pk_caps) > 1
+
+
 def _same_graph(g, h) -> bool:
     return g.vertices == h.vertices and dict(g.edge_items()) == dict(h.edge_items())
 
@@ -677,9 +788,10 @@ def _digest(text) -> str:
 def test_seeded_outputs_pinned():
     # sha256 of seeded outputs taken before the walk kernel replaced the
     # adjacency-and-BFS bias; dk_table_221111_k2 re-recorded at 0.2.0, when
-    # table draws became one choice from the exact law.  A change to how a
-    # sampler consumes its RNG stream breaks old manifests and must bump
-    # experiments.VERSION.
+    # table draws became one choice from the exact law, and
+    # dk_stream_ladder128 and pk_prefix at 0.3.0, when the rejection bound
+    # fell from (k+1)! 2^k to 2^k.  A change to how a sampler consumes its
+    # RNG stream breaks old manifests and must bump experiments.VERSION.
     pins = {
         "bias_ladder64_k1":
             "232fc1d05053be887c4903e62e007517226b1167bf9a212f353361878b7627e4",
@@ -688,11 +800,11 @@ def test_seeded_outputs_pinned():
         "bias_33211_k3":
             "3e8244bb879008b3b4d09b2fa1d67161bb3bf8c52a7a89a17a31fcc763ca1386",
         "dk_stream_ladder128":
-            "132a4263827956a141d369e04144dd4a595d2bc87990b3a5d6e7ae3898c45320",
+            "beb423638b268acc490d385b6589cba09ced6910669bde01fae2d17c1c46a946",
         "dk_table_221111_k2":
             "4d4252dd9d98cdc173152df47293f3d5d08128a400ec08e2b2a8ad0590bf7a69",
         "pk_prefix":
-            "c3436837d3cf502757d558f6c1ad86551a7f259309f554e1e48a821f396a96a0",
+            "e3f63b5d445807176519e9f0bc4266961fe873b7ce22400677ee543945f4e484",
         "gp_d_tree_ladder64":
             "206c2c816fd8f33fd6e2fbd91dccf8d583ed2de329088c5ccc5b468c11ea3b49",
         "gp_p_tree":
@@ -729,4 +841,4 @@ def test_seeded_outputs_pinned():
                                5, 50, np.random.default_rng(40))
     got["gp_p_tree"] = _digest(mats.tobytes() + w.tobytes())
     assert got == pins
-    assert VERSION == "0.2.0"
+    assert VERSION == "0.3.0"
