@@ -397,9 +397,10 @@ def sample_icrg_weighted(theta: ThetaVector, k: int, rng: np.random.Generator,
     n = max(n_points or 0, 2 * k, 1)
     real = sample_icrt(theta, rng, n_points=n)
     parent, length, node = segments = _segment_tree(real.cuts, real.anchors, n)
+    rooted = _rooted(parent, length, node[1]) if k else None  # for every core
     weight = 1.0
     for i in range(1, k + 1):
-        c = _core_length(*_rooted(parent, length, node[1]), node[1:2 * i + 1])
+        c = _core_length(*rooted, node[1:2 * i + 1])
         assert c > 0, "degenerate core"
         weight /= float(c)
     return WeightedSample(real, weight, k, segments)

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 ValidationError subclasses signal bad inputs (CLI exit code 2);
-CapExceeded signals an enumeration oracle or a rejection loop asked to
-do too much work (CLI exit code 3).
+CapExceeded signals an enumeration oracle, a rejection loop or a P-tree
+draw loop asked to do too much work (CLI exit code 3).
 """
 
 
@@ -11,7 +11,7 @@ class ValidationError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """An exact-enumeration oracle or a rejection loop would exceed its cap."""
+    """An enumeration oracle, a rejection or a draw loop would exceed its cap."""
 
 
 class SumMismatch(ValidationError):

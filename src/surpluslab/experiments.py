@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .continuum import (_glued, _mark_matrix, _segment_tree,
-                        sample_icrg_weighted, sample_icrt)
+from .continuum import _glued, _mark_matrix, sample_icrg_weighted
 from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
@@ -142,14 +141,15 @@ _MEASURE_MODELS = ("d-tree", "dk-graph", "cm", "mult", "mult-multi")
 
 
 def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
-                measure: Optional[VertexMeasure], base: Optional[np.ndarray]):
-    """(matrix, importance weight) for a single repetition; base is the
-    d-tree multiset, shuffled afresh each time."""
+                measure: Optional[VertexMeasure]):
+    """(matrix, importance weight) for a single repetition; a d-tree
+    shuffles its cached walk base afresh each time."""
     name = model["model"]
     params = model["params"]
-    k = model.get("k", 0)
+    k = 0 if name == "icrt" else model.get("k", 0)  # the ICRT: the k = 0 ICRG
     marks = [star(j) for j in range(1, n_points + 1)]
     if name == "d-tree":
+        base = _walk_base(params)
         entries = base[rng.permutation(len(base))].tolist()
         if measure is None:  # the walk stops once S1..S_n_points are placed
             return _tree_matrix(entries, n_points + 1, marks), 1.0
@@ -171,12 +171,7 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
                              min_stars=2 * k + n_points)
         points = [star(2 * k + j) for j in range(1, n_points + 1)]
         return _graph_matrix(g, points), 1.0
-    if name == "icrt":
-        real = sample_icrt(params, rng, n_points=n_points)
-        segments = _segment_tree(real.cuts, real.anchors, n_points)
-        mat = _mark_matrix(segments, range(1, n_points + 1))
-        return np.array(mat, dtype=float), 1.0
-    if name == "icrg":
+    if name in ("icrt", "icrg"):
         ws = sample_icrg_weighted(params, k, rng, n_points=2 * k + n_points)
         labels = range(2 * k + 1, 2 * k + n_points + 1)
         mat = _mark_matrix(ws._segments, labels, k)
@@ -203,16 +198,16 @@ def gp_matrix_sample(model: dict, n_points: int, n_reps: int,
     probability-vector models, "none" (default), or an explicit float.
     A measure is only taken by the models in _MEASURE_MODELS.
     """
-    name, base = model["model"], None
+    name = model["model"]
     if measure is not None and name not in _MEASURE_MODELS:
         raise ValidationError(f"model {name!r} takes no vertex measure")
-    if name == "d-tree":  # built once; each rep shuffles it
-        base = _walk_base(model["params"])
+    if n_points < 1 or n_reps < 0:
+        raise ValidationError("need n_points >= 1 and n_reps >= 0")
     scale = _scale_of(model)
     mats = np.empty((n_reps, n_points, n_points))
     weights = np.empty(n_reps)
     for r in range(n_reps):
-        m, w = _one_matrix(model, n_points, rng, measure, base)
+        m, w = _one_matrix(model, n_points, rng, measure)
         mats[r] = m * scale
         weights[r] = w
     return mats, weights

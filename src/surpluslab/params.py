@@ -86,26 +86,16 @@ class DegreeSequence:
 
     def nabla(self) -> "DegreeSequence":
         """Drop the entries equal to 1 (the edgepoint degrees)."""
-        kept = [d for d in self.degrees if d != 1]
-        return validate(kept, self.kind, k=self.k, auto_sort=True)
+        kept = sorted((d for d in self.degrees if d != 1), reverse=True)
+        return validate(kept, self.kind, k=self.k)
 
 
-def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0,
-             auto_sort: bool = False, strict_sorted: bool = False) -> DegreeSequence:
-    """Check a raw integer list against the invariants of its kind.
-
-    Degrees are positional (vertex Vi gets degree d_i + 1), so unsorted
-    input is kept as given by default; auto_sort normalizes to
-    non-increasing order and strict_sorted rejects unsorted input.
-    """
+def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0) -> DegreeSequence:
+    """Check a raw integer list against the invariants of its kind; degrees
+    are positional (vertex Vi gets degree d_i + 1), so their order is kept."""
     degrees = _integral(raw, "degrees must be integers")
     if any(d < 0 for d in degrees):
         raise NegativeEntry(f"negative degree in {raw}")
-    if any(degrees[i] < degrees[i + 1] for i in range(len(degrees) - 1)):
-        if auto_sort:
-            degrees = sorted(degrees, reverse=True)
-        elif strict_sorted:
-            raise NotSorted("degrees must be non-increasing")
     s, total = len(degrees), sum(degrees)
     if kind == KIND_TREE:
         if total != s - 2:

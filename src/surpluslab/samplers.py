@@ -140,14 +140,10 @@ class DkTable:
     p: np.ndarray
 
 
-def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
-    """Every tuple's bias summed per glued graph, for a surplus sequence of
-    at most cap tuples; dk_table and sample_dk_graph keep one per sequence
-    (_dk_path)."""
+def build_dk_table(seq: DegreeSequence) -> DkTable:
+    """Every tuple's bias summed per glued graph, for a surplus sequence;
+    _dk_path calls it once per sequence of at most _TABLE_CAP tuples."""
     k, tree_seq = seq.k, seq.to_tree_kind()
-    count = tree_count(tree_seq)
-    if count > cap:
-        raise TooLarge(f"{count} tuples exceeds the table cap {cap}")
     law: Dict[tuple, list] = {}  # Multigraph.key() -> [graph, summed bias]
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
         parent, depth, fathers = _walk(arrangement, len(arrangement) + 1)
@@ -163,21 +159,24 @@ def build_dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
 
 
 @lru_cache(maxsize=128)
-def _dk_path(seq: DegreeSequence, cap: int):
-    """The sequence's DkTable, or above cap tuples the walk base of its
-    tree kind: the kind is checked, the tuples counted and the path chosen
-    once per sequence."""
+def _dk_path(seq: DegreeSequence):
+    """The sequence's DkTable, or above _TABLE_CAP tuples the walk base of
+    its tree kind: the kind is checked, the tuples counted and the path
+    chosen once per sequence."""
     if seq.kind != KIND_SURPLUS:
-        raise ValidationError("sample_dk_graph needs a surplus-kind sequence")
+        raise ValidationError("(D,k) sampling needs a surplus-kind sequence")
     tree_seq = seq.to_tree_kind()
-    if tree_count(tree_seq) > cap:
+    if tree_count(tree_seq) > _TABLE_CAP:
         return _walk_base(tree_seq)
-    return build_dk_table(seq, cap)
+    return build_dk_table(seq)
 
 
-def dk_table(seq: DegreeSequence, cap: int = _TABLE_CAP) -> DkTable:
-    path = _dk_path(seq, cap)
-    return path if isinstance(path, DkTable) else build_dk_table(seq, cap)
+def dk_table(seq: DegreeSequence) -> DkTable:
+    path = _dk_path(seq)
+    if not isinstance(path, DkTable):
+        raise TooLarge(f"{tree_count(seq.to_tree_kind())} tuples exceeds "
+                       f"the table cap {_TABLE_CAP}")
+    return path
 
 
 def _sample_dk_streaming(k: int, base: np.ndarray, rng: np.random.Generator):
@@ -199,7 +198,7 @@ def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator) -> Multigraph
     with at most 30000 tuples draw one graph from the table's exact law;
     larger ones stream.
     """
-    path = _dk_path(seq, _TABLE_CAP)
+    path = _dk_path(seq)
     if not isinstance(path, DkTable):
         return _sample_dk_streaming(seq.k, path, rng)
     return path.graphs[rng.choice(len(path.graphs), p=path.p)]
@@ -407,19 +406,12 @@ def pk_law_oracle(pvec: PVector, k: int, cap: int = 200000) -> Dict[tuple, Fract
     p = [as_fraction(x) for x in pvec.p]
     law: Dict[tuple, Fraction] = {}
     total = Fraction(0)
-    for counts in itertools.combinations_with_replacement(range(len(slots)),
-                                                          n_edges):
-        mult = Counter(counts)
-        uf = _UnionFind(s + 1)
-        edges = []
-        for slot_id, m in mult.items():
-            i, j = slots[slot_id]
-            uf.union(i, j)
-            edges.append((internal(i), internal(j), m))
+    for pairs in itertools.combinations_with_replacement(slots, n_edges):
+        edges = [(internal(i), internal(j), m)
+                 for (i, j), m in Counter(pairs).items()]
+        # every V_v is listed, so one of degree 0 leaves g disconnected
         g = Multigraph(edges, vertices=[internal(v) for v in range(1, s + 1)])
-        root = uf.find(1)
-        if any(g.degree(internal(v)) == 0 or uf.find(v) != root
-               for v in range(1, s + 1)):
+        if not g.is_connected():
             continue
         w = Fraction(1)
         for v in range(1, s + 1):

@@ -407,22 +407,24 @@ def enumerate_d_trees(seq: DegreeSequence, cap: int = 250000) -> Iterator[Labele
 # trees grown from a probability vector
 
 
+# grow_until_stars gives up once the record holds this many draws
+_DRAW_CAP = 10 ** 7
+
+
 class PTreeGrowth:
     """Incremental branching walk driven by i.i.d. draws from a PVector.
 
     Draws landing in the p_inf remainder create fresh overflow vertices,
-    so they never repeat.  The instance records the raw draw sequence and
-    counts the repeats, each of which places a leaf label; tree() folds
-    the record (_walk folds it the same way).
+    so they never repeat.  The instance records the raw draw sequence,
+    each repeat of which places a leaf label: len(record) - len(_seen) of
+    them in all.  tree() folds the record (_walk folds it the same way).
     """
 
     def __init__(self, pvec: PVector, rng: np.random.Generator):
-        self.pvec = pvec
         self.rng = rng
         self._cum = np.cumsum(np.asarray(pvec.p, dtype=float)).tolist()
         self._names = _labels(internal, len(self._cum) + 1)
         self.record: List[Vertex] = []
-        self.n_stars = 0
         self._seen = set()
 
     def _draw(self) -> Vertex:
@@ -434,18 +436,15 @@ class PTreeGrowth:
     def step(self):
         b = self._draw()
         self.record.append(b)
-        if b in self._seen:
-            self.n_stars += 1
-        else:
-            self._seen.add(b)
+        self._seen.add(b)
 
     def grow_until_stars(self, n_stars: int):
-        if n_stars > self.n_stars and not self.pvec.p:
+        if n_stars > len(self.record) - len(self._seen) and not self._cum:
             raise ValidationError("with p_inf = 1 no draw repeats, so no "
                                   "leaf label besides S0 is ever placed")
-        while self.n_stars < n_stars:
-            if len(self.record) >= 10 ** 7:
-                raise ValidationError("star quota not reached within 10^7 draws")
+        while len(self.record) - len(self._seen) < n_stars:
+            if len(self.record) >= _DRAW_CAP:
+                raise TooLarge(f"star quota not reached within {_DRAW_CAP} draws")
             self.step()
 
     def tree(self) -> LabeledTree:

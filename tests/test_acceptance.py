@@ -202,14 +202,11 @@ def test_criterion_06_bias_bound_and_square_lower_bound():
         z = sum(degs) - m - 2 * k + 2
         if z < 0:
             continue
-        seq = validate(degs + [0] * z, "surplus", k=k)
-        try:
-            dk_table(seq, cap=5000)
-        except sl.CapExceeded:
-            continue
-        # every tuple of the table, from its walk and the integer bias
-        tree_seq = seq.to_tree_kind()
+        tree_seq = validate(degs + [0] * z, "surplus", k=k).to_tree_kind()
         n_tuples = tree_count(tree_seq)
+        if n_tuples > 5000:
+            continue
+        # every tuple of the sequence, from its walk and the integer bias
         for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
             parent, depth, fathers = _walk(arrangement, 2 * k)
             circ, squares, dists = _bias_core(parent, depth, fathers[:2 * k])

@@ -196,6 +196,21 @@ def test_proposal_cap_exit_code(tmp_path, param_files, monkeypatch, capsys,
     assert "nothing accepted in 1 proposals" in capsys.readouterr().err
 
 
+def test_draw_cap_exit_code(tmp_path, param_files, monkeypatch, capsys):
+    # a valid (P,1) target that repeats a draw about once in 10^7 runs
+    # into the P-tree draw cap: exit 3 like the other caps, not 2
+    from surpluslab import trees
+    rare, small = tmp_path / "rare.json", tmp_path / "small.json"
+    rare.write_text(json.dumps({"p": [1e-7], "p_inf": 1 - 1e-7}))
+    small.write_text(json.dumps(
+        {"kind": "surplus", "k": 1, "degrees": [2, 2, 2, 0, 0, 0]}))
+    monkeypatch.setattr(trees, "_DRAW_CAP", 1000)
+    capsys.readouterr()
+    assert run(["experiment", "converge", "--family", str(small),
+                "--target", str(rare), "--k", "1", "--points", "2"]) == 3
+    assert "star quota not reached within 1000 draws" in capsys.readouterr().err
+
+
 def test_oracle_cm_law_output_pinned(tmp_path, capsys):
     # sha256 of the stdout of `oracle cm-law` on [3,3,2,2,2,2], k = 2,
     # taken while the oracle still listed all 135,135 matchings one by one

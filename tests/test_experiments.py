@@ -457,10 +457,55 @@ def test_empty_and_one_mark_matrices_keep_their_shapes():
     assert metric.mark_distance_matrix([]) == []
     assert metric.mark_distance_matrix([2]) == [[0]]
     model = {"model": "d-tree", "params": seq}
-    mats, _ = gp_matrix_sample(model, 0, 4, rng_stream(0, 2))
-    assert mats.shape == (4, 0, 0)
+    mats, weights = gp_matrix_sample(model, 3, 0, rng_stream(0, 2))
+    assert mats.shape == (0, 3, 3) and weights.shape == (0,)
     mats, _ = gp_matrix_sample(model, 1, 4, rng_stream(0, 2))
     assert mats.tolist() == [[[0.0]]] * 4
+
+
+@pytest.mark.parametrize("model", [
+    {"model": "d-tree", "params": validate([2, 1, 0, 0, 0], "tree")},
+    {"model": "dk-graph", "params": validate([2, 1, 1, 0], "surplus", k=1),
+     "k": 1},
+    {"model": "p-tree", "params": PVector((0.5, 0.5))},
+    {"model": "pk-graph", "params": PVector((0.5, 0.5)), "k": 1},
+    {"model": "icrt", "params": BROWNIAN},
+    {"model": "icrg", "params": BROWNIAN},
+    {"model": "icrg", "params": BROWNIAN, "k": 1},
+    {"model": "cm", "params": validate([3, 2, 2, 1], "half-edge")},
+    {"model": "mult", "params": (1.0, [1.0, 0.5])},
+    {"model": "mult-multi", "params": (1.0, [1.0, 0.5])}],
+    ids=lambda m: f"{m['model']}-k{m.get('k', 0)}")
+def test_gp_matrix_sample_rejects_bad_counts_before_any_draw(model):
+    # n_points = 0 gave an IndexError, "need at least one cut" or empty
+    # matrices by model, and a negative count numpy's bare ValueError
+    rng = rng_stream(10, 4)
+    state = rng.bit_generator.state
+    for n_points, n_reps in ((0, 3), (-1, 3), (2, -1)):
+        with pytest.raises(ValidationError, match="n_points >= 1 and n_reps"):
+            gp_matrix_sample(model, n_points, n_reps, rng)
+    assert rng.bit_generator.state == state
+    mats, weights = gp_matrix_sample(model, 2, 0, rng)
+    assert mats.shape == (0, 2, 2) and weights.shape == (0,)
+    assert rng.bit_generator.state == state
+
+
+def test_icrt_matrices_are_the_k0_icrg_and_sb_build_matrices():
+    # an ICRT draw goes through the ICRG branch at k = 0, whatever k the
+    # model names, and reads the matrix of sb_build's tree on the same draws
+    n_points, n_reps = 4, 6
+    mats, weights = gp_matrix_sample({"model": "icrt", "params": BROWNIAN,
+                                      "k": 2}, n_points, n_reps,
+                                     rng_stream(3, 0))
+    again, w0 = gp_matrix_sample({"model": "icrg", "params": BROWNIAN},
+                                 n_points, n_reps, rng_stream(3, 0))
+    assert mats.tobytes() == again.tobytes()
+    assert weights.tolist() == w0.tolist() == [1.0] * n_reps
+    rng = rng_stream(3, 0)
+    for m in mats:
+        tree = sample_icrt(BROWNIAN, rng, n_points=n_points).tree()
+        want = tree.mark_distance_matrix(range(1, n_points + 1))
+        assert m.tolist() == [[float(x) for x in row] for row in want]
 
 
 @pytest.mark.parametrize("model", [

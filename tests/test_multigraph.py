@@ -278,6 +278,44 @@ def test_cyc_matches_brute_force_removal():
         assert g.square() == sum(brute.values())
 
 
+def _component_count(vertices, pairs) -> int:
+    """Components by a union-find of its own, independent of the graph's
+    searches."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in pairs:
+        root[find(u)] = find(v)
+    return len({find(v) for v in vertices})
+
+
+def test_bridges_match_brute_force():
+    # a bridge is a multiplicity-1 non-loop edge whose removal adds a
+    # component; graphs with loops, multi-edges and several components
+    rng = np.random.default_rng(11)
+    seen = {"loop": 0, "multi": 0, "disconnected": 0, "bridges": 0}
+    for _ in range(3000):
+        n_v = int(rng.integers(1, 8))
+        vs = [V(i) for i in range(1, n_v + 1)]
+        ends = rng.integers(0, n_v, size=(int(rng.integers(0, n_v + 3)), 2))
+        g = Multigraph([(vs[a], vs[b]) for a, b in ends.tolist()], vertices=vs)
+        items = g.edge_items()
+        pairs = [p for p, _ in items]
+        base = _component_count(vs, pairs)
+        brute = {p for p, m in items if m == 1 and p[0] != p[1]
+                 and _component_count(vs, [q for q in pairs if q != p]) > base}
+        assert g.bridges() == brute
+        seen["loop"] += any(u == v for u, v in pairs)
+        seen["multi"] += any(m > 1 for _, m in items)
+        seen["disconnected"] += base > 1
+        seen["bridges"] += len(brute)
+    assert min(seen.values()) > 300, seen
+
+
 def test_multigraph_json_roundtrip():
     g = example_graph()
     assert Multigraph.from_json(g.to_json()) == g

@@ -35,11 +35,9 @@ def test_validate_negative_entry():
 
 
 def test_validate_sorting_flags():
+    # degrees are positional: unsorted input is kept as given
     raw = [1, 2, 0, 0, 0]
     assert validate(raw, "tree").degrees == (1, 2, 0, 0, 0)
-    assert validate(raw, "tree", auto_sort=True).degrees == (2, 1, 0, 0, 0)
-    with pytest.raises(errors.NotSorted):
-        validate(raw, "tree", strict_sorted=True)
 
 
 def test_validate_surplus_sum():
@@ -173,7 +171,7 @@ def test_degree_sequence_hash_is_kept_and_cache_lookups_hit():
     assert copy == a and hash(copy) == hash(a)
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.k = 2
-    samplers._dk_path(a, 30000)
+    samplers._dk_path(a)
     hits = samplers._dk_path.cache_info().hits
-    samplers._dk_path(b, 30000)
+    samplers._dk_path(b)
     assert samplers._dk_path.cache_info().hits == hits + 1

@@ -96,6 +96,30 @@ def test_dk_keys_reject_a_negative_count_before_any_draw():
     assert sample_dk_graph_keys(seq, 0, rng) == Counter()
 
 
+def test_dk_table_refuses_streaming_and_non_surplus_sequences():
+    # the one cap decides: a streaming sequence has no table, and every
+    # (D,k) entry point names the kind a tree sequence lacks
+    ladder = validate([2] * 8 + [0] * 8, "surplus", k=1)
+    count = tree_count(ladder.to_tree_kind())
+    assert count > samplers._TABLE_CAP
+    with pytest.raises(errors.TooLarge,
+                       match=f"{count} tuples exceeds the table cap 30000"):
+        dk_table(ladder)
+    tree_kind = validate([2, 1, 0, 0, 0], "tree")
+    rng = np.random.default_rng(2)
+    for draw in (lambda: dk_table(tree_kind),
+                 lambda: sample_dk_graph(tree_kind, rng),
+                 lambda: sample_dk_graph_keys(tree_kind, 3, rng)):
+        with pytest.raises(errors.ValidationError,
+                           match=r"\(D,k\) sampling needs a surplus-kind"):
+            draw()
+
+
+def test_nabla_sorts_what_it_keeps():
+    seq = validate([1, 2, 0, 1, 3, 0, 0, 0, 0], "tree")
+    assert seq.nabla().degrees == (3, 2, 0, 0, 0, 0, 0)
+
+
 def test_dk_k0_matches_tree_enumeration():
     # leaf-canonical keys are coarser than labeled trees: project the
     # uniform tree law through canonicalization and compare laws

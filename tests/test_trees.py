@@ -212,6 +212,30 @@ def test_p_tree_pure_overflow_star_quota_fails_fast():
     assert growth.record == []
 
 
+def test_p_tree_draw_cap_is_a_cap_not_bad_input(monkeypatch):
+    # P = [1e-7] is valid but repeats a draw about once in 10^7: the draw
+    # cap stops it with TooLarge (CLI exit 3), as the proposal cap does
+    from surpluslab import trees
+    monkeypatch.setattr(trees, "_DRAW_CAP", 50)
+    growth = PTreeGrowth(PVector((1e-7,), p_inf=1 - 1e-7),
+                         np.random.default_rng(7))
+    with pytest.raises(errors.TooLarge, match="within 50 draws"):
+        growth.grow_until_stars(1)
+    assert len(growth.record) == 50
+
+
+def test_p_tree_star_count_is_the_number_of_repeats():
+    # each repeated draw places one leaf label; the growth stops on the
+    # draw that places the last one asked for
+    growth = PTreeGrowth(PVector((0.5, 0.3, 0.2)), np.random.default_rng(8))
+    for n_stars in (0, 1, 4, 9):
+        growth.grow_until_stars(n_stars)
+        repeats = [v in growth.record[:i] for i, v in enumerate(growth.record)]
+        assert sum(repeats) == n_stars
+        assert n_stars == 0 or repeats[-1]
+    assert len(growth.tree().star_leaves()) == 10  # S0 and S1..S9
+
+
 def _prefix_law(pvec, n_steps):
     """Exact law of the n-step tree by exhaustive tuple enumeration."""
     law = Counter()
