@@ -111,7 +111,11 @@ class Multigraph:
         return self.num_edges() - len(self._vertices) + 1
 
     def bridges(self) -> set:
-        """Cut pairs: multiplicity-1 non-loop edges whose removal disconnects."""
+        """Cut pairs: multiplicity-1 non-loop edges whose removal disconnects.
+        Neither needs a test of its own: a loop at v, a back edge to v, only
+        compares low[v] with disc[v], which low[v] never exceeds, and a tree
+        edge u-v of multiplicity >= 2 is a back edge too (`m >= 2`), so
+        low[v] <= disc[u] and it is never reported."""
         disc: Dict[Vertex, int] = {}
         low: Dict[Vertex, int] = {}
         out = set()
@@ -119,20 +123,18 @@ class Multigraph:
         for root in self._vertices:
             if root in disc:
                 continue
-            stack = [(root, None, iter(self._adj[root].items()), False)]
+            stack = [(root, None, iter(self._adj[root].items()))]
             disc[root] = low[root] = counter
             counter += 1
             while stack:
-                v, parent_pair, it, _ = stack[-1]
+                v, parent_pair, it = stack[-1]
                 advanced = False
                 for w, m in it:
-                    if w == v:
-                        continue
                     p = _pair(v, w)
                     if w not in disc:
                         disc[w] = low[w] = counter
                         counter += 1
-                        stack.append((w, p, iter(self._adj[w].items()), False))
+                        stack.append((w, p, iter(self._adj[w].items())))
                         advanced = True
                         break
                     if p != parent_pair or m >= 2:
@@ -146,7 +148,7 @@ class Multigraph:
                         u = stack[-1][0]
                         if low[v] < low[u]:
                             low[u] = low[v]
-                        if low[v] > disc[u] and self._mult[_pair(u, v)] == 1:
+                        if low[v] > disc[u]:
                             out.add(_pair(u, v))
         return out
 

@@ -154,25 +154,16 @@ def _base_multiset(seq: DegreeSequence) -> List[int]:
 
 
 def _stick_break_int_edges(entries: Sequence) -> list:
-    """Branching walk over a tuple of entries (internal-vertex ints, or the
-    Vertex labels of a P-tree record); leaf S_j is the int -(j + 1)."""
+    """Edges of the whole tree _walk folds a tuple of entries into
+    (internal-vertex ints, or the Vertex labels of a P-tree record): one
+    (min, max) edge per parent pointer, then leaf S_j, the int -(j + 1),
+    on fathers[j], the closing leaf last."""
     if not entries:
         return [(-2, -1)]
-    prev = entries[0]
-    edges = [(-1, prev)]
-    seen = {prev}
-    next_star = 2  # S1 encodes to -2
-    for i in range(1, len(entries)):
-        a = entries[i]
-        if a in seen:
-            edges.append((-next_star, prev))
-            next_star += 1
-        else:
-            edges.append((prev, a) if prev < a else (a, prev))
-            seen.add(a)
-        prev = a
-    edges.append((-next_star, prev))
-    return edges
+    parent, _, fathers = _walk(entries, len(entries) + 1)
+    edges = [(u, a) if u < a else (a, u)
+             for a, u in parent.items() if u is not None]
+    return edges + [(-(j + 1), f) for j, f in enumerate(fathers)]
 
 
 def _stick_break_key(entries: Sequence[int]) -> tuple:
@@ -416,8 +407,9 @@ class PTreeGrowth:
 
     Draws landing in the p_inf remainder create fresh overflow vertices,
     so they never repeat.  The instance records the raw draw sequence,
-    each repeat of which places a leaf label: len(record) - len(_seen) of
-    them in all.  tree() folds the record (_walk folds it the same way).
+    each repeat of which places a leaf label: _repeats of them in all.
+    Only the atoms drawn so far are kept besides, at most len(p) of them.
+    tree() folds the record with _walk.
     """
 
     def __init__(self, pvec: PVector, rng: np.random.Generator):
@@ -425,24 +417,23 @@ class PTreeGrowth:
         self._cum = np.cumsum(np.asarray(pvec.p, dtype=float)).tolist()
         self._names = _labels(internal, len(self._cum) + 1)
         self.record: List[Vertex] = []
-        self._seen = set()
-
-    def _draw(self) -> Vertex:
-        j = bisect.bisect_right(self._cum, self.rng.random())
-        if j >= len(self._cum):
-            return overflow(len(self.record) + 1)
-        return self._names[j + 1]
+        self._seen = set()  # atom indices drawn so far
+        self._repeats = 0
 
     def step(self):
-        b = self._draw()
-        self.record.append(b)
-        self._seen.add(b)
+        j = bisect.bisect_right(self._cum, self.rng.random())
+        if j >= len(self._cum):
+            self.record.append(overflow(len(self.record) + 1))
+        else:
+            self.record.append(self._names[j + 1])
+            self._repeats += j in self._seen
+            self._seen.add(j)
 
     def grow_until_stars(self, n_stars: int):
-        if n_stars > len(self.record) - len(self._seen) and not self._cum:
+        if n_stars > self._repeats and not self._cum:
             raise ValidationError("with p_inf = 1 no draw repeats, so no "
                                   "leaf label besides S0 is ever placed")
-        while len(self.record) - len(self._seen) < n_stars:
+        while self._repeats < n_stars:
             if len(self.record) >= _DRAW_CAP:
                 raise TooLarge(f"star quota not reached within {_DRAW_CAP} draws")
             self.step()

@@ -107,8 +107,10 @@ def test_enumerate_cap():
 
 
 def test_enumeration_matches_stick_breaking_bijection():
-    # Pruefer decoding and the branching walk hit the same tree set, once each
-    for degs in [(1, 1, 0, 0), (2, 1, 0, 0, 0), (2, 2, 0, 0, 0, 0)]:
+    # Pruefer decoding and the samplers' walk hit the same tree set, once
+    # each; the last two (120 and 360 trees) have vertices of degree 3
+    for degs in [(1, 1, 0, 0), (2, 1, 0, 0, 0), (2, 2, 0, 0, 0, 0),
+                 (3, 1, 1, 1, 0, 0, 0, 0), (2, 1, 1, 1, 1, 0, 0, 0)]:
         seq = validate(list(degs), "tree")
         enum_keys = list(enumerate_d_tree_keys(seq))
         assert len(enum_keys) == len(set(enum_keys)) == tree_count(seq)
@@ -222,18 +224,24 @@ def test_p_tree_draw_cap_is_a_cap_not_bad_input(monkeypatch):
     with pytest.raises(errors.TooLarge, match="within 50 draws"):
         growth.grow_until_stars(1)
     assert len(growth.record) == 50
+    # each draw is kept once: besides the record, only the atoms drawn
+    assert len(growth._seen) <= len(growth._cum) == 1
 
 
 def test_p_tree_star_count_is_the_number_of_repeats():
     # each repeated draw places one leaf label; the growth stops on the
-    # draw that places the last one asked for
-    growth = PTreeGrowth(PVector((0.5, 0.3, 0.2)), np.random.default_rng(8))
-    for n_stars in (0, 1, 4, 9):
-        growth.grow_until_stars(n_stars)
-        repeats = [v in growth.record[:i] for i, v in enumerate(growth.record)]
-        assert sum(repeats) == n_stars
-        assert n_stars == 0 or repeats[-1]
-    assert len(growth.tree().star_leaves()) == 10  # S0 and S1..S9
+    # draw that places the last one asked for.  Overflow draws (p_inf > 0)
+    # fall between the repeats and never count as one
+    for pvec in (PVector((0.5, 0.3, 0.2)), PVector((0.3, 0.2), p_inf=0.5)):
+        growth = PTreeGrowth(pvec, np.random.default_rng(8))
+        for n_stars in (0, 1, 4, 9):
+            growth.grow_until_stars(n_stars)
+            repeats = [v in growth.record[:i]
+                       for i, v in enumerate(growth.record)]
+            assert sum(repeats) == n_stars
+            assert n_stars == 0 or repeats[-1]
+        assert len(growth.tree().star_leaves()) == 10  # S0 and S1..S9
+    assert any(v.kind == "Vinf" for v in growth.record)
 
 
 def _prefix_law(pvec, n_steps):
