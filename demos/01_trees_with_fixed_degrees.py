@@ -14,8 +14,8 @@ from surpluslab.trees import enumerate_d_tree_keys, sample_d_tree_keys
 
 # Vertex Vi has degree d_i + 1; a tree needs sum(d) = s - 2.
 D = sl.validate([1, 2, 1, 3, 3, 0, 0, 0, 0, 0, 0, 0], "tree")
-print(f"s = {D.s},  leaves = {D.N + 2},  sigma^2 = {D.stats().sigma ** 2:.0f},"
-      f"  lambda = {D.stats().lam:.4f}")
+print(f"s = {D.s},  leaves = {D.N + 2},  sigma^2 = {D.sigma ** 2:.0f},"
+      f"  lambda = {D.lam:.4f}")
 
 # A fixed tuple gives a deterministic tree: every repeat hangs the next
 # unused leaf label off the previous tuple entry.

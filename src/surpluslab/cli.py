@@ -156,13 +156,12 @@ def cmd_sample_icrt(args):
         raise ValidationError("sample-icrt needs a theta file")
     labels = list(range(1, args.points + 1))
 
-    def draw(r, rng):
-        real = continuum.sample_icrt(theta, rng, n_points=args.points)
+    def draw(r, rng):  # the ICRT is the k = 0 ICRG
+        ws = continuum.sample_icrg_weighted(theta, 0, rng, n_points=args.points)
         if args.format == "json":
-            return [real.to_json()]
-        segments = continuum._segment_tree(real.cuts, real.anchors, args.points)
+            return [ws.realization.to_json()]
         return _matrix_csv(f"rep = {r}", labels,
-                           continuum._mark_matrix(segments, labels))
+                           continuum._mark_matrix(ws._segments, labels))
     _per_rep(args, "sample-icrt", draw, points=args.points)
     return 0
 
@@ -214,8 +213,8 @@ def cmd_experiment(args):
     if args.what == "converge":
         target_params = load_params(args.target)
         if isinstance(target_params, ThetaVector):
-            target = {"model": "icrg" if args.k else "icrt",
-                      "params": target_params, "k": args.k, "label": "target"}
+            target = {"model": "icrg", "params": target_params, "k": args.k,
+                      "label": "target"}
             scale = "lambda"
         elif isinstance(target_params, PVector):
             target = {"model": "pk-graph" if args.k else "p-tree",

@@ -21,7 +21,7 @@ from .continuum import _glued, _mark_matrix, sample_icrg_weighted
 from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
-from .params import KIND_SURPLUS, DegreeSequence
+from .params import KIND_SURPLUS, DegreeSequence, _check_real
 from .samplers import (_glue_bias, _sample_pk_glued,
                        sample_configuration_model, sample_dk_graph,
                        sample_multiplicative_graph,
@@ -45,6 +45,7 @@ class VertexMeasure:
     weights: Dict[Vertex, float]
 
     def __post_init__(self):
+        _check_real("measure", self.weights.values())
         total = sum(self.weights.values())
         if total <= 0 or any(w < 0 for w in self.weights.values()):
             raise ValidationError("measure weights must be non-negative, sum > 0")
@@ -83,7 +84,7 @@ def _scale_of(model: dict) -> float:
     if scale == "lambda":
         seq = model["params"]
         tree_seq = seq.to_tree_kind() if seq.kind == KIND_SURPLUS else seq
-        return tree_seq.stats().lam
+        return tree_seq.lam
     if scale == "sigma":
         return model["params"].sigma
     if scale == "none":
@@ -379,7 +380,7 @@ def bias_tail_experiment(tree_seq: DegreeSequence, k: int,
     """Monte Carlo E[h_m(bias / lambda^k)] with standard errors."""
     if n_reps < 1:
         raise ValidationError("n_reps must be >= 1")
-    lam = tree_seq.stats().lam
+    lam = tree_seq.lam
     values = d_tree_bias_values(tree_seq, k, n_reps, rng) / lam ** k
     rows = []
     for m in m_grid:

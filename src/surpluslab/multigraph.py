@@ -362,14 +362,13 @@ def bias_components(tree: LabeledTree, k: int):
     squares = []
     for i in range(1, k + 1):
         squares.append(glue_leaves(g, pairs[:i]).square())
-    fully = glue_leaves(g, pairs) if k else g
-    return fully.circ(), squares
+    return glue_leaves(g, pairs).circ(), squares
 
 
 def bias(tree: LabeledTree, k: int) -> Fraction:
-    """Tree weight circ(fully glued) / prod of partial-gluing squares."""
-    if k == 0:
-        return Fraction(1)
+    """Tree weight circ(fully glued) / prod of partial-gluing squares; at
+    k = 0 it is 1, since a tree's circ is 1 and so is a product of no
+    squares."""
     c, squares = bias_components(tree, k)
     return Fraction(c, math.prod(squares))
 

@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import NegativeEntry, NotSorted, SumMismatch, ValidationError
 
@@ -24,14 +24,6 @@ KIND_SURPLUS = "surplus"
 KIND_HALF_EDGE = "half-edge"
 
 NORMALIZATION_TOL = 1e-12
-
-
-class SequenceStats(NamedTuple):
-    sigma: float
-    lam: float
-    N: int
-    s_1: int
-    s_geq2: int
 
 
 @dataclass(frozen=True)
@@ -62,13 +54,13 @@ class DegreeSequence:
     def N(self) -> int:
         return self.n_zero - 2
 
-    def stats(self) -> SequenceStats:
-        sigma2 = sum(d * (d - 1) for d in self.degrees)
-        sigma = math.sqrt(sigma2)
-        lam = sigma / self.s if self.s else 0.0
-        s_1 = sum(1 for d in self.degrees if d == 1)
-        s_geq2 = sum(1 for d in self.degrees if d >= 2)
-        return SequenceStats(sigma, lam, self.N, s_1, s_geq2)
+    @property
+    def sigma(self) -> float:
+        return math.sqrt(sum(d * (d - 1) for d in self.degrees))
+
+    @property
+    def lam(self) -> float:
+        return self.sigma / self.s if self.s else 0.0
 
     def to_tree_kind(self) -> "DegreeSequence":
         """Append 2k zeros to a surplus sequence, giving a tree sequence."""
@@ -215,7 +207,7 @@ def regime_gap(dn: DegreeSequence, target) -> RegimeGap:
         ref = list(target.p)
         kind = "P"
     elif isinstance(target, ThetaVector):
-        sigma = dn.stats().sigma
+        sigma = dn.sigma
         ratios = [d / sigma if sigma > 0 else math.inf for d in dn.degrees]
         ref = list(target.theta)
         kind = "Theta"

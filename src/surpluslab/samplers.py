@@ -258,43 +258,40 @@ def _cm_surplus(seq: DegreeSequence) -> int:
     return two_k // 2
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        p = self.p
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[ra] = rb
+def _connected_law(weighted, key) -> Dict[tuple, Fraction]:
+    """The exact law of the connected graphs among (Multigraph, weight)
+    pairs: the weights summed per key(g), over their total."""
+    law = {}
+    for g, w in weighted:
+        if g.is_connected():
+            k = key(g)
+            law[k] = law.get(k, 0) + w
+    total = sum(law.values())
+    if total == 0:
+        raise ValidationError("no connected configuration exists")
+    return {k: Fraction(w) / total for k, w in law.items()}
 
 
-def _matching_counts(degrees) -> Dict[tuple, int]:
-    """Perfect matchings of the stubs, counted per sorted edge tuple.
+def _multiplicity_maps(degrees) -> List[tuple]:
+    """Every multiplicity map a perfect matching of the stubs can give,
+    once each, as a sorted edge tuple.
 
-    Each step pairs the first free stub of the lowest vertex u with one of
-    the r_v free stubs of a vertex v > u, or of the r_u - 1 others of u;
-    paths reaching the same partial edge tuple are merged on the way.
+    Each step pairs the first free stub of the lowest vertex u with a free
+    stub of a vertex v >= u; paths reaching the same partial edge tuple
+    are merged on the way.  Each layer is a dict, not a set, so the maps
+    come in first-reached order, the order of the oracle's keys.
     """
-    layer = {(tuple(degrees), ()): 1}
+    layer = {(tuple(degrees), ()): None}
     for _ in range(sum(degrees) // 2):
-        nxt: Dict[tuple, int] = {}
-        for (r, edges), count in layer.items():
+        nxt = {}
+        for r, edges in layer:
             u = next(i for i, x in enumerate(r) if x)
             for v in range(u, len(r)):
-                ways = r[v] - (v == u)
-                if ways > 0:
-                    state = (tuple(x - (i == u) - (i == v) for i, x in enumerate(r)),
-                             tuple(sorted(edges + ((u + 1, v + 1),))))
-                    nxt[state] = nxt.get(state, 0) + count * ways
+                if r[v] > (v == u):
+                    nxt[(tuple(x - (i == u) - (i == v) for i, x in enumerate(r)),
+                         tuple(sorted(edges + ((u + 1, v + 1),))))] = None
         layer = nxt
-    return {edges: count for (_, edges), count in layer.items()}
+    return [edges for _, edges in layer]
 
 
 _CM_CAP_SUM = 14
@@ -306,7 +303,9 @@ def cm_conditioned_oracle(seq: DegreeSequence, k: int) -> Dict[tuple, Fraction]:
 
     With sum(d) = 2s + 2k - 2 this is the uniform law on connected
     multigraphs with degrees d_i (surplus k), i.e. the ground truth for
-    sample_dk_graph on the shifted sequence.
+    sample_dk_graph on the shifted sequence.  A multiplicity map m comes
+    from prod d_v! / circ(m) stub matchings, so its biased weight is the
+    constant prod d_v!: each connected map weighs 1.
     """
     if seq.kind != KIND_HALF_EDGE:
         raise ValidationError("oracle needs a half-edge sequence")
@@ -315,29 +314,12 @@ def cm_conditioned_oracle(seq: DegreeSequence, k: int) -> Dict[tuple, Fraction]:
     if _cm_surplus(seq) != k:
         raise ValidationError(
             f"sum {seq.total} corresponds to surplus {_cm_surplus(seq)}, not {k}")
-    s = seq.s
-    names = [internal(v) for v in range(1, s + 1)]
-    weights: Dict[tuple, int] = {}
-    total = 0
-    for edges, count in _matching_counts(seq.degrees).items():
-        uf = _UnionFind(s + 1)
-        for u, v in edges:
-            uf.union(u, v)
-        root = uf.find(1)
-        if any(uf.find(v) != root for v in range(2, s + 1)):
-            continue
-        mult = Counter(edges)
-        w = count
-        for (u, v), m in mult.items():
-            w *= (2 ** m if u == v else 1) * math.factorial(m)
-        key = Multigraph([(names[u - 1], names[v - 1], m)
-                          for (u, v), m in mult.items()],
-                         vertices=names).leaf_canonical_key()
-        weights[key] = weights.get(key, 0) + w
-        total += w
-    if total == 0:
-        raise ValidationError("no connected configuration exists")
-    return {key: Fraction(w, total) for key, w in weights.items()}
+    names = _labels(internal, seq.s + 1)
+    return _connected_law(
+        ((Multigraph([(names[u], names[v]) for u, v in edges],
+                     vertices=names[1:]), 1)
+         for edges in _multiplicity_maps(seq.degrees)),
+        Multigraph.leaf_canonical_key)
 
 
 # ---------------------------------------------------------------------------
@@ -399,27 +381,19 @@ def pk_law_oracle(pvec: PVector, k: int, cap: int = 200000) -> Dict[tuple, Fract
         raise ValidationError("oracle covers surplus k >= 1")
     s = pvec.s
     n_edges = s + k - 1
-    slots = [(i, j) for i in range(1, s + 1) for j in range(i, s + 1)]
+    names = _labels(internal, s + 1)[1:]
+    slots = [(u, v) for i, u in enumerate(names) for v in names[i:]]
     n_outcomes = math.comb(n_edges + len(slots) - 1, len(slots) - 1)
     if n_outcomes > cap:
         raise TooLarge(f"{n_outcomes} multiplicity patterns exceeds cap {cap}")
     p = [as_fraction(x) for x in pvec.p]
-    law: Dict[tuple, Fraction] = {}
-    total = Fraction(0)
-    for pairs in itertools.combinations_with_replacement(slots, n_edges):
-        edges = [(internal(i), internal(j), m)
-                 for (i, j), m in Counter(pairs).items()]
-        # every V_v is listed, so one of degree 0 leaves g disconnected
-        g = Multigraph(edges, vertices=[internal(v) for v in range(1, s + 1)])
-        if not g.is_connected():
-            continue
-        w = Fraction(1)
-        for v in range(1, s + 1):
-            w *= p[v - 1] ** g.degree(internal(v))
-        key = g.key()
-        law[key] = law.get(key, Fraction(0)) + w
-        total += w
-    return {key: w / total for key, w in law.items()}
+    # every V_v is listed, so one of degree 0 leaves a graph disconnected
+    graphs = (Multigraph([(u, v, m) for (u, v), m in Counter(pairs).items()],
+                         vertices=names)
+              for pairs in itertools.combinations_with_replacement(slots, n_edges))
+    return _connected_law(
+        ((g, math.prod(x ** g.degree(v) for x, v in zip(p, names)))
+         for g in graphs), Multigraph.key)
 
 
 def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,

@@ -353,7 +353,7 @@ def test_criterion_11_bias_tail_decay():
     sup_exact = [0.0] * len(grid)
     for i, (n, reps) in enumerate([(32, 20000), (128, 20000), (512, 100000)]):
         seq = validate([2] * n + [0] * (n + 2), "tree")
-        lam = seq.stats().lam
+        lam = seq.lam
         m_grid = grid + [2 / lam * (1 + 1e-9)]
         rows = bias_tail_experiment(seq, 1, m_grid, reps, rng_stream(111, i))
         for j, (m, row) in enumerate(zip(m_grid, rows)):

@@ -49,6 +49,19 @@ def test_vertex_measure_sampling():
     assert abs(frac - 0.75) < 3 * math.sqrt(0.75 * 0.25 / 10 ** 4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_vertex_measure_rejects_non_finite_weights(bad):
+    # a NaN or inf weight would normalise every weight to NaN, and sample
+    # would then return the first vertex every time
+    with pytest.raises(ValidationError, match="finite"):
+        VertexMeasure({V(1): bad, V(2): 1.0})
+
+
+def test_vertex_measure_normalises_finite_weights():
+    m = VertexMeasure({V(1): 1, V(2): Fraction(1, 2), V(3): np.float64(2.5)})
+    assert m.weights == {V(1): 0.25, V(2): 0.125, V(3): 0.625}
+
+
 def test_gp_matrix_single_point_is_zero():
     model = {"model": "d-tree", "params": validate([1, 1, 0, 0], "tree")}
     mats, w = gp_matrix_sample(model, 1, 5, rng_stream(1, 0))
@@ -78,7 +91,7 @@ def test_gp_matrix_double_edge_instance():
 
 def test_gp_matrix_lambda_rescaling_exact():
     seq = validate([2, 2, 1, 0, 0, 0, 0], "tree")
-    lam = seq.stats().lam
+    lam = seq.lam
     raw, _ = gp_matrix_sample({"model": "d-tree", "params": seq}, 3, 10,
                               rng_stream(4, 0))
     scaled, _ = gp_matrix_sample({"model": "d-tree", "params": seq,

@@ -71,16 +71,16 @@ def test_validate_half_edge_parity():
 
 
 def test_stats_twelve_vertex_example():
-    st = validate(EX12, "tree").stats()
+    st = validate(EX12, "tree")
     assert st.sigma ** 2 == pytest.approx(14)
     assert st.lam == pytest.approx(math.sqrt(14) / 12)
     assert st.N == 5
 
 
 def test_stats_degenerate_and_small():
-    st = validate([1, 1, 0, 0], "tree").stats()
+    st = validate([1, 1, 0, 0], "tree")
     assert st.sigma == 0 and st.lam == 0
-    st = validate([2, 2, 0, 0, 0, 0], "tree").stats()
+    st = validate([2, 2, 0, 0, 0, 0], "tree")
     assert st.sigma ** 2 == pytest.approx(4)
     assert st.lam == pytest.approx(1 / 3)
 
@@ -88,7 +88,7 @@ def test_stats_degenerate_and_small():
 def test_sigma_zero_whenever_degrees_at_most_one():
     for ones in range(6):
         seq = validate([1] * ones + [0] * 2, "tree")
-        assert seq.stats().sigma == 0
+        assert seq.sigma == 0
 
 
 def test_serialize_validate_idempotent(tmp_path):

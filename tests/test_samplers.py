@@ -217,6 +217,32 @@ def _brute_cm_law(seq):
     return {key: Fraction(w, total) for key, w in weights.items()}
 
 
+def _partitions(n, most):
+    """Non-increasing positive sequences with sum n and parts <= most."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("total", [0, 2, 4, 6, 8, 10])
+def test_each_multiplicity_map_has_prod_factorials_over_circ_matchings(total):
+    # why cm_conditioned_oracle gives every connected map weight 1: the
+    # symmetry factor circ(m) times the count(m) of stub matchings giving
+    # the map m is prod d_v!, whatever m is
+    for degrees in _partitions(total, total):
+        stubs = [i + 1 for i, d in enumerate(degrees) for _ in range(d)]
+        counts = Counter(tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
+                         for pairs in _matchings(stubs))
+        for edges, count in counts.items():
+            circ = Multigraph([(V(u), V(v)) for u, v in edges]).circ()
+            assert count * circ == math.prod(map(math.factorial, degrees))
+        maps = samplers._multiplicity_maps(degrees)
+        assert len(maps) == len(set(maps)) and set(maps) == set(counts)
+
+
 def test_cm_oracle_examples():
     law = cm_conditioned_oracle(validate([1, 1], "half-edge"), 0)
     assert list(law.values()) == [Fraction(1)]
