@@ -118,9 +118,10 @@ def _pk_graph(record, k: int, leaves: bool = True) -> Multigraph:
     """A draw record's P-tree with (S1,S2)..(S2k-1,S2k) glued; a P-tree
     has no closing leaf, so the walk's last father is dropped."""
     parent, depth, fathers = _walk(record, len(record) + 1)
-    kept = [(j, f) for j, f in enumerate(fathers[:-1]) if not 0 < j <= 2 * k]
-    return _glued_graph(parent, depth, fathers[1:2 * k + 1],
-                        kept if leaves else [], dict(zip(parent, parent)))
+    kept = ([(j, f) for j, f in enumerate(fathers[:-1]) if not 0 < j <= 2 * k]
+            if leaves else [])
+    return _glued_graph(parent, depth, fathers[1:2 * k + 1], kept,
+                        dict(zip(parent, parent)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +145,20 @@ def build_dk_table(seq: DegreeSequence) -> DkTable:
     """Every tuple's bias summed per glued graph, for a surplus sequence;
     _dk_path calls it once per sequence of at most _TABLE_CAP tuples."""
     k, tree_seq = seq.k, seq.to_tree_kind()
-    law: Dict[tuple, list] = {}  # Multigraph.key() -> [graph, summed bias]
+    law: Dict[tuple, list] = {}  # the graph's edges in ints -> [graph, summed bias]
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
         parent, depth, fathers = _walk(arrangement, len(arrangement) + 1)
         circ, squares, _ = _bias_core(parent, depth, fathers[:2 * k])
-        glued = _glued_graph(parent, depth, *_designated(fathers, k))
-        entry = law.setdefault(glued.key(), [glued, 0])
-        entry[1] += Fraction(circ, math.prod(squares))
+        glued, kept = _designated(fathers, k)
+        # Multigraph.key() in ints (every tuple has the same vertices): a
+        # glued edge can double a tree edge, so both go into one sorted list
+        pairs = [(p, a) for a, p in parent.items() if p is not None]
+        pairs += zip(glued[::2], glued[1::2])
+        key = (tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs)),
+               tuple(sorted(kept)))
+        if key not in law:
+            law[key] = [_glued_graph(parent, depth, glued, kept), 0]
+        law[key][1] += Fraction(circ, math.prod(squares))
     graphs = [g for g, _ in law.values()]
     weights = [w for _, w in law.values()]
     total = sum(weights)
@@ -407,8 +415,7 @@ def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
         growth = PTreeGrowth(pvec, rng)
         growth.grow_until_stars(2 * k)
         if _accepts(rng, bound, *_glue_bias(growth.record, k, first=1)):
-            while len(growth.record) < n_steps:
-                growth.step()
+            growth.grow_to(n_steps)
             growth.grow_until_stars(min_stars)
             if not growth.record:
                 raise ValidationError("a (P,0) prefix needs n_steps >= 1")

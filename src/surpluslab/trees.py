@@ -398,8 +398,11 @@ def enumerate_d_trees(seq: DegreeSequence, cap: int = 250000) -> Iterator[Labele
 # trees grown from a probability vector
 
 
-# grow_until_stars gives up once the record holds this many draws
+# grow_until_stars gives up once the record holds this many draws, and
+# grow_to refuses to aim past it
 _DRAW_CAP = 10 ** 7
+# doubles per rng.random call in grow_to
+_DRAW_BLOCK = 1024
 
 
 class PTreeGrowth:
@@ -429,6 +432,25 @@ class PTreeGrowth:
             self._repeats += j in self._seen
             self._seen.add(j)
 
+    def grow_to(self, n_steps: int):
+        """step() until the record holds n_steps draws, drawn in blocks: a
+        Generator's rng.random(b) gives the same doubles and leaves the
+        same state as b scalar calls, and searchsorted(side="right") the
+        same index as bisect_right, so the record is the same."""
+        if n_steps > _DRAW_CAP:
+            raise TooLarge(f"{n_steps} draws exceeds the draw cap {_DRAW_CAP}")
+        atoms = len(self._cum)
+        while len(self.record) < n_steps:
+            start = len(self.record)
+            u = self.rng.random(min(_DRAW_BLOCK, n_steps - start))
+            js = np.searchsorted(self._cum, u, side="right").tolist()
+            self.record += [self._names[j + 1] if j < atoms else overflow(i)
+                            for i, j in enumerate(js, start + 1)]
+            hits = [j for j in js if j < atoms]
+            new = set(hits) - self._seen
+            self._repeats += len(hits) - len(new)
+            self._seen |= new
+
     def grow_until_stars(self, n_stars: int):
         if n_stars > self._repeats and not self._cum:
             raise ValidationError("with p_inf = 1 no draw repeats, so no "
@@ -450,6 +472,5 @@ def sample_p_tree_prefix(pvec: PVector, n_steps: int, rng: np.random.Generator):
     if n_steps < 1:
         raise ValidationError("n_steps must be >= 1")
     growth = PTreeGrowth(pvec, rng)
-    for _ in range(n_steps):
-        growth.step()
+    growth.grow_to(n_steps)
     return growth.tree(), tuple(growth.record)

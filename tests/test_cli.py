@@ -211,6 +211,25 @@ def test_draw_cap_exit_code(tmp_path, param_files, monkeypatch, capsys):
     assert "star quota not reached within 1000 draws" in capsys.readouterr().err
 
 
+def test_sample_tree_steps_past_draw_cap_exit_code(param_files, monkeypatch,
+                                                  capsys):
+    # --steps above the P-tree draw cap is refused before any draw: exit 3
+    from surpluslab import cli
+    real, streams = cli.rng_stream, []
+
+    def stream(seed, stream_id):
+        rng = real(seed, stream_id)
+        streams.append((rng, rng.bit_generator.state))
+        return rng
+    monkeypatch.setattr(cli, "rng_stream", stream)
+    capsys.readouterr()
+    assert run(["sample-tree", "--params", str(param_files["p"]),
+                "--steps", "10000001"]) == 3
+    assert "exceeds the draw cap" in capsys.readouterr().err
+    assert streams and all(rng.bit_generator.state == state
+                           for rng, state in streams)
+
+
 def test_oracle_cm_law_output_pinned(tmp_path, capsys):
     # sha256 of the stdout of `oracle cm-law` on [3,3,2,2,2,2], k = 2,
     # taken while the oracle still listed all 135,135 matchings one by one

@@ -859,6 +859,8 @@ def test_seeded_outputs_pinned():
             "206c2c816fd8f33fd6e2fbd91dccf8d583ed2de329088c5ccc5b468c11ea3b49",
         "gp_p_tree":
             "64b0f535bdbcc997f668c97211d34b30dbb6b3eff9b098b16af02451a2975f8d",
+        "gp_pk_graph":
+            "64b79a1e1852f4b785d0e4418c18410e6d2c6b20cabfc1e04c46dc8347f388a0",
     }
     got = {}
     ladder = validate([2] * 64 + [0] * 66, "tree")
@@ -890,5 +892,12 @@ def test_seeded_outputs_pinned():
                                 "params": PVector((0.5, 0.25, 0.125), 0.125)},
                                5, 50, np.random.default_rng(40))
     got["gp_p_tree"] = _digest(mats.tobytes() + w.tobytes())
+    # the leaves-kept (P,k) path, where min_stars follows the fixed-length
+    # tail; recorded while that tail was still drawn one step at a time
+    mats, w = gp_matrix_sample({"model": "pk-graph", "k": 1, "n_steps": 40,
+                                "scale": "sigma",
+                                "params": PVector((0.5, 0.25, 0.125), 0.125)},
+                               5, 50, np.random.default_rng(41))
+    got["gp_pk_graph"] = _digest(mats.tobytes() + w.tobytes())
     assert got == pins
     assert VERSION == "0.3.0"

@@ -244,6 +244,54 @@ def test_p_tree_star_count_is_the_number_of_repeats():
     assert any(v.kind == "Vinf" for v in growth.record)
 
 
+def _stepped(pvec, seed, start, n):
+    """A growth after max(start, n) draws, each made by step()."""
+    growth = PTreeGrowth(pvec, np.random.default_rng(seed))
+    for _ in range(max(start, n)):
+        growth.step()
+    return growth
+
+
+def test_grow_to_is_step_repeated():
+    # grow_to draws its blocks with rng.random(b): a Generator gives the
+    # same doubles and leaves the same state as b scalar calls, so the
+    # record, the atoms seen, the repeat count and the next draw all match
+    from surpluslab.trees import _DRAW_BLOCK
+    cases = [(0, 64), (0, 1), (5, 64), (17, 2 * _DRAW_BLOCK + 3),
+             (_DRAW_BLOCK - 2, _DRAW_BLOCK + 2), (64, 64), (64, 10), (3, 0)]
+    for pvec in (PVector((2 / 3, 1 / 3)), PVector((0.5, 0.3), p_inf=0.2),
+                 PVector((), p_inf=1.0), PVector((0.5, 0.25, 0.125), 0.125)):
+        for seed, (start, n) in enumerate(cases):
+            want = _stepped(pvec, seed, start, n)
+            got = _stepped(pvec, seed, start, start)
+            got.grow_to(n)
+            assert got.record == want.record
+            assert got._seen == want._seen
+            assert got._repeats == want._repeats
+            assert got.rng.random() == want.rng.random()
+    # n <= len(record) draws nothing
+    growth = _stepped(PVector((0.5, 0.5)), 9, 12, 12)
+    state = growth.rng.bit_generator.state
+    growth.grow_to(12)
+    growth.grow_to(3)
+    assert len(growth.record) == 12
+    assert growth.rng.bit_generator.state == state
+
+
+def test_grow_to_refuses_past_the_draw_cap_before_drawing():
+    from surpluslab.trees import _DRAW_CAP
+    rng = np.random.default_rng(10)
+    state = rng.bit_generator.state
+    growth = PTreeGrowth(PVector((0.5, 0.5)), rng)
+    with pytest.raises(errors.TooLarge, match="draw cap"):
+        growth.grow_to(_DRAW_CAP + 1)
+    assert growth.record == []
+    assert rng.bit_generator.state == state
+    with pytest.raises(errors.TooLarge):
+        sample_p_tree_prefix(PVector((0.5, 0.5)), _DRAW_CAP + 1, rng)
+    assert rng.bit_generator.state == state
+
+
 def _prefix_law(pvec, n_steps):
     """Exact law of the n-step tree by exhaustive tuple enumeration."""
     law = Counter()
