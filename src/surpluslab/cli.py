@@ -248,8 +248,7 @@ def cmd_experiment(args):
     seq = load_params(args.params)  # bias-tail
     if not isinstance(seq, DegreeSequence):
         raise ValidationError("bias-tail needs a degree sequence")
-    if seq.kind == KIND_SURPLUS:
-        seq = seq.to_tree_kind()
+    seq = seq.to_tree_kind()
     m_grid = [float(x) for x in args.m_grid.split(",")]
     rows = experiments.bias_tail_experiment(seq, args.k, m_grid, args.reps, rng)
     meta = {"experiment": "bias-tail", "seed": args.seed, "k": args.k}

@@ -65,9 +65,6 @@ class MetricTree:
     def nodes(self):
         return self._adj.keys()
 
-    def neighbors(self, node):
-        return self._adj[node]
-
     def degree(self, node) -> int:
         return len(self._adj[node])
 

@@ -1,5 +1,5 @@
-"""Reproducible experiment harness: distance-matrix sampling for any model
-family, two-sample discrepancy statistics (energy distance, per-entry KS,
+"""Reproducible experiment harness: distance-matrix sampling for the six
+model families, two-sample discrepancy statistics (energy distance, KS,
 permutation test), the bias-tail estimator, and run manifests.
 
 All randomness flows from one 64-bit seed through numbered SeedSequence
@@ -21,11 +21,8 @@ from .continuum import _glued, _mark_matrix, sample_icrg_weighted
 from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
-from .params import KIND_SURPLUS, DegreeSequence, _check_real
-from .samplers import (_glue_bias, _sample_pk_glued,
-                       sample_configuration_model, sample_dk_graph,
-                       sample_multiplicative_graph,
-                       sample_multiplicative_multigraph)
+from .params import DegreeSequence, _check_real
+from .samplers import _glue_bias, _sample_pk_glued, sample_dk_graph
 from .trees import PTreeGrowth, _climb_matrix, _decoded, _walk, _walk_base
 
 VERSION = "0.3.0"
@@ -50,11 +47,6 @@ class VertexMeasure:
         if total <= 0 or any(w < 0 for w in self.weights.values()):
             raise ValidationError("measure weights must be non-negative, sum > 0")
         self.weights = {v: w / total for v, w in self.weights.items()}
-
-    @staticmethod
-    def uniform(vertices) -> "VertexMeasure":
-        vs = list(vertices)
-        return VertexMeasure({v: 1.0 for v in vs})
 
     def sample(self, rng: np.random.Generator, n: int) -> list:
         items = sorted(self.weights.items())
@@ -82,14 +74,12 @@ def multigraph_distance_matrix(g: Multigraph, points: Sequence[Vertex]) -> np.nd
 def _scale_of(model: dict) -> float:
     scale = model.get("scale", "none")
     if scale == "lambda":
-        seq = model["params"]
-        tree_seq = seq.to_tree_kind() if seq.kind == KIND_SURPLUS else seq
-        return tree_seq.lam
+        return model["params"].to_tree_kind().lam
     if scale == "sigma":
         return model["params"].sigma
     if scale == "none":
         return 1.0
-    return float(scale)
+    raise ValidationError(f"unknown scale {scale!r}")
 
 
 def _walk_matrix(parent, depth, leaves: dict, points: Sequence[Vertex],
@@ -138,7 +128,8 @@ def _graph_matrix(g: Multigraph, points: Sequence[Vertex]) -> np.ndarray:
     return _walk_matrix(parent, depth, dict(kept), points, glued)
 
 
-_MEASURE_MODELS = ("d-tree", "dk-graph", "cm", "mult", "mult-multi")
+_MODELS = ("d-tree", "dk-graph", "p-tree", "pk-graph", "icrt", "icrg")
+_MEASURE_MODELS = ("d-tree", "dk-graph")
 
 
 def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
@@ -172,21 +163,11 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
                              min_stars=2 * k + n_points)
         points = [star(2 * k + j) for j in range(1, n_points + 1)]
         return _graph_matrix(g, points), 1.0
-    if name in ("icrt", "icrg"):
-        ws = sample_icrg_weighted(params, k, rng, n_points=2 * k + n_points)
-        labels = range(2 * k + 1, 2 * k + n_points + 1)
-        mat = _mark_matrix(ws._segments, labels, k)
-        return np.array(mat, dtype=float), ws.weight
-    if name in ("cm", "mult", "mult-multi"):
-        if name == "cm":
-            g = sample_configuration_model(params, rng)
-        else:
-            lam, weights = params
-            g = (sample_multiplicative_graph if name == "mult"
-                 else sample_multiplicative_multigraph)(lam, weights, rng)
-        mea = measure or VertexMeasure.uniform(g.vertices)
-        return multigraph_distance_matrix(g, mea.sample(rng, n_points)), 1.0
-    raise ValidationError(f"unknown model {name!r}")
+    # icrt or icrg
+    ws = sample_icrg_weighted(params, k, rng, n_points=2 * k + n_points)
+    labels = range(2 * k + 1, 2 * k + n_points + 1)
+    mat = _mark_matrix(ws._segments, labels, k)
+    return np.array(mat, dtype=float), ws.weight
 
 
 def gp_matrix_sample(model: dict, n_points: int, n_reps: int,
@@ -196,10 +177,13 @@ def gp_matrix_sample(model: dict, n_points: int, n_reps: int,
 
     The scale multiplies every entry: model["scale"] is "lambda" for
     degree-sequence models converging to a theta target, "sigma" for
-    probability-vector models, "none" (default), or an explicit float.
-    A measure is only taken by the models in _MEASURE_MODELS.
+    probability-vector models, or "none" (default).  An unknown model or
+    scale raises ValidationError before any draw.  A measure is only
+    taken by the models in _MEASURE_MODELS.
     """
     name = model["model"]
+    if name not in _MODELS:
+        raise ValidationError(f"unknown model {name!r}")
     if measure is not None and name not in _MEASURE_MODELS:
         raise ValidationError(f"model {name!r} takes no vertex measure")
     if n_points < 1 or n_reps < 0:

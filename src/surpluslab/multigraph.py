@@ -341,11 +341,8 @@ def cb_probability(g: Multigraph, tree: LabeledTree) -> Fraction:
             return Fraction(0)
         denom *= current.square()
         current = current.remove_copy(u, v)
-    rest = []
-    for (u, v), m in current.edge_items():
-        if m != 1 or u == v:
-            return Fraction(0)
-        rest.append((u, v))
+    # k removable copies gone leave a connected surplus-0 graph: a tree
+    rest = [p for p, _ in current.edge_items()]
     star_edges = [(tree.father(s), s) for s in new_stars]
     if LabeledTree(rest + star_edges) != tree:
         return Fraction(0)

@@ -67,7 +67,8 @@ class DegreeSequence:
         if self.kind == KIND_TREE:
             return self
         if self.kind != KIND_SURPLUS:
-            raise ValidationError("only surplus sequences convert to tree kind")
+            raise ValidationError(
+                f"only surplus sequences convert to tree kind, not {self.kind}")
         return validate(list(self.degrees) + [0] * (2 * self.k), KIND_TREE)
 
     def shifted_down(self, k: int) -> "DegreeSequence":
@@ -224,6 +225,4 @@ def as_fraction(x) -> Fraction:
     """Exact Fraction view of a parameter that is already rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     return Fraction(x).limit_denominator(10 ** 12)

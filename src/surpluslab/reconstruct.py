@@ -117,9 +117,8 @@ def _locate(adj, marks, b, c, target, steiner_count):
         if abs(cum + step - target) <= DEFAULT_TOL:
             return v, steiner_count
         if cum + step > target:
+            # off > 0: cum starts at 0 < target and grows only below it
             off = target - cum
-            if off <= 0:
-                return u, steiner_count
             w = ("w", steiner_count)
             del adj[u][v]
             del adj[v][u]

@@ -56,9 +56,6 @@ class LabeledTree:
     def degree(self, v: Vertex) -> int:
         return len(self._adj[v])
 
-    def leaves(self):
-        return [v for v, ns in self._adj.items() if len(ns) == 1]
-
     def star_leaves(self):
         return sorted(v for v in self._adj if is_star(v))
 
@@ -405,6 +402,13 @@ _DRAW_CAP = 10 ** 7
 _DRAW_BLOCK = 1024
 
 
+@lru_cache(maxsize=32)
+def _atom_table(pvec: PVector):
+    """(cumulative atom masses, labels V0..Vs) of a P; shared, so only read."""
+    cum = tuple(np.cumsum(np.asarray(pvec.p, dtype=float)).tolist())
+    return cum, _labels(internal, len(cum) + 1)
+
+
 class PTreeGrowth:
     """Incremental branching walk driven by i.i.d. draws from a PVector.
 
@@ -417,8 +421,7 @@ class PTreeGrowth:
 
     def __init__(self, pvec: PVector, rng: np.random.Generator):
         self.rng = rng
-        self._cum = np.cumsum(np.asarray(pvec.p, dtype=float)).tolist()
-        self._names = _labels(internal, len(self._cum) + 1)
+        self._cum, self._names = _atom_table(pvec)
         self.record: List[Vertex] = []
         self._seen = set()  # atom indices drawn so far
         self._repeats = 0

@@ -399,6 +399,47 @@ def test_malformed_params_is_validation_failure(tmp_path, params, command,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (["sample-tree", "--params", "theta"],
+     "sample-tree takes a degree sequence or p vector"),
+    (["sample-cm", "--params", "tree"],
+     "sample-cm needs a half-edge degree sequence"),
+    (["sample-mult", "--params", "tree"],
+     "sample-mult needs a lambda/weights file"),
+    (["sample-icrt", "--params", "p"], "sample-icrt needs a theta file"),
+    (["sample-icrg", "--params", "p"], "sample-icrg needs a theta file"),
+    (["experiment", "converge", "--family", "tree", "--target", "tree"],
+     "target must be a p or theta file"),
+    (["experiment", "converge", "--family", "p", "--target", "theta"],
+     "family members must be degree sequences"),
+    (["experiment", "converge", "--family", "tree", "--target", "theta",
+      "--k", "1"], "k > 0 needs surplus-kind family members"),
+    (["sample-tree", "--params", "unknown"], "unrecognized parameter file"),
+    (["sample-tree", "--params", "missing"], "No such file or directory"),
+    (["sample-tree", "--params", "broken"], "Expecting"),
+    (["experiment", "bias-tail", "--params", "half", "--k", "1"],
+     "only surplus sequences convert to tree kind, not half-edge")],
+    ids=["tree-theta", "cm-tree", "mult-tree", "icrt-p", "icrg-p",
+         "converge-target", "converge-family", "converge-k", "unknown",
+         "missing", "broken", "bias-tail-half-edge"])
+def test_parameter_file_check_names_cause(tmp_path, param_files, argv, cause,
+                                          capsys):
+    # a file of the wrong family, an object of no family, a missing file
+    # and malformed JSON each exit 2 with the cause on stderr; a half-edge
+    # sequence for bias-tail names its kind, not a leaf count
+    (tmp_path / "unknown.json").write_text(json.dumps({"alpha": 1}))
+    (tmp_path / "broken.json").write_text("{\"p\": [0.5,")
+    files = dict(param_files, unknown=tmp_path / "unknown.json",
+                 missing=tmp_path / "missing.json",
+                 broken=tmp_path / "broken.json")
+    out = tmp_path / "out"
+    argv = [str(files[a]) if a in files else a for a in argv]
+    capsys.readouterr()
+    assert run(["--out", str(out)] + argv) == 2
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integral_k_reads_as_int(tmp_path, param_files, capsys):
     # k = 1.0 is the integer 1, as a degree 1.0 is the degree 1; the
     # table cache is emptied so the float-k sequence builds its own

@@ -484,10 +484,7 @@ def test_empty_and_one_mark_matrices_keep_their_shapes():
     {"model": "pk-graph", "params": PVector((0.5, 0.5)), "k": 1},
     {"model": "icrt", "params": BROWNIAN},
     {"model": "icrg", "params": BROWNIAN},
-    {"model": "icrg", "params": BROWNIAN, "k": 1},
-    {"model": "cm", "params": validate([3, 2, 2, 1], "half-edge")},
-    {"model": "mult", "params": (1.0, [1.0, 0.5])},
-    {"model": "mult-multi", "params": (1.0, [1.0, 0.5])}],
+    {"model": "icrg", "params": BROWNIAN, "k": 1}],
     ids=lambda m: f"{m['model']}-k{m.get('k', 0)}")
 def test_gp_matrix_sample_rejects_bad_counts_before_any_draw(model):
     # n_points = 0 gave an IndexError, "need at least one cut" or empty
@@ -500,6 +497,31 @@ def test_gp_matrix_sample_rejects_bad_counts_before_any_draw(model):
     assert rng.bit_generator.state == state
     mats, weights = gp_matrix_sample(model, 2, 0, rng)
     assert mats.shape == (0, 2, 2) and weights.shape == (0,)
+    assert rng.bit_generator.state == state
+
+
+_TREE = validate([2, 1, 0, 0, 0], "tree")
+
+
+@pytest.mark.parametrize("model", [
+    {"model": "cm", "params": validate([3, 2, 2, 1], "half-edge")},
+    {"model": "mult", "params": (1.0, [1.0, 0.5])},
+    {"model": "mult-multi", "params": (1.0, [1.0, 0.5])},
+    {"model": "nonsense", "params": _TREE},
+    {"model": "d-tree", "params": _TREE, "scale": "lamda"},
+    {"model": "d-tree", "params": _TREE, "scale": 2.0}],
+    ids=["cm", "mult", "mult-multi", "nonsense", "scale-lamda", "scale-2.0"])
+def test_gp_matrix_sample_rejects_unknown_model_or_scale_before_any_draw(model):
+    # the model name was checked only when drawing, so n_reps = 0 gave
+    # empty arrays, and a misspelt scale escaped float() as a ValueError
+    rng = rng_stream(10, 5)
+    state = rng.bit_generator.state
+    for n_points, n_reps in ((0, 3), (-1, 3), (2, -1)):
+        with pytest.raises(ValidationError):
+            gp_matrix_sample(model, n_points, n_reps, rng)
+    for n_reps in (0, 3):
+        with pytest.raises(ValidationError, match="unknown (model|scale)"):
+            gp_matrix_sample(model, 2, n_reps, rng)
     assert rng.bit_generator.state == state
 
 

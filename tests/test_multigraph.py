@@ -12,7 +12,8 @@ from surpluslab.multigraph import (Multigraph, bias, bias_bound,
                                    cycle_break, glue_leaves, glue_tree_leaves)
 from surpluslab.params import validate
 from surpluslab.samplers import dk_table
-from surpluslab.trees import LabeledTree, sample_d_tree, stick_break_tree
+from surpluslab.trees import (LabeledTree, enumerate_d_trees, sample_d_tree,
+                              stick_break_tree)
 
 EX12 = validate([1, 2, 1, 3, 3, 0, 0, 0, 0, 0, 0, 0], "tree")
 EX12_TUPLE = (V(4), V(5), V(2), V(5), V(3), V(4), V(5), V(4), V(1), V(2))
@@ -171,8 +172,23 @@ def test_cb_probability_shape_mismatch():
         cb_probability(g, LabeledTree([(V(1), S(1)), (S(1), S(2))]))
 
 
+def _trees_of_shape(g, k):
+    """Every tree on g's vertices V1..Vn with g's degrees, plus leaves
+    S1..S2k: the Pruefer enumeration with S_j renamed S_{j+1}."""
+    degrees = [g.degree(V(i)) - 1 for i in range(1, len(g.vertices) + 1)]
+    shift = {S(j): S(j + 1) for j in range(2 * k)}
+    return [t.relabel(shift)
+            for t in enumerate_d_trees(validate(degrees + [0] * (2 * k), "tree"))]
+
+
+SQUARE = [(V(1), V(2)), (V(2), V(3)), (V(3), V(4)), (V(4), V(1))]
+
+
 def test_cb_probability_total_mass_one():
-    # every reachable tree, found by exhausting oriented removal sequences
+    # every reachable tree, found by exhausting oriented removal sequences;
+    # where the trees of the shape are enumerated, each other one gets
+    # exactly 0, whether it names a pair that is not removable or has the
+    # right removals but is another tree
     def outcomes(g, k):
         if k == 0:
             return {tuple()}
@@ -184,8 +200,11 @@ def test_cb_probability_total_mass_one():
                     out.add((e,) + rest)
         return out
 
-    for g in [example_graph(), Multigraph([(V(1), V(2), 2), (V(2), V(3)),
-                                        (V(3), V(1))])]:
+    for g, n_shaped, n_reachable in [
+            (example_graph(), None, None),
+            (Multigraph([(V(1), V(2), 2), (V(2), V(3)), (V(3), V(1))]), None, None),
+            (Multigraph(SQUARE), 24, 8),                  # k = 1
+            (Multigraph(SQUARE + [(V(1), V(3))]), 180, 64)]:  # k = 2
         k = g.surplus()
         trees = set()
         for seq in outcomes(g, k):
@@ -199,6 +218,11 @@ def test_cb_probability_total_mass_one():
             trees.add(LabeledTree(edges + star_edges))
         total = sum(cb_probability(g, t) for t in trees)
         assert total == 1
+        if n_shaped is not None:
+            shaped = _trees_of_shape(g, k)
+            assert len(shaped) == len(set(shaped)) == n_shaped
+            assert len(trees) == n_reachable
+            assert {t for t in shaped if cb_probability(g, t) > 0} == trees
 
 
 def test_cb_probability_monte_carlo():
