@@ -228,8 +228,10 @@ def cmd_experiment(args):
             seq = load_params(path)
             if not isinstance(seq, DegreeSequence):
                 raise ValidationError("family members must be degree sequences")
-            if args.k and seq.kind != KIND_SURPLUS:
-                raise ValidationError("k > 0 needs surplus-kind family members")
+            kind = KIND_SURPLUS if args.k else KIND_TREE
+            if seq.kind != kind:
+                raise ValidationError(f"k {'> 0' if args.k else '= 0'} needs "
+                                      f"{kind}-kind family members")
             family.append({"model": "dk-graph" if args.k else "d-tree",
                            "params": seq, "k": args.k, "scale": scale,
                            "label": Path(path).name})
@@ -311,6 +313,8 @@ def _check_usage(parser, args):
         parser.error(f"--points must be >= {_MIN_POINTS[task]}, got {args.points}")
     if args.command in ("experiment", "sample-icrg") and args.k < 0:
         parser.error(f"--k must be >= 0, got {args.k}")
+    if getattr(args, "steps", 0) < 0:
+        parser.error(f"--steps must be >= 0, got {args.steps}")
     if task == "bias-tail":
         try:
             [float(x) for x in args.m_grid.split(",")]

@@ -21,7 +21,7 @@ from .continuum import _glued, _mark_matrix, sample_icrg_weighted
 from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
-from .params import DegreeSequence, _check_real
+from .params import DegreeSequence, PVector, ThetaVector, _check_real
 from .samplers import _glue_bias, _sample_pk_glued, sample_dk_graph
 from .trees import PTreeGrowth, _climb_matrix, _decoded, _walk, _walk_base
 
@@ -71,17 +71,6 @@ def multigraph_distance_matrix(g: Multigraph, points: Sequence[Vertex]) -> np.nd
 # model runners: one rescaled distance matrix per repetition
 
 
-def _scale_of(model: dict) -> float:
-    scale = model.get("scale", "none")
-    if scale == "lambda":
-        return model["params"].to_tree_kind().lam
-    if scale == "sigma":
-        return model["params"].sigma
-    if scale == "none":
-        return 1.0
-    raise ValidationError(f"unknown scale {scale!r}")
-
-
 def _walk_matrix(parent, depth, leaves: dict, points: Sequence[Vertex],
                  glued=()) -> np.ndarray:
     """Edge counts between points of a walk's tree with one length-1
@@ -128,8 +117,41 @@ def _graph_matrix(g: Multigraph, points: Sequence[Vertex]) -> np.ndarray:
     return _walk_matrix(parent, depth, dict(kept), points, glued)
 
 
-_MODELS = ("d-tree", "dk-graph", "p-tree", "pk-graph", "icrt", "icrg")
+# the params type each model draws from; each scale's params types and factor
+_MODELS = {"d-tree": DegreeSequence, "dk-graph": DegreeSequence, "p-tree": PVector,
+           "pk-graph": PVector, "icrt": ThetaVector, "icrg": ThetaVector}
+_SCALES = {"lambda": ((DegreeSequence,), lambda p: p.to_tree_kind().lam),
+           "sigma": ((DegreeSequence, PVector), lambda p: p.sigma),
+           "none": ((DegreeSequence, PVector, ThetaVector), lambda p: 1.0)}
 _MEASURE_MODELS = ("d-tree", "dk-graph")
+
+
+def _check_model(model: dict, n_points: int, measure=None) -> float:
+    """The model's scale factor, once every check gp_matrix_sample makes
+    before any draw has passed.  A d-tree or dk-graph with no measure marks
+    its points with star leaves, one per zero degree but S0."""
+    name, params = model["model"], model["params"]
+    scale = model.get("scale", "none")
+    if name not in _MODELS:
+        raise ValidationError(f"unknown model {name!r}")
+    if scale not in _SCALES:
+        raise ValidationError(f"unknown scale {scale!r}")
+    if not (isinstance(params, _MODELS[name])
+            and isinstance(params, _SCALES[scale][0])):
+        raise ValidationError(f"model {name!r} at scale {scale!r} takes no "
+                              f"{type(params).__name__}")
+    if measure is not None and name not in _MEASURE_MODELS:
+        raise ValidationError(f"model {name!r} takes no vertex measure")
+    label, k = model.get("label", name), model.get("k", 0)
+    if name == "dk-graph" and k != params.k:
+        raise ValidationError(f"model {label!r} (dk-graph) has k = {k}, but "
+                              f"its degree sequence has surplus k = {params.k}")
+    if measure is None and name in _MEASURE_MODELS \
+            and params.n_zero - 1 < n_points:
+        raise InsufficientLeaves(
+            f"model {label!r} ({name}) supplies {params.n_zero - 1} star "
+            f"marks, fewer than the {n_points} points asked for")
+    return _SCALES[scale][1](params)
 
 
 def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
@@ -156,7 +178,7 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
         return _graph_matrix(g, points), 1.0
     if name == "p-tree":
         growth = PTreeGrowth(params, rng)
-        growth.grow_until_stars(n_points)
+        growth.grow(0, n_points)
         return _tree_matrix(growth.record, n_points + 1, marks), 1.0
     if name == "pk-graph":
         g = _sample_pk_glued(params, k, model.get("n_steps", 1), rng,
@@ -177,18 +199,13 @@ def gp_matrix_sample(model: dict, n_points: int, n_reps: int,
 
     The scale multiplies every entry: model["scale"] is "lambda" for
     degree-sequence models converging to a theta target, "sigma" for
-    probability-vector models, or "none" (default).  An unknown model or
-    scale raises ValidationError before any draw.  A measure is only
-    taken by the models in _MEASURE_MODELS.
+    probability-vector models, or "none" (default).  Every model
+    _check_model refuses raises before any draw.  A measure is only taken
+    by the models in _MEASURE_MODELS.
     """
-    name = model["model"]
-    if name not in _MODELS:
-        raise ValidationError(f"unknown model {name!r}")
-    if measure is not None and name not in _MEASURE_MODELS:
-        raise ValidationError(f"model {name!r} takes no vertex measure")
     if n_points < 1 or n_reps < 0:
         raise ValidationError("need n_points >= 1 and n_reps >= 0")
-    scale = _scale_of(model)
+    scale = _check_model(model, n_points, measure)
     mats = np.empty((n_reps, n_points, n_points))
     weights = np.empty(n_reps)
     for r in range(n_reps):
@@ -306,16 +323,8 @@ def converge_experiment(family: List[dict], target: dict, n_points: int,
     """
     if not family:
         raise ValidationError("converge needs at least one family member")
-    for model in [target, *family]:
-        # a d-tree or dk-graph marks points with its star leaves, one per
-        # zero degree but S0; the other models grow until they hold them
-        kind = model["model"]
-        have = (model["params"].n_zero - 1 if kind in ("d-tree", "dk-graph")
-                else n_points)
-        if have < n_points:
-            raise InsufficientLeaves(
-                f"model {model.get('label', kind)!r} ({kind}) supplies {have} "
-                f"star marks, fewer than the {n_points} points asked for")
+    for model in [target, *family]:  # every model, before any draw
+        _check_model(model, n_points)
     tm, tw = gp_matrix_sample(target, n_points, target_factor * n_reps, rng)
     tvec = _upper_triangles(tm)
     rows = []

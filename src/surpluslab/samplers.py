@@ -410,15 +410,14 @@ def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
     """Accepted, glued (P,k) prefix; its surviving leaf labels stay if leaves."""
     if k < 0:
         raise ValidationError("surplus k must be >= 0")
+    if n_steps < 0 or not (n_steps or k or min_stars):  # else an empty record
+        raise ValidationError(f"n_steps must be >= {0 if k or min_stars else 1}")
     bound = bias_bound(k)
     for _ in range(_PROPOSAL_CAP):
         growth = PTreeGrowth(pvec, rng)
-        growth.grow_until_stars(2 * k)
+        growth.grow(0, 2 * k)
         if _accepts(rng, bound, *_glue_bias(growth.record, k, first=1)):
-            growth.grow_to(n_steps)
-            growth.grow_until_stars(min_stars)
-            if not growth.record:
-                raise ValidationError("a (P,0) prefix needs n_steps >= 1")
+            growth.grow(n_steps, min_stars)
             return _pk_graph(growth.record, k, leaves)
     raise TooLarge(f"nothing accepted in {_PROPOSAL_CAP} proposals")
 

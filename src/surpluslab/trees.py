@@ -14,7 +14,7 @@ Internally vertices are small ints (internal rank i -> +i, leaf Sj ->
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 import heapq
 import math
 from collections import Counter
@@ -395,10 +395,9 @@ def enumerate_d_trees(seq: DegreeSequence, cap: int = 250000) -> Iterator[Labele
 # trees grown from a probability vector
 
 
-# grow_until_stars gives up once the record holds this many draws, and
-# grow_to refuses to aim past it
+# grow refuses a step count, or gives up a star quota, past this many draws
 _DRAW_CAP = 10 ** 7
-# doubles per rng.random call in grow_to
+# most doubles per rng.random call in grow
 _DRAW_BLOCK = 1024
 
 
@@ -426,42 +425,30 @@ class PTreeGrowth:
         self._seen = set()  # atom indices drawn so far
         self._repeats = 0
 
-    def step(self):
-        j = bisect.bisect_right(self._cum, self.rng.random())
-        if j >= len(self._cum):
-            self.record.append(overflow(len(self.record) + 1))
-        else:
-            self.record.append(self._names[j + 1])
-            self._repeats += j in self._seen
-            self._seen.add(j)
-
-    def grow_to(self, n_steps: int):
-        """step() until the record holds n_steps draws, drawn in blocks: a
-        Generator's rng.random(b) gives the same doubles and leaves the
-        same state as b scalar calls, and searchsorted(side="right") the
-        same index as bisect_right, so the record is the same."""
+    def grow(self, n_steps: int, n_stars: int = 0):
+        """Draw until the record holds n_steps draws and n_stars repeats.
+        A draw adds at most one repeat, so each round makes the draws
+        max(n_steps - len(record), n_stars - repeats) that one-at-a-time
+        drawing would make in any case, as one rng.random(b): a Generator
+        gives the same doubles and state as b scalar calls."""
         if n_steps > _DRAW_CAP:
             raise TooLarge(f"{n_steps} draws exceeds the draw cap {_DRAW_CAP}")
-        atoms = len(self._cum)
-        while len(self.record) < n_steps:
-            start = len(self.record)
-            u = self.rng.random(min(_DRAW_BLOCK, n_steps - start))
-            js = np.searchsorted(self._cum, u, side="right").tolist()
-            self.record += [self._names[j + 1] if j < atoms else overflow(i)
-                            for i, j in enumerate(js, start + 1)]
-            hits = [j for j in js if j < atoms]
-            new = set(hits) - self._seen
-            self._repeats += len(hits) - len(new)
-            self._seen |= new
-
-    def grow_until_stars(self, n_stars: int):
         if n_stars > self._repeats and not self._cum:
             raise ValidationError("with p_inf = 1 no draw repeats, so no "
                                   "leaf label besides S0 is ever placed")
-        while self._repeats < n_stars:
-            if len(self.record) >= _DRAW_CAP:
+        cum, names, seen, record = self._cum, self._names, self._seen, self.record
+        while (need := max(n_steps - len(record), n_stars - self._repeats)) > 0:
+            if len(record) >= _DRAW_CAP:
                 raise TooLarge(f"star quota not reached within {_DRAW_CAP} draws")
-            self.step()
+            u = self.rng.random(min(need, _DRAW_BLOCK, _DRAW_CAP - len(record)))
+            for i, x in enumerate(u.tolist(), len(record) + 1):
+                j = bisect_right(cum, x)
+                if j < len(cum):
+                    record.append(names[j + 1])
+                    self._repeats += j in seen
+                    seen.add(j)
+                else:
+                    record.append(overflow(i))
 
     def tree(self) -> LabeledTree:
         # leaf S_j is the fold's int -(j + 1); a P-tree has no closing leaf
@@ -475,5 +462,5 @@ def sample_p_tree_prefix(pvec: PVector, n_steps: int, rng: np.random.Generator):
     if n_steps < 1:
         raise ValidationError("n_steps must be >= 1")
     growth = PTreeGrowth(pvec, rng)
-    growth.grow_to(n_steps)
+    growth.grow(n_steps)
     return growth.tree(), tuple(growth.record)

@@ -289,10 +289,14 @@ def test_cli_import_loads_no_scipy():
     (["sample-icrt", "--params", "theta", "--points", "0"], "--points"),
     (["sample-icrt", "--params", "theta", "--points", "-3"], "--points"),
     (["oracle", "enumerate-trees", "--params", "tree", "--cap", "-1"], "--cap"),
-    (["oracle", "enumerate-trees", "--params", "tree", "--cap", "0"], "--cap")],
+    (["oracle", "enumerate-trees", "--params", "tree", "--cap", "0"], "--cap"),
+    (["experiment", "converge", "--family", "tree", "--target", "p",
+      "--points", "2", "--steps", "-3"], "--steps"),
+    (["sample-tree", "--params", "tree", "--steps", "-1"], "--steps")],
     ids=["m-grid", "bias-tail-k", "converge-k", "converge-points-1",
          "converge-points-0", "icrg-k", "icrg-points", "icrt-points-0",
-         "icrt-points-neg", "cap-neg", "cap-0"])
+         "icrt-points-neg", "cap-neg", "cap-0", "converge-steps-neg",
+         "sample-tree-steps-neg"])
 def test_out_of_range_flag_is_usage_error(tmp_path, param_files, argv, flag,
                                           capsys):
     argv = [str(param_files[a]) if a in param_files else a for a in argv]
@@ -414,22 +418,35 @@ def test_malformed_params_is_validation_failure(tmp_path, params, command,
      "family members must be degree sequences"),
     (["experiment", "converge", "--family", "tree", "--target", "theta",
       "--k", "1"], "k > 0 needs surplus-kind family members"),
+    (["experiment", "converge", "--family", "surplus", "--target", "theta"],
+     "k = 0 needs tree-kind family members"),
+    (["experiment", "converge", "--family", "surplus2", "--target", "theta",
+      "--k", "1"], "(dk-graph) has k = 1, but its degree sequence has "
+     "surplus k = 2"),
+    (["experiment", "converge", "--family", "surplus", "--target", "p",
+      "--k", "2"], "(dk-graph) has k = 2, but its degree sequence has "
+     "surplus k = 1"),
     (["sample-tree", "--params", "unknown"], "unrecognized parameter file"),
     (["sample-tree", "--params", "missing"], "No such file or directory"),
     (["sample-tree", "--params", "broken"], "Expecting"),
     (["experiment", "bias-tail", "--params", "half", "--k", "1"],
      "only surplus sequences convert to tree kind, not half-edge")],
     ids=["tree-theta", "cm-tree", "mult-tree", "icrt-p", "icrg-p",
-         "converge-target", "converge-family", "converge-k", "unknown",
+         "converge-target", "converge-family", "converge-k", "converge-k0",
+         "converge-k1-surplus2", "converge-k2-surplus1", "unknown",
          "missing", "broken", "bias-tail-half-edge"])
 def test_parameter_file_check_names_cause(tmp_path, param_files, argv, cause,
                                           capsys):
     # a file of the wrong family, an object of no family, a missing file
     # and malformed JSON each exit 2 with the cause on stderr; a half-edge
-    # sequence for bias-tail names its kind, not a leaf count
+    # sequence for bias-tail names its kind, not a leaf count, and a family
+    # member whose kind or surplus does not fit --k names both
     (tmp_path / "unknown.json").write_text(json.dumps({"alpha": 1}))
     (tmp_path / "broken.json").write_text("{\"p\": [0.5,")
-    files = dict(param_files, unknown=tmp_path / "unknown.json",
+    (tmp_path / "dk2.json").write_text(json.dumps(
+        {"kind": "surplus", "k": 2, "degrees": [3, 3, 2, 2, 0, 0, 0, 0]}))
+    files = dict(param_files, surplus2=tmp_path / "dk2.json",
+                 unknown=tmp_path / "unknown.json",
                  missing=tmp_path / "missing.json",
                  broken=tmp_path / "broken.json")
     out = tmp_path / "out"

@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 
 from surpluslab import continuum, experiments, samplers
 from surpluslab.continuum import sample_icrt
-from surpluslab.errors import UnknownVertex, ValidationError
+from surpluslab.errors import InsufficientLeaves, UnknownVertex, ValidationError
 from surpluslab.experiments import (ExperimentManifest, VertexMeasure,
                                     _graph_matrix,
                                     bias_tail_experiment, converge_experiment,
@@ -353,7 +353,7 @@ def test_p_tree_walk_matrices_match_grown_tree(pvec, n_points):
         ref = []
         for _ in range(50):
             growth = PTreeGrowth(pvec, b)
-            growth.grow_until_stars(n_points)
+            growth.grow(0, n_points)
             ref.append(tree_distance_matrix(growth.tree(), _marks(n_points)))
         assert np.array_equal(mats, np.array(ref, dtype=float))
         assert a.random() == b.random()
@@ -442,7 +442,7 @@ def test_shared_table_graph_reads_the_same_matrix_and_keeps_its_walk():
 def test_tree_matrix_typed_errors():
     seq = validate([1, 1, 0, 0], "tree")  # leaves S0 and S1 only
     model = {"model": "d-tree", "params": seq}
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(InsufficientLeaves):  # refused before any draw
         gp_matrix_sample(model, 2, 1, rng_stream(0, 0))
     with pytest.raises(UnknownVertex):
         tree_distance_matrix(sample_d_tree(seq, rng_stream(0, 0)), _marks(2))
@@ -470,16 +470,18 @@ def test_empty_and_one_mark_matrices_keep_their_shapes():
     assert metric.mark_distance_matrix([]) == []
     assert metric.mark_distance_matrix([2]) == [[0]]
     model = {"model": "d-tree", "params": seq}
-    mats, weights = gp_matrix_sample(model, 3, 0, rng_stream(0, 2))
-    assert mats.shape == (0, 3, 3) and weights.shape == (0,)
+    with pytest.raises(InsufficientLeaves):  # two star marks, even for no rep
+        gp_matrix_sample(model, 3, 0, rng_stream(0, 2))
+    mats, weights = gp_matrix_sample(model, 2, 0, rng_stream(0, 2))
+    assert mats.shape == (0, 2, 2) and weights.shape == (0,)
     mats, _ = gp_matrix_sample(model, 1, 4, rng_stream(0, 2))
     assert mats.tolist() == [[[0.0]]] * 4
 
 
 @pytest.mark.parametrize("model", [
     {"model": "d-tree", "params": validate([2, 1, 0, 0, 0], "tree")},
-    {"model": "dk-graph", "params": validate([2, 1, 1, 0], "surplus", k=1),
-     "k": 1},
+    {"model": "dk-graph", "params": validate([2, 2, 2, 0, 0, 0], "surplus",
+                                             k=1), "k": 1},
     {"model": "p-tree", "params": PVector((0.5, 0.5))},
     {"model": "pk-graph", "params": PVector((0.5, 0.5)), "k": 1},
     {"model": "icrt", "params": BROWNIAN},
@@ -503,25 +505,44 @@ def test_gp_matrix_sample_rejects_bad_counts_before_any_draw(model):
 _TREE = validate([2, 1, 0, 0, 0], "tree")
 
 
-@pytest.mark.parametrize("model", [
-    {"model": "cm", "params": validate([3, 2, 2, 1], "half-edge")},
-    {"model": "mult", "params": (1.0, [1.0, 0.5])},
-    {"model": "mult-multi", "params": (1.0, [1.0, 0.5])},
-    {"model": "nonsense", "params": _TREE},
-    {"model": "d-tree", "params": _TREE, "scale": "lamda"},
-    {"model": "d-tree", "params": _TREE, "scale": 2.0}],
-    ids=["cm", "mult", "mult-multi", "nonsense", "scale-lamda", "scale-2.0"])
-def test_gp_matrix_sample_rejects_unknown_model_or_scale_before_any_draw(model):
+_UNKNOWN = (2, ValidationError, "unknown (model|scale)")
+
+
+@pytest.mark.parametrize("model,n_points,error,cause", [
+    ({"model": "cm", "params": validate([3, 2, 2, 1], "half-edge")},
+     *_UNKNOWN),
+    ({"model": "mult", "params": (1.0, [1.0, 0.5])}, *_UNKNOWN),
+    ({"model": "mult-multi", "params": (1.0, [1.0, 0.5])}, *_UNKNOWN),
+    ({"model": "nonsense", "params": _TREE}, *_UNKNOWN),
+    ({"model": "d-tree", "params": _TREE, "scale": "lamda"}, *_UNKNOWN),
+    ({"model": "d-tree", "params": _TREE, "scale": 2.0}, *_UNKNOWN),
+    ({"model": "d-tree", "params": PVector((0.5, 0.5))}, 2, ValidationError,
+     "'d-tree' at scale 'none' takes no PVector"),
+    ({"model": "p-tree", "params": PVector((0.5, 0.5)), "scale": "lambda"},
+     2, ValidationError, "'p-tree' at scale 'lambda' takes no PVector"),
+    ({"model": "icrg", "params": BROWNIAN, "scale": "sigma"}, 2,
+     ValidationError, "'icrg' at scale 'sigma' takes no ThetaVector"),
+    ({"model": "dk-graph", "params": validate([2, 2, 2, 0, 0, 0], "surplus",
+                                              k=1), "k": 2},
+     2, ValidationError, "has k = 2, but its degree sequence has surplus k = 1"),
+    ({"model": "d-tree", "params": validate([2, 0, 0, 0], "tree")}, 3,
+     InsufficientLeaves, "supplies 2 star marks, fewer than the 3 points")],
+    ids=["cm", "mult", "mult-multi", "nonsense", "scale-lamda", "scale-2.0",
+         "d-tree-p", "lambda-p", "sigma-theta", "dk-graph-k", "star-marks"])
+def test_gp_matrix_sample_rejects_unknown_model_or_scale_before_any_draw(
+        model, n_points, error, cause):
     # the model name was checked only when drawing, so n_reps = 0 gave
-    # empty arrays, and a misspelt scale escaped float() as a ValueError
+    # empty arrays, and a misspelt scale escaped float() as a ValueError;
+    # params of another type raised AttributeError, a dk-graph k unlike its
+    # sequence's and too few star marks "S3 not in tree" after drawing
     rng = rng_stream(10, 5)
     state = rng.bit_generator.state
-    for n_points, n_reps in ((0, 3), (-1, 3), (2, -1)):
+    for bad_points, n_reps in ((0, 3), (-1, 3), (2, -1)):
         with pytest.raises(ValidationError):
-            gp_matrix_sample(model, n_points, n_reps, rng)
+            gp_matrix_sample(model, bad_points, n_reps, rng)
     for n_reps in (0, 3):
-        with pytest.raises(ValidationError, match="unknown (model|scale)"):
-            gp_matrix_sample(model, 2, n_reps, rng)
+        with pytest.raises(error, match=cause):
+            gp_matrix_sample(model, n_points, n_reps, rng)
     assert rng.bit_generator.state == state
 
 

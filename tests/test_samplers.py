@@ -15,7 +15,7 @@ from surpluslab.multigraph import (Multigraph, bias, bias_bound,
 from surpluslab.params import PVector, validate
 from surpluslab.samplers import (_accepts, _bias_core, _dk_graph, _glue_bias,
                                  _pk_graph, _sample_dk_streaming,
-                                 canonical_oriented_edges,
+                                 _sample_pk_glued, canonical_oriented_edges,
                                  cm_conditioned_oracle, dk_table,
                                  insert_edgepoints, pk_law_oracle,
                                  sample_configuration_model, sample_dk_graph,
@@ -451,6 +451,17 @@ def test_pk_sampler_rejects_negative_k_before_any_draw():
     assert rng.bit_generator.state == state
 
 
+def test_pk_sampler_rejects_negative_steps_before_any_draw():
+    # a negative n_steps drew proposals and returned the accepted draws; an
+    # empty (P,0) prefix is refused before any draw too
+    rng = np.random.default_rng(14)
+    state = rng.bit_generator.state
+    for k, n_steps in ((0, -1), (1, -1), (2, -3), (0, 0)):
+        with pytest.raises(errors.ValidationError, match="n_steps must be"):
+            sample_pk_graph_prefix(PVector((0.5, 0.5)), k, n_steps, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_pk_bias_bound_assertion_holds():
     rng = np.random.default_rng(15)
     for _ in range(200):
@@ -564,7 +575,7 @@ def test_bias_fast_matches_public_bias():
             circ, prod = _glue_bias(entries, k)
             assert Fraction(circ, prod) == bias(tree.relabel(shift), k)
             growth = PTreeGrowth(pvec, rng)
-            growth.grow_until_stars(2 * k)
+            growth.grow(0, 2 * k)
             circ, prod = _glue_bias(growth.record, k, first=1)
             assert Fraction(circ, prod) == bias(growth.tree(), k)
     assert stopped_early > 0
@@ -815,9 +826,8 @@ def test_pk_graph_matches_public_glue():
         for k in range(4):
             for _ in range(25):
                 growth = PTreeGrowth(pvec, rng)
-                growth.grow_until_stars(2 * k)
-                for _ in range(int(rng.integers(1, 30))):
-                    growth.step()
+                growth.grow(0, 2 * k)
+                growth.grow(len(growth.record) + int(rng.integers(1, 30)))
                 overflow_records += any(v.kind == "Vinf" for v in growth.record)
                 expected = glue_tree_leaves(growth.tree(), _glue_pairs(k))
                 assert _same_graph(_pk_graph(growth.record, k), expected)
@@ -861,6 +871,8 @@ def test_seeded_outputs_pinned():
             "64b0f535bdbcc997f668c97211d34b30dbb6b3eff9b098b16af02451a2975f8d",
         "gp_pk_graph":
             "64b79a1e1852f4b785d0e4418c18410e6d2c6b20cabfc1e04c46dc8347f388a0",
+        "pk_glued_k2_min_stars":
+            "60dda15ea2e74792deed46d8b85268ab76cd329238df25f9ebc7d13f3a2ccd63",
     }
     got = {}
     ladder = validate([2] * 64 + [0] * 66, "tree")
@@ -899,5 +911,13 @@ def test_seeded_outputs_pinned():
                                 "params": PVector((0.5, 0.25, 0.125), 0.125)},
                                5, 50, np.random.default_rng(41))
     got["gp_pk_graph"] = _digest(mats.tobytes() + w.tobytes())
+    # leaves kept at k = 2 with p_inf > 0, min_stars past n_steps, and the
+    # next draw; recorded while the phase before acceptance drew one step
+    # at a time
+    rng = np.random.default_rng(42)
+    got["pk_glued_k2_min_stars"] = _digest("\n".join(
+        _sample_pk_glued(PVector((0.5, 0.25, 0.125), 0.125), 2, 6, rng,
+                         min_stars=12).to_json() for _ in range(50))
+        + "\n" + repr(rng.random()))
     assert got == pins
     assert VERSION == "0.3.0"

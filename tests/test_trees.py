@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -197,8 +198,7 @@ def test_p_tree_pure_overflow_is_path():
         [(overflow(i), overflow(i + 1)) for i in range(1, 5)])
     # with atoms too, an overflow draw is named by its position in the record
     growth = PTreeGrowth(PVector((0.5,), p_inf=0.5), rng)
-    for _ in range(20):
-        growth.step()
+    growth.grow(20)
     kinds = {v.kind for v in growth.record}
     assert kinds == {"V", "Vinf"}
     assert all(v == overflow(i) for i, v in enumerate(growth.record, 1)
@@ -208,9 +208,9 @@ def test_p_tree_pure_overflow_is_path():
 def test_p_tree_pure_overflow_star_quota_fails_fast():
     # no draw repeats when p is empty, so no quota beyond S0 is reachable
     growth = PTreeGrowth(PVector((), p_inf=1.0), np.random.default_rng(7))
-    growth.grow_until_stars(0)
+    growth.grow(0, 0)
     with pytest.raises(errors.ValidationError):
-        growth.grow_until_stars(1)
+        growth.grow(0, 1)
     assert growth.record == []
 
 
@@ -222,7 +222,7 @@ def test_p_tree_draw_cap_is_a_cap_not_bad_input(monkeypatch):
     growth = PTreeGrowth(PVector((1e-7,), p_inf=1 - 1e-7),
                          np.random.default_rng(7))
     with pytest.raises(errors.TooLarge, match="within 50 draws"):
-        growth.grow_until_stars(1)
+        growth.grow(0, 1)
     assert len(growth.record) == 50
     # each draw is kept once: besides the record, only the atoms drawn
     assert len(growth._seen) <= len(growth._cum) == 1
@@ -235,7 +235,7 @@ def test_p_tree_star_count_is_the_number_of_repeats():
     for pvec in (PVector((0.5, 0.3, 0.2)), PVector((0.3, 0.2), p_inf=0.5)):
         growth = PTreeGrowth(pvec, np.random.default_rng(8))
         for n_stars in (0, 1, 4, 9):
-            growth.grow_until_stars(n_stars)
+            growth.grow(0, n_stars)
             repeats = [v in growth.record[:i]
                        for i, v in enumerate(growth.record)]
             assert sum(repeats) == n_stars
@@ -244,47 +244,71 @@ def test_p_tree_star_count_is_the_number_of_repeats():
     assert any(v.kind == "Vinf" for v in growth.record)
 
 
-def _stepped(pvec, seed, start, n):
-    """A growth after max(start, n) draws, each made by step()."""
-    growth = PTreeGrowth(pvec, np.random.default_rng(seed))
-    for _ in range(max(start, n)):
-        growth.step()
-    return growth
+def _scalar_growth(p, p_inf, seed, stages):
+    """Oracle for PTreeGrowth.grow, one rng.random() per draw: for each
+    (n_steps, n_stars) stage, draw until the record holds n_steps draws and
+    n_stars repeats.  A double u with j = bisect_right(cumsum(p), u) < len(p)
+    is V_(j+1), a repeat if drawn before; any other draw is the overflow
+    vertex named by its position.  Returns (record, repeats, rng)."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(p).tolist()
+    record, repeats = [], 0
+    for n_steps, n_stars in stages:
+        while len(record) < n_steps or repeats < n_stars:
+            j = bisect.bisect_right(cum, rng.random())
+            if j < len(cum):
+                repeats += V(j + 1) in record
+                record.append(V(j + 1))
+            else:
+                record.append(overflow(len(record) + 1))
+    return record, repeats, rng
 
 
-def test_grow_to_is_step_repeated():
-    # grow_to draws its blocks with rng.random(b): a Generator gives the
-    # same doubles and leaves the same state as b scalar calls, so the
-    # record, the atoms seen, the repeat count and the next draw all match
+def test_grow_matches_scalar_draws():
+    # grow draws each round with rng.random(b): a Generator gives the same
+    # doubles and leaves the same state as b scalar calls, so the record,
+    # the atoms seen, the repeat count and the next draw all match the
+    # one-draw-at-a-time oracle, star quotas (p_inf > 0 too) and quotas
+    # across _DRAW_BLOCK included
     from surpluslab.trees import _DRAW_BLOCK
-    cases = [(0, 64), (0, 1), (5, 64), (17, 2 * _DRAW_BLOCK + 3),
-             (_DRAW_BLOCK - 2, _DRAW_BLOCK + 2), (64, 64), (64, 10), (3, 0)]
-    for pvec in (PVector((2 / 3, 1 / 3)), PVector((0.5, 0.3), p_inf=0.2),
-                 PVector((), p_inf=1.0), PVector((0.5, 0.25, 0.125), 0.125)):
-        for seed, (start, n) in enumerate(cases):
-            want = _stepped(pvec, seed, start, n)
-            got = _stepped(pvec, seed, start, start)
-            got.grow_to(n)
-            assert got.record == want.record
-            assert got._seen == want._seen
-            assert got._repeats == want._repeats
-            assert got.rng.random() == want.rng.random()
-    # n <= len(record) draws nothing
-    growth = _stepped(PVector((0.5, 0.5)), 9, 12, 12)
-    state = growth.rng.bit_generator.state
-    growth.grow_to(12)
-    growth.grow_to(3)
-    assert len(growth.record) == 12
+    cases = [[(64, 0)], [(1, 0)], [(0, 0)], [(0, 5)], [(0, 2), (40, 9)],
+             [(5, 0), (3, 12)], [(2 * _DRAW_BLOCK + 3, 0)],
+             [(0, _DRAW_BLOCK + 5)], [(17, 0), (_DRAW_BLOCK - 2, 0)],
+             [(_DRAW_BLOCK - 2, 3), (_DRAW_BLOCK + 2, _DRAW_BLOCK)],
+             [(64, 64), (10, 3)]]
+    for p, p_inf in (((2 / 3, 1 / 3), 0.0), ((0.5, 0.3), 0.2), ((), 1.0),
+                     ((0.5, 0.25, 0.125), 0.125)):
+        for seed, stages in enumerate(cases):
+            if not p and any(n_stars for _, n_stars in stages):
+                continue  # refused: no draw repeats at p_inf = 1
+            record, repeats, rng = _scalar_growth(p, p_inf, seed, stages)
+            growth = PTreeGrowth(PVector(p, p_inf),
+                                 np.random.default_rng(seed))
+            for n_steps, n_stars in stages:
+                growth.grow(n_steps, n_stars)
+            assert growth.record == record
+            assert growth._repeats == repeats
+            assert growth._seen == {v.index - 1 for v in record
+                                    if v.kind == "V"}
+            assert growth.rng.random() == rng.random()
+    # a quota already met draws nothing
+    growth = PTreeGrowth(PVector((0.5, 0.5)), np.random.default_rng(9))
+    growth.grow(12, 3)
+    state, n = growth.rng.bit_generator.state, len(growth.record)
+    growth.grow(12)
+    growth.grow(3, growth._repeats)
+    assert len(growth.record) == n
     assert growth.rng.bit_generator.state == state
 
 
-def test_grow_to_refuses_past_the_draw_cap_before_drawing():
+def test_grow_refuses_past_the_draw_cap_before_drawing():
     from surpluslab.trees import _DRAW_CAP
     rng = np.random.default_rng(10)
     state = rng.bit_generator.state
     growth = PTreeGrowth(PVector((0.5, 0.5)), rng)
-    with pytest.raises(errors.TooLarge, match="draw cap"):
-        growth.grow_to(_DRAW_CAP + 1)
+    for n_stars in (0, 5):
+        with pytest.raises(errors.TooLarge, match="draw cap"):
+            growth.grow(_DRAW_CAP + 1, n_stars)
     assert growth.record == []
     assert rng.bit_generator.state == state
     with pytest.raises(errors.TooLarge):
