@@ -101,6 +101,8 @@ def _per_rep(args, name, draw, **options):
 
 
 def cmd_sample_tree(args):
+    if args.steps < 1:  # refused for a degree sequence too, which ignores it
+        raise ValidationError("n_steps must be >= 1")
     params = load_params(args.params)
     if isinstance(params, DegreeSequence):
         def draw(r, rng):

@@ -21,7 +21,8 @@ from .continuum import _glued, _mark_matrix, sample_icrg_weighted
 from .errors import InsufficientLeaves, UnknownVertex, ValidationError
 from .labels import Vertex, star
 from .multigraph import Multigraph
-from .params import DegreeSequence, PVector, ThetaVector, _check_real
+from .params import (KIND_SURPLUS, KIND_TREE, DegreeSequence, PVector,
+                     ThetaVector, _check_real)
 from .samplers import _glue_bias, _sample_pk_glued, sample_dk_graph
 from .trees import PTreeGrowth, _climb_matrix, _decoded, _walk, _walk_base
 
@@ -123,7 +124,8 @@ _MODELS = {"d-tree": DegreeSequence, "dk-graph": DegreeSequence, "p-tree": PVect
 _SCALES = {"lambda": ((DegreeSequence,), lambda p: p.to_tree_kind().lam),
            "sigma": ((DegreeSequence, PVector), lambda p: p.sigma),
            "none": ((DegreeSequence, PVector, ThetaVector), lambda p: 1.0)}
-_MEASURE_MODELS = ("d-tree", "dk-graph")
+# the models a vertex measure can mark, each with its sequence's kind
+_MEASURE_MODELS = {"d-tree": KIND_TREE, "dk-graph": KIND_SURPLUS}
 
 
 def _check_model(model: dict, n_points: int, measure=None) -> float:
@@ -143,6 +145,10 @@ def _check_model(model: dict, n_points: int, measure=None) -> float:
     if measure is not None and name not in _MEASURE_MODELS:
         raise ValidationError(f"model {name!r} takes no vertex measure")
     label, k = model.get("label", name), model.get("k", 0)
+    kind = _MEASURE_MODELS.get(name)
+    if kind is not None and params.kind != kind:
+        raise ValidationError(f"model {label!r} ({name}) needs a {kind}-kind "
+                              f"degree sequence, not {params.kind}")
     if name == "dk-graph" and k != params.k:
         raise ValidationError(f"model {label!r} (dk-graph) has k = {k}, but "
                               f"its degree sequence has surplus k = {params.k}")
@@ -260,10 +266,12 @@ def ks_statistic(x: np.ndarray, y: np.ndarray,
 
 def importance_unweight(x: np.ndarray, w: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
-    """Rejection unweighting: an exact i.i.d. unweighted subsample.
+    """Rejection unweighting, bounded by the sample's own max(w).
 
-    Keeping row i with probability w_i / max(w) leaves independent draws
-    from the weighted law, with no duplicates (unlike resampling)."""
+    Row i is kept with probability w_i / max(w), with no duplicates
+    (unlike resampling).  That is exact only if max(w) bounds the weight
+    law; the ICRG weight has no finite bound, so the kept rows are
+    neither i.i.d. nor exactly from the weighted law."""
     w = np.asarray(w, dtype=float)
     keep = rng.random(len(x)) < w / w.max()
     return x[keep]

@@ -31,6 +31,17 @@ def _pair(u, v):
     return (u, v) if u <= v else (v, u)
 
 
+def _forest_path(parent, hops, a, b):
+    """Lower ends x of the forest edges (x, parent[x]) between a and b.
+    Not trees._climb: samplers._bias_core climbs with _climb, and bias
+    below is its independent oracle, so the two share no climb."""
+    while a != b:
+        if hops[a] < hops[b]:
+            a, b = b, a
+        yield a
+        a = parent[a]
+
+
 class Multigraph:
     """Vertex set plus an edge multiset (loops allowed), immutable."""
 
@@ -112,45 +123,21 @@ class Multigraph:
 
     def bridges(self) -> set:
         """Cut pairs: multiplicity-1 non-loop edges whose removal disconnects.
-        Neither needs a test of its own: a loop at v, a back edge to v, only
-        compares low[v] with disc[v], which low[v] never exceeds, and a tree
-        edge u-v of multiplicity >= 2 is a back edge too (`m >= 2`), so
-        low[v] <= disc[u] and it is never reported."""
-        disc: Dict[Vertex, int] = {}
-        low: Dict[Vertex, int] = {}
-        out = set()
-        counter = 0
+        They are the edges of a search forest on no fundamental cycle: each
+        edge copy outside the forest (a loop, a second copy, a pair the
+        search reached another way) marks the forest path between its ends."""
+        parent, hops = {}, {}
         for root in self._vertices:
-            if root in disc:
-                continue
-            stack = [(root, None, iter(self._adj[root].items()))]
-            disc[root] = low[root] = counter
-            counter += 1
-            while stack:
-                v, parent_pair, it = stack[-1]
-                advanced = False
-                for w, m in it:
-                    p = _pair(v, w)
-                    if w not in disc:
-                        disc[w] = low[w] = counter
-                        counter += 1
-                        stack.append((w, p, iter(self._adj[w].items())))
-                        advanced = True
-                        break
-                    if p != parent_pair or m >= 2:
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                    # second sight of the parent pair with m == 1 is the
-                    # tree edge itself; skip exactly that one traversal
-                if not advanced:
-                    stack.pop()
-                    if stack:
-                        u = stack[-1][0]
-                        if low[v] < low[u]:
-                            low[u] = low[v]
-                        if low[v] > disc[u]:
-                            out.add(_pair(u, v))
-        return out
+            if root not in parent:
+                tree_parent, tree_hops = _search(self._adj, root)
+                parent.update(tree_parent)
+                hops.update(tree_hops)
+        marked = set()
+        for (u, v), m in self._mult.items():
+            if m >= 2 or (parent[u] != v and parent[v] != u):
+                marked.update(_forest_path(parent, hops, u, v))
+        return {_pair(x, parent[x]) for x in parent
+                if parent[x] is not None and x not in marked}
 
     def cyc_items(self) -> List[Tuple[tuple, int]]:
         """(pair, removable copy count) with copies counted separately."""
@@ -158,15 +145,9 @@ class Multigraph:
             return self._cyc
         if not self.is_connected():
             raise Disconnected("cyc is defined for connected multigraphs")
-        bridges = self.bridges()
-        out = []
-        for p, m in self._mult.items():
-            if p[0] == p[1] or m >= 2:
-                out.append((p, m))
-            elif p not in bridges:
-                out.append((p, 1))
-        self._cyc = out
-        return out
+        bridges = self.bridges()  # each a lone non-loop copy
+        self._cyc = [(p, m) for p, m in self._mult.items() if p not in bridges]
+        return self._cyc
 
     def square(self) -> int:
         return sum(r for _, r in self.cyc_items())

@@ -27,9 +27,9 @@ from .labels import Vertex, _labels, internal, star
 from .multigraph import Multigraph, bias_bound
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, DegreeSequence,
                      PVector, as_fraction)
-from .trees import (LabeledTree, PTreeGrowth, _base_multiset, _climb,
-                    _decoded, _walk, _walk_base, multiset_arrangements,
-                    tree_count)
+from .trees import (LabeledTree, PTreeGrowth, _base_multiset,
+                    _check_draw_cap, _climb, _decoded, _walk, _walk_base,
+                    multiset_arrangements, tree_count)
 
 # ---------------------------------------------------------------------------
 # bias evaluation from the walk's parent pointers
@@ -412,6 +412,7 @@ def _sample_pk_glued(pvec: PVector, k: int, n_steps: int,
         raise ValidationError("surplus k must be >= 0")
     if n_steps < 0 or not (n_steps or k or min_stars):  # else an empty record
         raise ValidationError(f"n_steps must be >= {0 if k or min_stars else 1}")
+    _check_draw_cap(n_steps)  # before the first proposal, not once accepted
     bound = bias_bound(k)
     for _ in range(_PROPOSAL_CAP):
         growth = PTreeGrowth(pvec, rng)

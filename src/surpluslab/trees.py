@@ -401,6 +401,11 @@ _DRAW_CAP = 10 ** 7
 _DRAW_BLOCK = 1024
 
 
+def _check_draw_cap(n_steps: int):
+    if n_steps > _DRAW_CAP:
+        raise TooLarge(f"{n_steps} draws exceeds the draw cap {_DRAW_CAP}")
+
+
 @lru_cache(maxsize=32)
 def _atom_table(pvec: PVector):
     """(cumulative atom masses, labels V0..Vs) of a P; shared, so only read."""
@@ -431,8 +436,7 @@ class PTreeGrowth:
         max(n_steps - len(record), n_stars - repeats) that one-at-a-time
         drawing would make in any case, as one rng.random(b): a Generator
         gives the same doubles and state as b scalar calls."""
-        if n_steps > _DRAW_CAP:
-            raise TooLarge(f"{n_steps} draws exceeds the draw cap {_DRAW_CAP}")
+        _check_draw_cap(n_steps)
         if n_stars > self._repeats and not self._cum:
             raise ValidationError("with p_inf = 1 no draw repeats, so no "
                                   "leaf label besides S0 is ever placed")

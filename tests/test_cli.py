@@ -430,17 +430,23 @@ def test_malformed_params_is_validation_failure(tmp_path, params, command,
     (["sample-tree", "--params", "missing"], "No such file or directory"),
     (["sample-tree", "--params", "broken"], "Expecting"),
     (["experiment", "bias-tail", "--params", "half", "--k", "1"],
-     "only surplus sequences convert to tree kind, not half-edge")],
+     "only surplus sequences convert to tree kind, not half-edge"),
+    (["sample-tree", "--params", "tree", "--steps", "0"],
+     "n_steps must be >= 1"),
+    (["sample-tree", "--params", "p", "--steps", "0"],
+     "n_steps must be >= 1")],
     ids=["tree-theta", "cm-tree", "mult-tree", "icrt-p", "icrg-p",
          "converge-target", "converge-family", "converge-k", "converge-k0",
          "converge-k1-surplus2", "converge-k2-surplus1", "unknown",
-         "missing", "broken", "bias-tail-half-edge"])
+         "missing", "broken", "bias-tail-half-edge", "sample-tree-steps-0",
+         "sample-tree-p-steps-0"])
 def test_parameter_file_check_names_cause(tmp_path, param_files, argv, cause,
                                           capsys):
     # a file of the wrong family, an object of no family, a missing file
     # and malformed JSON each exit 2 with the cause on stderr; a half-edge
     # sequence for bias-tail names its kind, not a leaf count, and a family
-    # member whose kind or surplus does not fit --k names both
+    # member whose kind or surplus does not fit --k names both; --steps 0
+    # on sample-tree is refused for a degree sequence as for a p vector
     (tmp_path / "unknown.json").write_text(json.dumps({"alpha": 1}))
     (tmp_path / "broken.json").write_text("{\"p\": [0.5,")
     (tmp_path / "dk2.json").write_text(json.dumps(

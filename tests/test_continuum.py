@@ -231,6 +231,23 @@ def test_icrg_weight_semantics():
         assert ws.weight == pytest.approx(1 / prod)
 
 
+def test_k1_icrg_core_is_rayleigh():
+    # at theta = (theta0 = 1) the k = 1 core, the distance between marks 1
+    # and 2, is Rayleigh(1): within the DKW bound of its CDF 1 - e^{-x^2/2}
+    # at alpha = 1e-3, and its mean within 4 standard errors of sqrt(pi/2).
+    # The weighted (half-normal) side is left out: 1/length has infinite
+    # variance
+    n, alpha = 20_000, 1e-3
+    rng = experiments.rng_stream(0, 0)
+    lengths = np.array([1 / sample_icrg_weighted(BROWNIAN, 1, rng,
+                                                 n_points=2).weight
+                        for _ in range(n)])
+    dkw = math.sqrt(math.log(2 / alpha) / (2 * n))
+    assert scistats.kstest(lengths, "rayleigh").statistic < dkw
+    se = math.sqrt((4 - math.pi) / 2 / n)
+    assert abs(lengths.mean() - math.sqrt(math.pi / 2)) < 4 * se
+
+
 def test_icrg_tail_vanishes():
     # E[h_m(weight)] decreasing in m and small by m = 100
     rng = np.random.default_rng(9)

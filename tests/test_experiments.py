@@ -526,15 +526,22 @@ _UNKNOWN = (2, ValidationError, "unknown (model|scale)")
                                               k=1), "k": 2},
      2, ValidationError, "has k = 2, but its degree sequence has surplus k = 1"),
     ({"model": "d-tree", "params": validate([2, 0, 0, 0], "tree")}, 3,
-     InsufficientLeaves, "supplies 2 star marks, fewer than the 3 points")],
+     InsufficientLeaves, "supplies 2 star marks, fewer than the 3 points"),
+    ({"model": "d-tree", "params": validate([2, 2, 2, 0, 0, 0], "surplus",
+                                            k=1)},
+     2, ValidationError, "needs a tree-kind degree sequence, not surplus"),
+    ({"model": "dk-graph", "params": _TREE}, 2, ValidationError,
+     "needs a surplus-kind degree sequence, not tree")],
     ids=["cm", "mult", "mult-multi", "nonsense", "scale-lamda", "scale-2.0",
-         "d-tree-p", "lambda-p", "sigma-theta", "dk-graph-k", "star-marks"])
+         "d-tree-p", "lambda-p", "sigma-theta", "dk-graph-k", "star-marks",
+         "d-tree-surplus", "dk-graph-tree"])
 def test_gp_matrix_sample_rejects_unknown_model_or_scale_before_any_draw(
         model, n_points, error, cause):
     # the model name was checked only when drawing, so n_reps = 0 gave
     # empty arrays, and a misspelt scale escaped float() as a ValueError;
     # params of another type raised AttributeError, a dk-graph k unlike its
-    # sequence's and too few star marks "S3 not in tree" after drawing
+    # sequence's and too few star marks "S3 not in tree" after drawing, and
+    # a sequence of the wrong kind was refused only by the sampler
     rng = rng_stream(10, 5)
     state = rng.bit_generator.state
     for bad_points, n_reps in ((0, 3), (-1, 3), (2, -1)):

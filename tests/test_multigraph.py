@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +340,27 @@ def test_bridges_match_brute_force():
         seen["disconnected"] += base > 1
         seen["bridges"] += len(brute)
     assert min(seen.values()) > 300, seen
+
+
+def test_bias_oracle_imports_no_sampler_code():
+    # multigraph.bias is the independent oracle of samplers._bias_core:
+    # from trees it may take only the tree type and the search, never a
+    # climb or the walk, and nothing at all from samplers or experiments
+    from surpluslab import multigraph
+    tree = ast.parse(Path(multigraph.__file__).read_text())
+    taken = {}  # module -> names taken from it, "*" for the module itself
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            for a in node.names:
+                taken.setdefault(module, set()).add(a.name)
+                if module in ("", "surpluslab"):  # from . import samplers
+                    taken.setdefault(a.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                taken.setdefault(a.name.rpartition(".")[2], set()).add("*")
+    assert taken.get("trees", set()) <= {"LabeledTree", "_search"}, taken
+    assert not taken.keys() & {"samplers", "experiments"}, taken
 
 
 def test_multigraph_json_roundtrip():

@@ -314,6 +314,12 @@ def test_grow_refuses_past_the_draw_cap_before_drawing():
     with pytest.raises(errors.TooLarge):
         sample_p_tree_prefix(PVector((0.5, 0.5)), _DRAW_CAP + 1, rng)
     assert rng.bit_generator.state == state
+    # the (P,k) sampler refuses it before its first proposal, not after
+    # an accepted one
+    from surpluslab.samplers import sample_pk_graph_prefix
+    with pytest.raises(errors.TooLarge, match="draw cap"):
+        sample_pk_graph_prefix(PVector((0.5, 0.5)), 1, _DRAW_CAP + 1, rng)
+    assert rng.bit_generator.state == state
 
 
 def _prefix_law(pvec, n_steps):
