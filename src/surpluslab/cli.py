@@ -15,11 +15,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import continuum, experiments, samplers, trees
-from .errors import CapExceeded, ValidationError
+from . import continuum, samplers, trees
+from .errors import CapExceeded, DuplicateLabel, ValidationError
 from .reconstruct import (_check_distances, core_measure_from_matrix,
                           reconstruct as rebuild_tree)
-from .experiments import ExperimentManifest, content_hash, rng_stream
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, KIND_TREE, DegreeSequence,
                      PVector, ThetaVector, _check_real, validate)
 
@@ -63,6 +62,9 @@ def read_matrix_csv(path: str):
     if not lines:
         raise ValidationError("matrix CSV is empty")
     names = lines[0].split(",")
+    if len(set(names)) < len(names):
+        repeated = next(n for i, n in enumerate(names) if n in names[:i])
+        raise DuplicateLabel(f"matrix CSV repeats the mark name {repeated!r}")
     try:
         rows = [[float(x) for x in l.split(",")] for l in lines[1:]]
     except ValueError as exc:
@@ -84,11 +86,17 @@ def _emit_lines(args, name, lines, param_files, streams, file_name=None,
     out_dir.mkdir(parents=True, exist_ok=True)
     file_name = file_name or name + (".jsonl" if args.format == "json" else ".csv")
     (out_dir / file_name).write_text(text)
+    from .experiments import ExperimentManifest, content_hash  # only --out loads numpy
     hashes = {Path(p).name: content_hash(Path(p).read_bytes())
               for p in param_files}
     manifest = ExperimentManifest(name, args.seed, args.reps, hashes,
                                   list(streams), dict(sorted(options.items())))
     (out_dir / "manifest.json").write_text(manifest.to_json())
+
+
+def rng_stream(seed: int, stream_id: int):
+    from . import experiments  # deferred: commands that draw nothing skip numpy
+    return experiments.rng_stream(seed, stream_id)
 
 
 def _per_rep(args, name, draw, **options):
@@ -148,8 +156,9 @@ def cmd_sample_mult(args):
 
 
 def _matrix_csv(comment, labels, matrix):
-    return experiments.csv_lines([comment], [f"Y{i}" for i in labels],
-                                 [[float(x) for x in row] for row in matrix])
+    from .experiments import csv_lines
+    return csv_lines([comment], [f"Y{i}" for i in labels],
+                     [[float(x) for x in row] for row in matrix])
 
 
 def cmd_sample_icrt(args):
@@ -211,6 +220,7 @@ def cmd_core_measure(args):
 
 
 def cmd_experiment(args):
+    from . import experiments
     rng = rng_stream(args.seed, 0)
     if args.what == "converge":
         target_params = load_params(args.target)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from .errors import (AnchorOutOfRange, CutsNotIncreasing, InsufficientMarks,
                      UnknownMark, ValidationError)
 from .params import ThetaVector
@@ -118,6 +116,7 @@ class MetricTree:
 
     def with_uniform_marks(self, n: int, rng: np.random.Generator) -> "MetricTree":
         """Split edges at n length-uniform positions and mark them U0..U(n-1)."""
+        import numpy as np  # deferred: keeps CLI start-up light
         edges = self.edges()
         lengths = np.array([float(w) for _, _, w in edges])
         cum = np.cumsum(lengths)
@@ -230,6 +229,7 @@ class IcrtRealization:
 def _window_points(theta: ThetaVector, atoms, lo: float, hi: float,
                    rng: np.random.Generator) -> list:
     """Poisson points of intensity dy x dmu restricted to lo < y <= hi."""
+    import numpy as np
     pts = []
     rate0 = theta.theta0 ** 2
     if rate0 > 0:
@@ -406,6 +406,7 @@ def sample_icrg_weighted(theta: ThetaVector, k: int, rng: np.random.Generator,
 def sampled_distance_matrix(space, labels: Sequence = None, n: int = None,
                             rng: np.random.Generator = None) -> np.ndarray:
     """Pseudo-distance matrix over marked labels or n uniform positions."""
+    import numpy as np
     if labels is None:
         if n is None or rng is None:
             raise ValidationError("give labels, or n with an rng")

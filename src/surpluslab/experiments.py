@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -98,14 +98,14 @@ def _walk_matrix(parent, depth, leaves: dict, points: Sequence[Vertex],
                     dtype=float).reshape(len(nodes), len(nodes))
 
 
-def _tree_matrix(entries: list, n_leaves: int, points: Sequence[Vertex]):
+def _tree_matrix(entries: Iterable, n_leaves: int, points: Sequence[Vertex]):
     """Edge counts between points of the tree _walk(entries, n_leaves)
     folds, S_j one hop below fathers[j]; an empty walk is the two-leaf
     tree S0 - S1."""
-    if not entries:
+    parent, depth, fathers = _walk(entries, n_leaves)
+    if not parent:
         return _walk_matrix({star(0): None}, {star(0): 0}, {1: star(0)},
                             points)
-    parent, depth, fathers = _walk(entries, n_leaves)
     return _walk_matrix(parent, depth, dict(enumerate(fathers)), points)
 
 
@@ -170,10 +170,10 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
     marks = [star(j) for j in range(1, n_points + 1)]
     if name == "d-tree":
         base = _walk_base(params)
-        entries = base[rng.permutation(len(base))].tolist()
+        perm = rng.permutation(len(base))
         if measure is None:  # the walk stops once S1..S_n_points are placed
-            return _tree_matrix(entries, n_points + 1, marks), 1.0
-        return _tree_matrix(entries, len(entries) + 2,
+            return _tree_matrix(_decoded(base, perm), n_points + 1, marks), 1.0
+        return _tree_matrix(base[perm].tolist(), len(base) + 2,
                             measure.sample(rng, n_points)), 1.0
     if name == "dk-graph":
         g = sample_dk_graph(params, rng)

@@ -19,8 +19,6 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (Disconnected, DuplicateLabel, NotALeaf, ShapeMismatch,
                      SurplusMismatch, UnknownVertex, ValidationError)
 from .labels import Vertex, parse_vertex, star

@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (OddSum, TooLarge, ValidationError, VertexCollision)
 from .labels import Vertex, _labels, internal, star
 from .multigraph import Multigraph, bias_bound
@@ -144,6 +142,7 @@ class DkTable:
 def build_dk_table(seq: DegreeSequence) -> DkTable:
     """Every tuple's bias summed per glued graph, for a surplus sequence;
     _dk_path calls it once per sequence of at most _TABLE_CAP tuples."""
+    import numpy as np  # deferred: keeps CLI start-up light
     k, tree_seq = seq.k, seq.to_tree_kind()
     law: Dict[tuple, list] = {}  # the graph's edges in ints -> [graph, summed bias]
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
@@ -218,6 +217,7 @@ def sample_dk_graph_keys(seq: DegreeSequence, n_samples: int,
     one rng.choice."""
     if n_samples < 0:
         raise ValidationError("n_samples must be >= 0")
+    import numpy as np
     table = dk_table(seq)
     counts = np.bincount(rng.choice(len(table.graphs), size=n_samples,
                                     p=table.p), minlength=len(table.graphs))
@@ -236,6 +236,7 @@ def sample_dk_graph_keys(seq: DegreeSequence, n_samples: int,
 def _stubs(seq: DegreeSequence) -> np.ndarray:
     """Rank i + 1 once per half-edge of V_{i+1}, as a read-only array built
     once per sequence."""
+    import numpy as np
     stubs = np.repeat(np.arange(1, seq.s + 1), seq.degrees)
     stubs.flags.writeable = False
     return stubs
@@ -249,6 +250,7 @@ def sample_configuration_model(seq: DegreeSequence,
         raise ValidationError("configuration model needs a half-edge sequence")
     if seq.total % 2 != 0:
         raise OddSum("half-edge count must be even")
+    import numpy as np
     names = _labels(internal, seq.s + 1)
     ends = _stubs(seq)[rng.permutation(seq.total)]
     lo, hi = np.minimum(ends[::2], ends[1::2]), np.maximum(ends[::2], ends[1::2])

@@ -21,8 +21,6 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import TooLarge, TupleMismatch, UnknownVertex, ValidationError
 from .labels import Vertex, _labels, internal, is_star, overflow, parse_vertex, star
 from .params import KIND_TREE, DegreeSequence, PVector
@@ -119,6 +117,7 @@ class LabeledTree:
 def tree_distance_matrix(tree: LabeledTree, marks: Sequence[Vertex]) -> np.ndarray:
     """Edge-count distances between the marked vertices: one search from
     the first mark, then a climb per pair."""
+    import numpy as np  # deferred: keeps CLI start-up light
     for m in marks:
         if m not in tree:
             raise UnknownVertex(f"{m} not in tree")
@@ -253,6 +252,7 @@ def _walk(entries: Iterable, n_leaves: int):
 def _walk_base(seq: DegreeSequence) -> np.ndarray:
     """_base_multiset of a tree sequence as a read-only array, built once
     per sequence."""
+    import numpy as np
     base = np.array(_base_multiset(seq), dtype=np.int64)
     base.flags.writeable = False
     return base
@@ -298,6 +298,7 @@ def sample_d_tree_keys(seq: DegreeSequence, n_samples: int,
     shuffles vectorized 20000 at a time and each distinct arrangement of a
     batch keyed once; used by the large uniformity checks.
     """
+    import numpy as np
     base = _walk_base(seq)
     # a row of ranks 1..s as one mixed-radix integer, where that fits int64
     place = ((seq.s + 1) ** np.arange(len(base))
@@ -409,6 +410,7 @@ def _check_draw_cap(n_steps: int):
 @lru_cache(maxsize=32)
 def _atom_table(pvec: PVector):
     """(cumulative atom masses, labels V0..Vs) of a P; shared, so only read."""
+    import numpy as np
     cum = tuple(np.cumsum(np.asarray(pvec.p, dtype=float)).tolist())
     return cum, _labels(internal, len(cum) + 1)
 

@@ -262,16 +262,42 @@ def test_reps_below_one_is_usage_error(tmp_path, param_files, reps, capsys):
         assert "--reps" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_python(code, *argv):
+    """Run code in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__import__("surpluslab").__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, surpluslab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          check=True, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
+    # nor numpy: the commands that draw nothing start without either
+    code = ("import sys, surpluslab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')))")
+    assert _fresh_python(code).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    (["reconstruct", "--params", "matrix"], False),
+    (["core-measure", "--params", "matrix"], False),
+    (["oracle", "enumerate-trees", "--params", "tree"], False),
+    (["oracle", "cm-law", "--params", "half", "--k", "1"], False),
+    (["oracle", "pk-law", "--params", "p", "--k", "1"], False),
+    (["sample-graph", "--params", "surplus", "--reps", "2"], True)],
+    ids=["reconstruct", "core-measure", "enumerate-trees", "cm-law", "pk-law",
+         "sample-graph"])
+def test_cli_commands_that_draw_nothing_load_no_numpy(param_files, argv,
+                                                      loads_numpy):
+    argv = [str(param_files[a]) if a in param_files else a for a in argv]
+    code = ("import sys; from surpluslab.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)")
+    proc = _fresh_python(code, *argv)
+    assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}"
+    assert proc.stdout.strip()
+    if argv[0] == "sample-graph":
+        assert len(proc.stdout.splitlines()) == 2
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -329,15 +355,27 @@ def test_sample_graph_rejects_empty_surplus_sequence(tmp_path):
                                   "a,b,c,d\n0,2,3\n2,0,3\n3,3,0\n3,3,2\n",
                                   "a,b\n0,nan\nnan,0\n", "a,b\n0,inf\ninf,0\n",
                                   "a,b\n0,-1\n-1,0\n", "a,b\n0,1\n2,0\n",
-                                  "a,b,c,d\n0,1,1,nan\n1,0,1,1\n1,1,0,1\nnan,1,1,0\n"],
+                                  "a,b,c,d\n0,1,1,nan\n1,0,1,1\n1,1,0,1\nnan,1,1,0\n",
+                                  "a,b,a\n0,1,1\n1,0,1\n1,1,0\n"],
                          ids=["non-numeric", "empty", "ragged", "nan", "inf",
-                              "negative", "asymmetric", "nan-past-first-pair"])
+                              "negative", "asymmetric", "nan-past-first-pair",
+                              "repeated-mark"])
 def test_malformed_matrix_csv_is_validation_failure(tmp_path, command, text, capsys):
     # --pairs 1 reads only the leading 2 x 2 block, but the whole matrix is checked
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
     assert run(command.split() + ["--params", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_repeated_mark_name_is_a_duplicate_label(tmp_path):
+    # two leaves would carry one name in reconstruct's "marks"
+    from surpluslab.cli import read_matrix_csv
+    from surpluslab.errors import DuplicateLabel
+    bad = tmp_path / "dup.csv"
+    bad.write_text("a,b,a\n0,1,1\n1,0,1\n1,1,0\n")
+    with pytest.raises(DuplicateLabel, match="'a'"):
+        read_matrix_csv(str(bad))
 
 
 @pytest.mark.parametrize("params,argv", [
