@@ -5,9 +5,10 @@ Leaves are inserted one at a time: the new leaf n+1 attaches at the
 median point of the pair (b, c) minimizing the Gromov sum
 d(n+1,b) + d(n+1,c) - d(b,c); the median sits at half that quantity from
 the new leaf, and at half-sum distances from b and c.  All arithmetic is
-generic, so Fraction matrices reconstruct exactly.  `reconstruct` builds,
-verifies the rebuilt leaf matrix in O(n^2), and runs the O(n^4) quadruple
-pass and the O(n^3) triangle pass only on a mismatch or a failed build.
+generic, so Fraction matrices reconstruct exactly.  `reconstruct` and
+`core_measure_from_matrix` build, verify the rebuilt leaf matrix in
+O(n^2), and run the O(n^4) quadruple pass only on a mismatch or a failed
+build; `reconstruct` then runs the O(n^3) triangle pass as well.
 """
 
 from __future__ import annotations
@@ -165,6 +166,25 @@ def _build(m: list) -> MetricTree:
     return MetricTree(_edge_list(adj), marks)
 
 
+def _verified_build(m: list):
+    """The tree _build makes of m if its leaf matrix matches m within
+    DEFAULT_TOL/8, in O(n^2); else None once m passes the O(n^4)
+    quadruple pass, whose first failing quadruple is raised otherwise."""
+    try:
+        tree = _build(m)
+        # entries within DEFAULT_TOL/8 move each pairing sum by at most
+        # DEFAULT_TOL/4: the four-point gap is <= DEFAULT_TOL/2 plus
+        # rounding, so check_four_point passes
+        rebuilt = tree.mark_distance_matrix(range(1, len(m) + 1))
+        if all(abs(x - y) <= DEFAULT_TOL / 8 for row, new in zip(m, rebuilt)
+               for x, y in zip(row, new)):
+            return tree
+    except ValidationError:
+        pass  # the quadruple pass below names the witness, if any
+    _require_four_point(m)
+    return None
+
+
 def reconstruct(matrix) -> MetricTree:
     """Incremental insertion; output's leaf matrix equals the input.
 
@@ -176,22 +196,12 @@ def reconstruct(matrix) -> MetricTree:
     """
     m = _as_rows(matrix)
     _validate_matrix(m)
-    try:
-        tree = _build(m)
-        # entries within DEFAULT_TOL/8 move each pairing sum by at most
-        # DEFAULT_TOL/4: the four-point gap is <= DEFAULT_TOL/2 plus
-        # rounding, so check_four_point passes
-        rebuilt = tree.mark_distance_matrix(range(1, len(m) + 1))
-        if all(abs(x - y) <= DEFAULT_TOL / 8 for row, new in zip(m, rebuilt)
-               for x, y in zip(row, new)):
-            return tree
-    except ValidationError:
-        pass  # the quadruple pass names the witness, else the build's error
-    _require_four_point(m)
-    tree = _build(m)
-    # a rebuilt leaf matrix within DEFAULT_TOL/8 of the input leaves no
-    # triangle gap above DEFAULT_TOL, so only this path can meet one
-    _require_triangle(m)
+    tree = _verified_build(m)
+    if tree is None:
+        tree = _build(m)  # a failed build raises its own error here
+        # a rebuilt leaf matrix within DEFAULT_TOL/8 of the input leaves no
+        # triangle gap above DEFAULT_TOL, so only this path can meet one
+        _require_triangle(m)
     return tree
 
 
@@ -222,13 +232,15 @@ def core_measure_from_matrix(matrix):
 
     The increment for pair j is the length of its geodesic minus the parts
     already covered by earlier pairs; each overlap is an interval whose
-    endpoints are Gromov heights measured from mark 2j-1.
+    endpoints are Gromov heights measured from mark 2j-1.  Accepts and
+    rejects exactly as check_four_point, which runs only when the build
+    of the matrix does not reproduce it.
     """
     m = _as_rows(matrix)
     if len(m) % 2 != 0 or not m:
         raise ValidationError("need a 2c x 2c matrix")
     _check_distances(m)
-    _require_four_point(m)
+    _verified_build(m)  # the tree itself is not needed, only the check
     c = len(m) // 2
     total = m[0][1]
     for j in range(2, c + 1):

@@ -141,25 +141,34 @@ class DkTable:
 
 def build_dk_table(seq: DegreeSequence) -> DkTable:
     """Every tuple's bias summed per glued graph, for a surplus sequence;
-    _dk_path calls it once per sequence of at most _TABLE_CAP tuples."""
+    _dk_path calls it once per sequence of at most _TABLE_CAP tuples.
+    A graph keeps its first tuple's walk and its circs summed per
+    prod(squares); it is built, and its Fractions made, after the loop."""
     import numpy as np  # deferred: keeps CLI start-up light
     k, tree_seq = seq.k, seq.to_tree_kind()
-    law: Dict[tuple, list] = {}  # the graph's edges in ints -> [graph, summed bias]
+    m = len(tree_seq.degrees) + 1  # above every rank
+    law: Dict[tuple, tuple] = {}  # graph key -> (walk, {prod: summed circ})
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
         parent, depth, fathers = _walk(arrangement, len(arrangement) + 1)
         circ, squares, _ = _bias_core(parent, depth, fathers[:2 * k])
-        glued, kept = _designated(fathers, k)
-        # Multigraph.key() in ints (every tuple has the same vertices): a
-        # glued edge can double a tree edge, so both go into one sorted list
-        pairs = [(p, a) for a, p in parent.items() if p is not None]
-        pairs += zip(glued[::2], glued[1::2])
-        key = (tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs)),
-               tuple(sorted(kept)))
-        if key not in law:
-            law[key] = [_glued_graph(parent, depth, glued, kept), 0]
-        law[key][1] += Fraction(circ, math.prod(squares))
-    graphs = [g for g, _ in law.values()]
-    weights = [w for _, w in law.values()]
+        # Multigraph.key() in ints (all tuples share their vertices), edge
+        # (a, b), a <= b, as a * m + b: a glued edge can double a tree edge,
+        # so both go into one sorted list; kept leaves come in leaf order
+        edges = [a * m + p if a < p else p * m + a
+                 for a, p in parent.items() if p is not None]
+        edges += [a * m + b if a < b else b * m + a
+                  for a, b in zip(fathers[:2 * k:2], fathers[1:2 * k:2])]
+        edges.sort()
+        key = (tuple(edges), tuple(fathers[2 * k:]))
+        entry = law.get(key)
+        if entry is None:
+            entry = law[key] = ((parent, depth, fathers), {})
+        sums, q = entry[1], math.prod(squares)
+        sums[q] = sums.get(q, 0) + circ
+    graphs = [_glued_graph(parent, depth, *_designated(fathers, k))
+              for (parent, depth, fathers), _ in law.values()]
+    weights = [sum(Fraction(c, q) for q, c in sums.items())
+               for _, sums in law.values()]
     total = sum(weights)
     return DkTable(graphs, weights,
                    np.array([float(w / total) for w in weights]))

@@ -8,9 +8,10 @@ import pytest
 from surpluslab import errors
 from surpluslab.continuum import core_measure, sample_icrt
 from surpluslab.params import ThetaVector
-from surpluslab.reconstruct import (DEFAULT_TOL, _build, _validate_matrix,
-                                    check_four_point, core_measure_from_matrix,
-                                    gromov_height, reconstruct)
+from surpluslab.reconstruct import (DEFAULT_TOL, _build, _require_four_point,
+                                    _validate_matrix, check_four_point,
+                                    core_measure_from_matrix, gromov_height,
+                                    reconstruct)
 
 BROWNIAN = ThetaVector(theta0=1.0)
 UNIT_SQUARE = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
@@ -231,6 +232,7 @@ def test_reconstruct_valid_input_skips_quadruple_pass(monkeypatch):
     m = tree.mark_distance_matrix(range(1, 41))
     got = reconstruct(m).mark_distance_matrix(range(1, 41))
     assert np.max(np.abs(np.array(got) - np.array(m))) < 1e-9
+    assert core_measure_from_matrix(m) == pytest.approx(core_measure(tree, 20))
 
 
 def test_core_measure_from_matrix_single_pair():
@@ -294,3 +296,43 @@ def test_core_measure_matrix_allows_zero_distances():
 def test_core_measure_matrix_rejects_square():
     with pytest.raises(errors.FourPointViolation):
         core_measure_from_matrix(UNIT_SQUARE)
+
+
+def _core_matrices():
+    """Even leading blocks of ICRT leaf matrices, with the noise of
+    _noisy_icrt_matrices and without, in floats and in Fractions, then
+    random integer distances 0..4 on 2..8 marks (zeros included)."""
+    rng = np.random.default_rng(23)
+    for exact in (False, True):
+        for m in _noisy_icrt_matrices(rng, 150, exact):
+            n = len(m) - len(m) % 2
+            yield [row[:n] for row in m[:n]]
+        for _ in range(50):
+            n = 2 * int(rng.integers(2, 6))
+            tree = sample_icrt(BROWNIAN, rng, n_points=n).tree()
+            m = tree.mark_distance_matrix(range(1, n + 1))
+            yield [[Fraction(x) if exact else x for x in row] for row in m]
+    for trial in range(1000):
+        n = 2 * int(rng.integers(1, 5))
+        m = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            m[i][j] = m[j][i] = int(rng.integers(0, 5)) * (
+                Fraction(1) if trial % 2 else 1.0)
+        yield m
+
+
+def test_core_measure_agrees_with_four_point_first(monkeypatch):
+    # the same value, or the same error and witness, as the quadruple pass
+    # run first on every matrix
+    def outcome(m):
+        try:
+            return "value", core_measure_from_matrix(m)
+        except errors.ValidationError as exc:
+            return type(exc), str(exc), getattr(exc, "witness", None)
+    matrices = list(_core_matrices())
+    got = [outcome(m) for m in matrices]
+    monkeypatch.setattr(sys.modules["surpluslab.reconstruct"],
+                        "_verified_build", _require_four_point)
+    want = [outcome(m) for m in matrices]
+    assert got == want
+    assert {w[0] for w in want} == {"value", errors.FourPointViolation}

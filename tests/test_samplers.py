@@ -792,7 +792,8 @@ def test_dk_graph_matches_public_glue():
     # relabel S0..S2k-1 -> S1..S2k and S2k -> S0, glue) on every tuple of
     # small tables, the empty tuple of [0, 0] and tables without S0 included;
     # the table holds, per distinct glued graph, the Fraction bias summed
-    # over the tuples whose public glue is that graph
+    # over the tuples whose public glue is that graph, in the order of each
+    # graph's first tuple, whose walk it keeps: table draws index this order
     for degs, k in [((0, 0), 0), ((1, 1, 0, 0), 0), ((1, 1), 1),
                     ((2, 1, 1, 0), 1), ((2, 2), 2), ((4, 0), 2),
                     ((3, 2, 2, 0, 0), 2), ((3, 3, 1, 1), 3),
@@ -809,12 +810,19 @@ def test_dk_graph_matches_public_glue():
             tree = stick_break_tree(tree_seq, [V(x) for x in arrangement])
             shifted = tree.relabel(shift)
             expected = glue_tree_leaves(shifted, _glue_pairs(k))
-            assert _same_graph(_dk_graph(list(arrangement), k), expected)
+            glued = _dk_graph(list(arrangement), k)
+            assert _same_graph(glued, expected)
             i = index[expected.key()]
+            if not tuples[i]:  # the first tuple of graph i
+                assert i == 0 or tuples[i - 1]
+                assert table.graphs[i].key() == glued.key()
+                assert table.graphs[i]._walk == glued._walk
             weights[i] += bias(shifted, k)
             tuples[i] += 1
         assert table.weights == weights
         assert all(tuples) and sum(tuples) == tree_count(tree_seq)
+        total = sum(weights)
+        assert table.p.tolist() == [float(w / total) for w in weights]
 
 
 def test_pk_graph_matches_public_glue():
