@@ -236,19 +236,14 @@ def _walk(entries: Iterable, n_leaves: int):
     parent, depth, fathers = {prev: None}, {prev: 0}, [prev]
     if n_leaves <= 1:
         return parent, depth, fathers
-    # depth[prev] while prev is new; after a repeat it is looked up only
-    # if a new entry follows (a label's hash is dearer than an int's)
-    d = 0
     for a in entries:
         if a in parent:
             fathers.append(prev)
             if len(fathers) >= n_leaves:
                 return parent, depth, fathers
-            d = None
         else:
             parent[a] = prev
-            d = depth[prev] + 1 if d is None else d + 1
-            depth[a] = d
+            depth[a] = depth[prev] + 1
         prev = a
     fathers.append(prev)
     return parent, depth, fathers
@@ -442,9 +437,8 @@ class PTreeGrowth:
         """Draw until the record holds n_steps draws and n_stars repeats.
         A draw adds at most one repeat, so each round makes the draws
         max(n_steps - len(record), n_stars - repeats) that one-at-a-time
-        drawing would make in any case, as one rng.random(b), or one
-        rng.random() for b = 1: a Generator gives the same doubles and
-        state as b scalar calls."""
+        drawing would make in any case, as one rng.random(b): a Generator
+        gives the same doubles and state as b scalar calls."""
         _check_draw_cap(n_steps)
         if n_stars > self._repeats and not self._cum:
             raise ValidationError("with p_inf = 1 no draw repeats, so no "
@@ -453,9 +447,8 @@ class PTreeGrowth:
         while (need := max(n_steps - len(record), n_stars - self._repeats)) > 0:
             if len(record) >= _DRAW_CAP:
                 raise TooLarge(f"star quota not reached within {_DRAW_CAP} draws")
-            b = min(need, _DRAW_BLOCK, _DRAW_CAP - len(record))
-            u = self.rng.random(b).tolist() if b > 1 else [self.rng.random()]
-            for i, x in enumerate(u, len(record) + 1):
+            u = self.rng.random(min(need, _DRAW_BLOCK, _DRAW_CAP - len(record)))
+            for i, x in enumerate(u.tolist(), len(record) + 1):
                 j = bisect_right(cum, x)
                 if j < len(cum):
                     record.append(names[j + 1])
