@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -118,10 +119,16 @@ def _graph_matrix(g: Multigraph, points: Sequence[Vertex]) -> np.ndarray:
     return _walk_matrix(parent, depth, dict(kept), points, glued)
 
 
+@lru_cache(maxsize=32)
+def _lambda_scale(seq: DegreeSequence) -> float:
+    """lam of the sequence as tree kind, derived once per sequence."""
+    return seq.to_tree_kind().lam
+
+
 # the params type each model draws from; each scale's params types and factor
 _MODELS = {"d-tree": DegreeSequence, "dk-graph": DegreeSequence, "p-tree": PVector,
            "pk-graph": PVector, "icrt": ThetaVector, "icrg": ThetaVector}
-_SCALES = {"lambda": ((DegreeSequence,), lambda p: p.to_tree_kind().lam),
+_SCALES = {"lambda": ((DegreeSequence,), _lambda_scale),
            "sigma": ((DegreeSequence, PVector), lambda p: p.sigma),
            "none": ((DegreeSequence, PVector, ThetaVector), lambda p: 1.0)}
 # the models a vertex measure can mark, each with its sequence's kind
@@ -152,11 +159,12 @@ def _check_model(model: dict, n_points: int, measure=None) -> float:
     if name == "dk-graph" and k != params.k:
         raise ValidationError(f"model {label!r} (dk-graph) has k = {k}, but "
                               f"its degree sequence has surplus k = {params.k}")
-    if measure is None and name in _MEASURE_MODELS \
-            and params.n_zero - 1 < n_points:
-        raise InsufficientLeaves(
-            f"model {label!r} ({name}) supplies {params.n_zero - 1} star "
-            f"marks, fewer than the {n_points} points asked for")
+    if measure is None and kind is not None:
+        n_marks = max(params.n_zero - 1, 0)  # a zero-free sequence has no S0
+        if n_marks < n_points:
+            raise InsufficientLeaves(
+                f"model {label!r} ({name}) supplies {n_marks} star "
+                f"marks, fewer than the {n_points} points asked for")
     return _SCALES[scale][1](params)
 
 

@@ -41,7 +41,8 @@ def _forest_path(parent, hops, a, b):
 
 
 class Multigraph:
-    """Vertex set plus an edge multiset (loops allowed), immutable."""
+    """Vertex set plus an edge multiset (loops allowed), immutable.  The
+    constructor validates and merges an edge list; _of only assigns slots."""
 
     __slots__ = ("_mult", "_vertices", "_adj_map", "_cyc", "_walk")
 
@@ -66,6 +67,16 @@ class Multigraph:
         self._adj_map = None  # lazy, like _cyc; instances are immutable
         self._cyc = None
         self._walk = None  # a sampled glued graph's walk (samplers._glued_graph)
+
+    @classmethod
+    def _of(cls, mult: Dict[tuple, int], vertices: frozenset, walk=None):
+        """The graph of a valid map, unchecked: every key of mult is ordered
+        as _pair orders it, every multiplicity is at least 1, and vertices
+        holds every endpoint.  No exact oracle builds through this."""
+        g = cls.__new__(cls)
+        g._mult, g._vertices, g._walk = mult, vertices, walk
+        g._adj_map = g._cyc = None
+        return g
 
     @property
     def _adj(self) -> Dict[Vertex, Dict[Vertex, int]]:
@@ -163,10 +174,10 @@ class Multigraph:
         p = _pair(u, v)
         if self._mult.get(p, 0) < 1:
             raise ValidationError(f"no copy of edge {p} to remove")
-        edges = [(a, b, m) for (a, b), m in self._mult.items() if (a, b) != p]
-        if self._mult[p] > 1:
-            edges.append((p[0], p[1], self._mult[p] - 1))
-        return Multigraph(edges, vertices=self._vertices)
+        mult = {q: m for q, m in self._mult.items() if q != p}
+        if self._mult[p] > 1:  # the pair moves last, as a rebuild puts it
+            mult[p] = self._mult[p] - 1
+        return Multigraph._of(mult, self._vertices)
 
     def father(self, leaf) -> Vertex:
         if self.degree(leaf) != 1:

@@ -77,25 +77,34 @@ def _glue_bias(entries, k: int, first: int = 0):
 
 
 def _glued_graph(parent, depth, glued, kept, name=None) -> Multigraph:
-    """A walk's tree with leaf pairs glued, made by one constructor call.
+    """A walk's tree with leaf pairs glued, its multiplicity map built in
+    one pass.
 
     glued[2i], glued[2i+1] are the fathers of the i-th glued pair, kept
     lists (j, father) for each leaf S_j that stays, and name[a] labels walk
     entry a (V_a by default); labels come from cached tuples.  Edges come
     in walk order: tree edges by discovery, the kept leaves, then one edge
-    per glued pair.  The graph keeps its walk, which experiments reads its
+    per glued pair.  Walk entries (ints, or the labels of a P-tree record)
+    order like their labels, so each pair is ordered as multigraph._pair
+    orders it by comparing the entries; S_j sorts before every V and Vinf.
+    Tree and kept edges are distinct; only a glued pair can double an edge
+    or be a loop.  The graph keeps its walk, which experiments reads its
     mark matrices from; a table graph is shared, so nothing may change it."""
     if not parent:  # the empty tuple of the sequence [0, 0]: one edge S0-S1
         return Multigraph([(star(0), star(1))])
     if name is None:
         name = _labels(internal, max(parent) + 1)
     stars = _labels(star, len(glued) + len(kept))
-    edges = [(name[p], name[a]) for a, p in parent.items() if p is not None]
-    edges += [(stars[j], name[f]) for j, f in kept]
-    edges += [(name[a], name[b]) for a, b in zip(glued[::2], glued[1::2])]
-    g = Multigraph(edges, vertices=[name[a] for a in parent])
-    g._walk = (parent, depth, glued, kept)
-    return g
+    mult = {(name[p], name[a]) if p < a else (name[a], name[p]): 1
+            for a, p in parent.items() if p is not None}
+    for j, f in kept:
+        mult[stars[j], name[f]] = 1
+    for a, b in zip(glued[::2], glued[1::2]):
+        pair = (name[a], name[b]) if a <= b else (name[b], name[a])
+        mult[pair] = mult.get(pair, 0) + 1
+    vertices = frozenset([*map(name.__getitem__, parent),
+                          *(stars[j] for j, _ in kept)])
+    return Multigraph._of(mult, vertices, (parent, depth, glued, kept))
 
 
 def _designated(fathers: list, k: int):

@@ -304,6 +304,25 @@ def test_cyc_matches_brute_force_removal():
         assert g.square() == sum(brute.values())
 
 
+def test_remove_copy_matches_rebuild():
+    # remove_copy assigns its map unchecked: the other pairs in order, then
+    # the removed pair with one copy less, as the constructor rebuilds it
+    rng = np.random.default_rng(45)
+    for _ in range(60):
+        n_v = int(rng.integers(1, 5))
+        vs = [V(i) for i in range(1, n_v + 1)]
+        ends = rng.integers(0, n_v, size=(int(rng.integers(1, n_v + 4)), 2))
+        g = Multigraph([(vs[a], vs[b]) for a, b in ends.tolist()], vertices=vs)
+        for (u, v), m in list(g.edge_items()):
+            rest = [(a, b, c) for (a, b), c in g.edge_items() if (a, b) != (u, v)]
+            want = Multigraph(rest + [(u, v, m - 1)], vertices=vs)
+            for got in (g.remove_copy(u, v), g.remove_copy(v, u)):
+                assert list(got.edge_items()) == list(want.edge_items())
+                assert got.vertices == want.vertices
+    with pytest.raises(errors.ValidationError):
+        Multigraph([(V(1), V(2))]).remove_copy(V(1), V(1))
+
+
 def _component_count(vertices, pairs) -> int:
     """Components by a union-find of its own, independent of the graph's
     searches."""
@@ -361,6 +380,37 @@ def test_bias_oracle_imports_no_sampler_code():
                 taken.setdefault(a.name.rpartition(".")[2], set()).add("*")
     assert taken.get("trees", set()) <= {"LabeledTree", "_search"}, taken
     assert not taken.keys() & {"samplers", "experiments"}, taken
+
+
+def test_oracles_build_through_the_validating_constructor():
+    # the exact oracles check the samplers' one-pass glued graphs, so their
+    # bodies name none of the samplers' builders nor the unchecked
+    # Multigraph._of, and those that make a graph make it with Multigraph(...)
+    from surpluslab import multigraph, samplers
+    oracles = {samplers: {"cm_conditioned_oracle", "pk_law_oracle",
+                          "_connected_law", "_multiplicity_maps"},
+               multigraph: {"bias", "bias_components", "glue_leaves",
+                            "from_tree"}}
+    builders = {"cm_conditioned_oracle", "pk_law_oracle", "glue_leaves",
+                "from_tree"}
+    banned = {"_of", "_glued_graph", "_walk", "_bias_core", "_designated"}
+    checked = set()
+    for module, names in oracles.items():
+        defs = {node.name: node
+                for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name in names}
+        for name, node in defs.items():
+            used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            used |= {n.attr for n in ast.walk(node)
+                     if isinstance(n, ast.Attribute)}
+            assert not used & banned, (name, used & banned)
+            if name in builders:
+                assert any(isinstance(n, ast.Call)
+                           and isinstance(n.func, ast.Name)
+                           and n.func.id == "Multigraph"
+                           for n in ast.walk(node)), name
+            checked.add(name)
+    assert checked == set().union(*oracles.values())
 
 
 def test_multigraph_json_roundtrip():

@@ -848,6 +848,70 @@ def test_pk_graph_matches_public_glue():
     assert overflow_records > 0
 
 
+def _edge_list_build(parent, depth, glued, kept, name=None):
+    # the glued graph as the validating constructor builds it from the edge
+    # list in walk order: tree edges, kept leaves, then the glued pairs
+    if not parent:
+        return Multigraph([(S(0), S(1))])
+    if name is None:
+        name = {a: V(a) for a in parent}
+    edges = [(name[p], name[a]) for a, p in parent.items() if p is not None]
+    edges += [(S(j), name[f]) for j, f in kept]
+    edges += [(name[a], name[b]) for a, b in zip(glued[::2], glued[1::2])]
+    return Multigraph(edges, vertices=[name[a] for a in parent])
+
+
+def test_glued_graph_matches_edge_list_build():
+    # the one-pass multiplicity map against the constructor's edge-list
+    # merge: same pairs in the same insertion order, same vertices and key;
+    # loops, doubled tree edges, repeated glued pairs, P-tree records with
+    # overflow labels (leaves kept and dropped) and [0, 0]'s single edge
+    seen = Counter()
+
+    def check(parent, depth, glued, kept, name=None):
+        g = samplers._glued_graph(parent, depth, glued, kept, name)
+        h = _edge_list_build(parent, depth, glued, kept, name)
+        assert list(g._mult.items()) == list(h._mult.items())
+        assert g.vertices == h.vertices and g.key() == h.key()
+        assert g._walk == ((parent, depth, glued, kept) if parent else None)
+        pairs = [p for p, _ in g.edge_items()]
+        seen["loop"] += any(u == v for u, v in pairs)
+        seen["double"] += any(m > 1 and u != v for (u, v), m in g.edge_items())
+        seen["glued twice"] += len(set(zip(glued[::2], glued[1::2]))) \
+            < len(glued) // 2
+
+    def check_tuples(k, tuples):
+        for entries in tuples:
+            parent, depth, fathers = _walk(entries, len(entries) + 1)
+            check(parent, depth, *samplers._designated(fathers, k))
+
+    rng = np.random.default_rng(44)
+    for n, k in [(4, 1), (16, 1), (16, 2), (64, 3)]:  # surplus-k ladders
+        degs = [2] * n + [0] * (n + 2 - 2 * k)
+        base = _walk_base(validate(degs, "surplus", k=k).to_tree_kind())
+        check_tuples(k, (base[rng.permutation(len(base))].tolist()
+                         for _ in range(50)))
+    for degs, k in [((0, 0), 0), ((1,), 1), ((3,), 2), ((5,), 3),
+                    ((2, 1, 0), 1), ((2, 2, 1, 1, 1, 1), 2)]:
+        tree_seq = validate(list(degs), "surplus", k=k).to_tree_kind()
+        check_tuples(k, multiset_arrangements(_base_multiset(tree_seq)))
+    for pvec in (PVector((0.5, 0.3), p_inf=0.2), PVector((0.6, 0.3, 0.1))):
+        for k in range(4):
+            for _ in range(25):
+                growth = PTreeGrowth(pvec, rng)
+                growth.grow(0, 2 * k)
+                growth.grow(len(growth.record) + int(rng.integers(1, 30)))
+                record = growth.record
+                parent, depth, fathers = _walk(record, len(record) + 1)
+                name = dict(zip(parent, parent))
+                for leaves in (True, False):
+                    kept = ([(j, f) for j, f in enumerate(fathers[:-1])
+                             if not 0 < j <= 2 * k] if leaves else [])
+                    check(parent, depth, fathers[1:2 * k + 1], kept, name)
+                seen["overflow"] += any(v.kind == "Vinf" for v in record)
+    assert min(seen.values()) > 0, seen
+
+
 def _digest(text) -> str:
     data = text if isinstance(text, bytes) else text.encode()
     return hashlib.sha256(data).hexdigest()
@@ -879,6 +943,8 @@ def test_seeded_outputs_pinned():
             "64b0f535bdbcc997f668c97211d34b30dbb6b3eff9b098b16af02451a2975f8d",
         "gp_pk_graph":
             "64b79a1e1852f4b785d0e4418c18410e6d2c6b20cabfc1e04c46dc8347f388a0",
+        "gp_dk_graph_ladder128":
+            "546a906d6234eabf25b62a4a8fb28819a527dafbc23beac9aa9b116abbfdee41",
         "pk_glued_k2_min_stars":
             "60dda15ea2e74792deed46d8b85268ab76cd329238df25f9ebc7d13f3a2ccd63",
     }
@@ -919,6 +985,13 @@ def test_seeded_outputs_pinned():
                                 "params": PVector((0.5, 0.25, 0.125), 0.125)},
                                5, 50, np.random.default_rng(41))
     got["gp_pk_graph"] = _digest(mats.tobytes() + w.tobytes())
+    # streamed (D,1)-graph matrices, read off each accepted graph's walk;
+    # recorded while that graph was still built edge by edge through the
+    # validating Multigraph constructor
+    mats, w = gp_matrix_sample({"model": "dk-graph", "k": 1, "params": stream,
+                                "scale": "lambda"}, 5, 20,
+                               np.random.default_rng(43))
+    got["gp_dk_graph_ladder128"] = _digest(mats.tobytes() + w.tobytes())
     # leaves kept at k = 2 with p_inf > 0, min_stars past n_steps, and the
     # next draw; recorded while the phase before acceptance drew one step
     # at a time
