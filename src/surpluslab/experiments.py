@@ -24,7 +24,8 @@ from .labels import Vertex, star
 from .multigraph import Multigraph
 from .params import (KIND_SURPLUS, KIND_TREE, DegreeSequence, PVector,
                      ThetaVector, _check_real)
-from .samplers import _glue_bias, _sample_pk_glued, sample_dk_graph
+from .samplers import (_EMPTY_WALK, _glue_bias, _sample_pk_glued,
+                       sample_dk_graph)
 from .trees import PTreeGrowth, _climb_matrix, _decoded, _walk, _walk_base
 
 VERSION = "0.3.0"
@@ -105,16 +106,13 @@ def _tree_matrix(entries: Iterable, n_leaves: int, points: Sequence[Vertex]):
     tree S0 - S1."""
     parent, depth, fathers = _walk(entries, n_leaves)
     if not parent:
-        return _walk_matrix({star(0): None}, {star(0): 0}, {1: star(0)},
-                            points)
+        parent, depth, _, kept = _EMPTY_WALK
+        return _walk_matrix(parent, depth, dict(kept), points)
     return _walk_matrix(parent, depth, dict(enumerate(fathers)), points)
 
 
 def _graph_matrix(g: Multigraph, points: Sequence[Vertex]) -> np.ndarray:
-    """A sampled glued graph's distances, read off the walk it was glued
-    from; a graph with no walk (the single edge of [0, 0]) takes the BFS."""
-    if g._walk is None:
-        return multigraph_distance_matrix(g, points)
+    """A sampled glued graph's distances, read off the walk it keeps."""
     parent, depth, glued, kept = g._walk
     return _walk_matrix(parent, depth, dict(kept), points, glued)
 

@@ -113,9 +113,10 @@ def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0) -> DegreeSeq
 
 
 def _integral(values, message: str) -> list:
-    """values as ints, or ValidationError(message) unless each is integral."""
+    """values as ints, or ValidationError(message) unless each is integral
+    and none is a bool (a JSON true or false)."""
     try:
-        out = [int(x) for x in values]
+        out = [int(x) for x in values if not isinstance(x, bool)]
         if out == list(values):
             return out
     except (TypeError, ValueError, OverflowError):
@@ -124,9 +125,11 @@ def _integral(values, message: str) -> list:
 
 
 def _check_real(name: str, values) -> None:
-    """Each value is an int, a Fraction (both always finite) or a finite float."""
-    if not all(isinstance(x, numbers.Rational) or isinstance(x, numbers.Real)
-               and math.isfinite(x) for x in values):
+    """Each value is an int, a Fraction (both always finite) or a finite
+    float, and none is a bool (a JSON true or false)."""
+    if not all(not isinstance(x, bool) and (isinstance(x, numbers.Rational)
+               or isinstance(x, numbers.Real) and math.isfinite(x))
+               for x in values):
         raise ValidationError(f"{name} entries must be finite real numbers")
 
 

@@ -29,13 +29,17 @@ from .trees import (LabeledTree, PTreeGrowth, _base_multiset,
                     _check_draw_cap, _climb, _decoded, _walk, _walk_base,
                     multiset_arrangements, tree_count)
 
+# the walk _glued_graph keeps for [0, 0]'s empty tuple, whose tree is the
+# edge S0 - S1: S0 is the root and S1 hangs one hop below it
+_EMPTY_WALK = ({star(0): None}, {star(0): 0}, (), ((1, star(0)),))
+
 # ---------------------------------------------------------------------------
 # bias evaluation from the walk's parent pointers
 
 
 def _bias_core(parent, depth, fathers):
-    """(circ, partial-gluing squares, leaf pair distances) for glue fathers,
-    all integers; the bias is circ / prod(squares).
+    """(circ, partial-gluing squares) for glue fathers, both in integers;
+    the bias is circ / prod(squares).
 
     fathers[2i], fathers[2i+1] attach the i-th glued leaf pair; its tree
     path is the climb between them, each edge named by its lower end.
@@ -45,22 +49,20 @@ def _bias_core(parent, depth, fathers):
     per copy, at most 2 square_i (multigraph.bias_bound).
     """
     union = set()
-    squares, dists = [], []
+    squares = []
     copies = {}
     circ = 1
     for i in range(len(fathers) // 2):
         a, b = fathers[2 * i], fathers[2 * i + 1]
-        pair = frozenset((a, b))
+        pair = (a, b) if a <= b else (b, a)  # as _glued_graph orders it
         m = copies[pair] = copies.get(pair, 0) + 1
         path = _climb(parent, depth, a, b)
         union.update(path)
-        length = len(path)
         squares.append(len(union) + i + 1)
-        c = 2 * m if length == 0 else (length == 1) + m
+        c = 2 * m if not path else (len(path) == 1) + m
         assert c <= 2 * squares[-1], "bias bound violated"
         circ *= c
-        dists.append(length + 2)
-    return circ, squares, dists
+    return circ, squares
 
 
 def _accepts(rng: np.random.Generator, bound: int, circ: int, prod: int) -> bool:
@@ -72,7 +74,7 @@ def _accepts(rng: np.random.Generator, bound: int, circ: int, prod: int) -> bool
 def _glue_bias(entries, k: int, first: int = 0):
     """(circ, prod(squares)) of the walk glued at leaves first..first+2k-1."""
     parent, depth, fathers = _walk(entries, first + 2 * k)
-    circ, squares, _ = _bias_core(parent, depth, fathers[first:first + 2 * k])
+    circ, squares = _bias_core(parent, depth, fathers[first:first + 2 * k])
     return circ, math.prod(squares)
 
 
@@ -91,7 +93,8 @@ def _glued_graph(parent, depth, glued, kept, name=None) -> Multigraph:
     or be a loop.  The graph keeps its walk, which experiments reads its
     mark matrices from; a table graph is shared, so nothing may change it."""
     if not parent:  # the empty tuple of the sequence [0, 0]: one edge S0-S1
-        return Multigraph([(star(0), star(1))])
+        edge = _labels(star, 2)
+        return Multigraph._of({edge: 1}, frozenset(edge), _EMPTY_WALK)
     if name is None:
         name = _labels(internal, max(parent) + 1)
     stars = _labels(star, len(glued) + len(kept))
@@ -159,7 +162,7 @@ def build_dk_table(seq: DegreeSequence) -> DkTable:
     law: Dict[tuple, tuple] = {}  # graph key -> (walk, {prod: summed circ})
     for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
         parent, depth, fathers = _walk(arrangement, len(arrangement) + 1)
-        circ, squares, _ = _bias_core(parent, depth, fathers[:2 * k])
+        circ, squares = _bias_core(parent, depth, fathers[:2 * k])
         # Multigraph.key() in ints (all tuples share their vertices), edge
         # (a, b), a <= b, as a * m + b: a glued edge can double a tree edge,
         # so both go into one sorted list; kept leaves come in leaf order
@@ -279,13 +282,6 @@ def sample_configuration_model(seq: DegreeSequence,
                       vertices=names[1:])
 
 
-def _cm_surplus(seq: DegreeSequence) -> int:
-    two_k = seq.total - 2 * seq.s + 2
-    if two_k % 2 != 0 or two_k < 0:
-        raise ValidationError("sequence cannot yield a connected multigraph")
-    return two_k // 2
-
-
 def _connected_law(weighted, key) -> Dict[tuple, Fraction]:
     """The exact law of the connected graphs among (Multigraph, weight)
     pairs: the weights summed per key(g), over their total."""
@@ -335,13 +331,16 @@ def cm_conditioned_oracle(seq: DegreeSequence, k: int) -> Dict[tuple, Fraction]:
     from prod d_v! / circ(m) stub matchings, so its biased weight is the
     constant prod d_v!: each connected map weighs 1.
     """
-    if seq.kind != KIND_HALF_EDGE:
-        raise ValidationError("oracle needs a half-edge sequence")
+    if seq.kind != KIND_HALF_EDGE or not seq.s:
+        raise ValidationError("oracle needs a non-empty half-edge sequence")
     if seq.total > _CM_CAP_SUM:
         raise TooLarge(f"sum {seq.total} exceeds enumeration cap {_CM_CAP_SUM}")
-    if _cm_surplus(seq) != k:
+    two_k = seq.total - 2 * seq.s + 2
+    if two_k % 2 != 0 or two_k < 0:
+        raise ValidationError("sequence cannot yield a connected multigraph")
+    if two_k != 2 * k:
         raise ValidationError(
-            f"sum {seq.total} corresponds to surplus {_cm_surplus(seq)}, not {k}")
+            f"sum {seq.total} corresponds to surplus {two_k // 2}, not {k}")
     names = _labels(internal, seq.s + 1)
     return _connected_law(
         ((Multigraph([(names[u], names[v]) for u, v in edges],

@@ -134,14 +134,6 @@ def _int_to_vertex(x: int) -> Vertex:
     return internal(x) if x > 0 else star(-x - 1)
 
 
-def _vertex_to_int(v: Vertex) -> int:
-    if v.kind == "V":
-        return v.index
-    if v.kind == "S":
-        return -(v.index + 1)
-    raise ValidationError("only internal/star labels occur in degree-sequence trees")
-
-
 def _base_multiset(seq: DegreeSequence) -> List[int]:
     """The multiset every walk shuffles: rank i + 1 repeated d_i times."""
     if seq.kind != KIND_TREE:
@@ -279,11 +271,9 @@ def sample_d_tuple(seq: DegreeSequence, rng: np.random.Generator) -> Tuple[Verte
 
 def stick_break_tree(seq: DegreeSequence, tup: Sequence[Vertex]) -> LabeledTree:
     """Deterministic tree of a tuple; raises TupleMismatch on bad multiplicities."""
-    want = Counter(_base_multiset(seq))
-    got = Counter(_vertex_to_int(v) for v in tup)
-    if want != got:
+    if Counter(tup) != Counter(map(internal, _base_multiset(seq))):
         raise TupleMismatch("tuple multiplicities disagree with the degree sequence")
-    edges = _stick_break_int_edges([_vertex_to_int(v) for v in tup])
+    edges = _stick_break_int_edges([v.index for v in tup])
     return LabeledTree([(_int_to_vertex(u), _int_to_vertex(v)) for u, v in edges])
 
 

@@ -27,9 +27,9 @@ from surpluslab.reconstruct import (check_four_point, core_measure_from_matrix,
 from surpluslab.samplers import (_bias_core, cm_conditioned_oracle, dk_table,
                                  pk_law_oracle, sample_dk_graph_keys,
                                  sample_pk_graph_prefix)
-from surpluslab.trees import (_base_multiset, _walk, enumerate_d_tree_keys,
-                              multiset_arrangements, sample_d_tree_keys,
-                              stick_break_tree, tree_count)
+from surpluslab.trees import (_base_multiset, _climb, _walk,
+                              enumerate_d_tree_keys, multiset_arrangements,
+                              sample_d_tree_keys, stick_break_tree, tree_count)
 
 EX12 = validate([1, 2, 1, 3, 3, 0, 0, 0, 0, 0, 0, 0], "tree")
 EX12_TUPLE = (V(4), V(5), V(2), V(5), V(3), V(4), V(5), V(4), V(1), V(2))
@@ -209,8 +209,11 @@ def test_criterion_06_bias_bound_and_square_lower_bound():
         # every tuple of the sequence, from its walk and the integer bias
         for arrangement in multiset_arrangements(_base_multiset(tree_seq)):
             parent, depth, fathers = _walk(arrangement, 2 * k)
-            circ, squares, dists = _bias_core(parent, depth, fathers[:2 * k])
+            circ, squares = _bias_core(parent, depth, fathers[:2 * k])
             bound_ok &= Fraction(circ, math.prod(squares)) <= bias_bound(k)
+            # d_i: the leaf distance of pair i, its fathers' climb plus 2
+            dists = [len(_climb(parent, depth, a, b)) + 2
+                     for a, b in zip(fathers[:2 * k:2], fathers[1:2 * k:2])]
             square_ok &= all(sq >= d - 1 for sq, d in zip(squares, dists))
             tuples_checked += 1
         # draw a block of iterations; each lands on a tuple checked above

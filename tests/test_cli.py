@@ -432,7 +432,20 @@ def test_non_finite_parameters_are_validation_failures(tmp_path, param_files,
                  id="enumerate-trees-p"),
     pytest.param({"theta0": 1.0}, "oracle cm-law", id="cm-law-theta"),
     pytest.param({"kind": "tree", "degrees": [2, 1, 0, 0, 0]}, "oracle pk-law",
-                 id="pk-law-degrees")])
+                 id="pk-law-degrees"),
+    pytest.param({"kind": "half-edge", "degrees": []}, "oracle cm-law --k 1",
+                 id="cm-law-empty"),
+    pytest.param({"kind": "tree", "degrees": [True, False, False]},
+                 "sample-tree", id="degrees-bool"),
+    pytest.param({"kind": "surplus", "degrees": [2, 1, 1, 0], "k": True},
+                 "sample-graph", id="k-bool"),
+    pytest.param({"p": [True]}, "sample-tree", id="p-bool"),
+    pytest.param({"theta0": True}, "sample-icrt", id="theta0-bool"),
+    pytest.param({"theta": [True]}, "sample-icrt", id="theta-bool"),
+    pytest.param({"lambda": True, "weights": [1, 1]}, "sample-mult",
+                 id="lambda-bool"),
+    pytest.param({"lambda": 1, "weights": [1, True]}, "sample-mult",
+                 id="weights-bool")])
 def test_malformed_params_is_validation_failure(tmp_path, params, command,
                                                 capsys):
     bad = tmp_path / "bad.json"

@@ -405,7 +405,10 @@ def test_dk_graph_matrices_are_the_glued_graph_distances(degrees, k, measured):
         g = samplers.sample_dk_graph(seq, b)
         points = (measure.sample(b, n_points) if measured
                   else [S(2 * k + j) for j in range(1, n_points + 1)])
-        assert (g._walk is None) == (degrees == [0, 0])
+        # every graph keeps a walk; [0, 0]'s has S1 one hop below the root S0
+        assert g._walk is not None
+        assert (g._walk == ({S(0): None}, {S(0): 0}, (), ((1, S(0)),))) \
+            == (degrees == [0, 0])
         assert np.array_equal(m, multigraph_distance_matrix(_plain(g), points))
     assert a.random() == b.random()
 

@@ -382,6 +382,17 @@ def test_bias_oracle_imports_no_sampler_code():
     assert not taken.keys() & {"samplers", "experiments"}, taken
 
 
+def _named_defs(path, names):
+    """(def node, every name and attribute its body reads) of each function
+    in the file at path whose name is in names."""
+    return {node.name: (node, {n.id for n in ast.walk(node)
+                               if isinstance(n, ast.Name)}
+                        | {n.attr for n in ast.walk(node)
+                           if isinstance(n, ast.Attribute)})
+            for node in ast.walk(ast.parse(Path(path).read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
 def test_oracles_build_through_the_validating_constructor():
     # the exact oracles check the samplers' one-pass glued graphs, so their
     # bodies name none of the samplers' builders nor the unchecked
@@ -396,19 +407,31 @@ def test_oracles_build_through_the_validating_constructor():
     banned = {"_of", "_glued_graph", "_walk", "_bias_core", "_designated"}
     checked = set()
     for module, names in oracles.items():
-        defs = {node.name: node
-                for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
-                if isinstance(node, ast.FunctionDef) and node.name in names}
-        for name, node in defs.items():
-            used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            used |= {n.attr for n in ast.walk(node)
-                     if isinstance(n, ast.Attribute)}
+        for name, (node, used) in _named_defs(module.__file__, names).items():
             assert not used & banned, (name, used & banned)
             if name in builders:
                 assert any(isinstance(n, ast.Call)
                            and isinstance(n.func, ast.Name)
                            and n.func.id == "Multigraph"
                            for n in ast.walk(node)), name
+            checked.add(name)
+    assert checked == set().union(*oracles.values())
+
+
+def test_tree_and_distance_oracles_name_no_walk_code():
+    # the Pruefer enumeration checks the walk's trees and Floyd-Warshall
+    # every tree distance, so their bodies name none of the walk kernel,
+    # its climbs and searches, nor the bias and glued graph built on them
+    from surpluslab import trees
+    oracles = {trees.__file__: {"_prufer_decode", "enumerate_d_tree_keys",
+                                "_vertex_ints", "tree_from_key"},
+               Path(__file__).with_name("test_geodesics.py"): {"floyd_warshall"}}
+    banned = {"_walk", "_stick_break_int_edges", "_stick_break_key", "_climb",
+              "_climb_matrix", "_search", "_bias_core", "_glued_graph"}
+    checked = set()
+    for path, names in oracles.items():
+        for name, (_, used) in _named_defs(path, names).items():
+            assert not used & banned, (name, used & banned)
             checked.add(name)
     assert checked == set().union(*oracles.values())
 

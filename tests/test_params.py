@@ -56,6 +56,20 @@ def test_validate_surplus_needs_a_vertex():
         validate([], "surplus", k=1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: validate([True, False, False], "tree"),
+    lambda: validate([2, 1, 1, 0], "surplus", k=True),
+    lambda: PVector((True,)),
+    lambda: PVector((), p_inf=True),
+    lambda: ThetaVector(True),
+    lambda: ThetaVector(0.0, (True,)),
+], ids=["degrees", "k", "p", "p_inf", "theta0", "theta"])
+def test_booleans_are_not_numbers(make):
+    # each would pass as 1 or 0; JSON true and false are no numbers
+    with pytest.raises(errors.ValidationError):
+        make()
+
+
 def test_surplus_plus_zeros_is_tree_kind():
     for degs, k in [((1, 1), 1), ((2, 2), 2), ((2, 1, 1, 0), 1), ((4, 0), 2)]:
         seq = validate(list(degs), "surplus", k=k)

@@ -9,7 +9,8 @@ import pytest
 
 from surpluslab import errors, samplers
 from surpluslab.labels import internal as V, is_star, star as S
-from surpluslab.experiments import VERSION, d_tree_bias_values, gp_matrix_sample
+from surpluslab.experiments import (VERSION, VertexMeasure, d_tree_bias_values,
+                                   gp_matrix_sample)
 from surpluslab.multigraph import (Multigraph, bias, bias_bound,
                                    bias_components, glue_tree_leaves)
 from surpluslab.params import PVector, validate
@@ -26,7 +27,7 @@ from surpluslab.samplers import (_accepts, _bias_core, _dk_graph, _glue_bias,
                                  sample_ordered_partition,
                                  sample_pk_graph_prefix, shortcut_edgepoints)
 from surpluslab.trees import (LabeledTree, PTreeGrowth, _base_multiset,
-                              _decoded, _walk, _walk_base,
+                              _climb, _decoded, _walk, _walk_base,
                               enumerate_d_tree_keys, multiset_arrangements,
                               sample_d_tree, sample_d_tuple, stick_break_tree,
                               tree_count)
@@ -265,6 +266,10 @@ def test_cm_oracle_guards():
     tree_kind = validate([2, 1, 0, 0, 0], "tree")
     with pytest.raises(errors.ValidationError):
         cm_conditioned_oracle(tree_kind, 0)
+    # [] meets the k = 1 sum, but validate refuses the surplus sequence
+    # a sampler would take, so the oracle has no law to give
+    with pytest.raises(errors.ValidationError, match="non-empty"):
+        cm_conditioned_oracle(validate([], "half-edge"), 1)
     # a zero-degree vertex leaves no connected configuration
     for degrees in ([2, 0], [2, 2, 0], [4, 2, 0, 0]):
         seq = validate(degrees, "half-edge")
@@ -562,12 +567,12 @@ def test_bias_fast_matches_public_bias():
                     assert V(u) in tree.neighbors(V(v))
                     assert depth[v] == depth[u] + 1
             stopped_early += len(parent) < 5
-            circ, squares, dists = _bias_core(
-                parent, depth, fathers[1:2 * k + 1])
+            circ, squares = _bias_core(parent, depth, fathers[1:2 * k + 1])
             assert Fraction(circ, math.prod(squares)) == bias(tree, k)
             assert squares == bias_components(tree, k)[1]
-            assert dists == [tree.distance(S(2 * i - 1), S(2 * i))
-                             for i in range(1, k + 1)]
+            for i in range(1, k + 1):  # the pair path the bias climbs
+                path = _climb(parent, depth, *fathers[2 * i - 1:2 * i + 1])
+                assert len(path) + 2 == tree.distance(S(2 * i - 1), S(2 * i))
             assert _glue_bias(entries, k, first=1) == \
                 (circ, math.prod(squares))
             shift = {S(j): S(j + 1) for j in range(2 * k)}
@@ -661,7 +666,7 @@ def test_streaming_proposals_match_fraction_reference():
         while True:
             entries = base[rng.permutation(len(base))].tolist()
             parent, depth, fathers = _walk(entries, len(entries) + 1)
-            circ, squares, _ = _bias_core(parent, depth, fathers[:2])
+            circ, squares = _bias_core(parent, depth, fathers[:2])
             if rng.random() * bias_bound(1) < Fraction(circ, math.prod(squares)):
                 break
         assert _same_graph(got, _dk_graph(entries, 1))
@@ -690,8 +695,8 @@ def test_bias_bound_is_sharp_pair_by_pair():
                     parent, depth, fathers = _walk(entries, 2 * k)
                     circ = 1
                     for i in range(1, k + 1):
-                        c, squares, _ = _bias_core(parent, depth,
-                                                   fathers[:2 * i])
+                        c, squares = _bias_core(parent, depth,
+                                                fathers[:2 * i])
                         assert c % circ == 0 and c // circ <= 2 * squares[-1]
                         circ = c
                     b = Fraction(circ, math.prod(squares))
@@ -873,7 +878,8 @@ def test_glued_graph_matches_edge_list_build():
         h = _edge_list_build(parent, depth, glued, kept, name)
         assert list(g._mult.items()) == list(h._mult.items())
         assert g.vertices == h.vertices and g.key() == h.key()
-        assert g._walk == ((parent, depth, glued, kept) if parent else None)
+        assert g._walk == ((parent, depth, glued, kept) if parent else
+                           ({S(0): None}, {S(0): 0}, (), ((1, S(0)),)))
         pairs = [p for p, _ in g.edge_items()]
         seen["loop"] += any(u == v for u, v in pairs)
         seen["double"] += any(m > 1 and u != v for (u, v), m in g.edge_items())
@@ -947,6 +953,10 @@ def test_seeded_outputs_pinned():
             "546a906d6234eabf25b62a4a8fb28819a527dafbc23beac9aa9b116abbfdee41",
         "pk_glued_k2_min_stars":
             "60dda15ea2e74792deed46d8b85268ab76cd329238df25f9ebc7d13f3a2ccd63",
+        "gp_d_tree_measure":
+            "5f371ff86d1cb1b180400c55f1275c14197ef309acd58a84bae490b3a40ad387",
+        "gp_dk_graph_empty_measure":
+            "73dc67f9d12ba7a7a0aee0fa365ec0a0aec99d4b9541eb4852fb2af97a5062ec",
     }
     got = {}
     ladder = validate([2] * 64 + [0] * 66, "tree")
@@ -1000,5 +1010,19 @@ def test_seeded_outputs_pinned():
         _sample_pk_glued(PVector((0.5, 0.25, 0.125), 0.125), 2, 6, rng,
                          min_stars=12).to_json() for _ in range(50))
         + "\n" + repr(rng.random()))
+    # measure-marked matrices: a d-tree's whole shuffled tuple decoded, and
+    # [0, 0]'s single edge S0 - S1; recorded while that edge's matrices
+    # still came from a breadth-first search
+    measure = VertexMeasure({**{V(i): float(i) for i in range(1, 6)},
+                             **{S(j): 0.5 for j in range(7)}})
+    mats, w = gp_matrix_sample({"model": "d-tree", "params": seq,
+                                "scale": "lambda"}, 5, 50,
+                               np.random.default_rng(44), measure)
+    got["gp_d_tree_measure"] = _digest(mats.tobytes() + w.tobytes())
+    mats, w = gp_matrix_sample({"model": "dk-graph",
+                                "params": validate([0, 0], "surplus")}, 4, 20,
+                               np.random.default_rng(45),
+                               VertexMeasure({S(0): 1.0, S(1): 2.0}))
+    got["gp_dk_graph_empty_measure"] = _digest(mats.tobytes() + w.tobytes())
     assert got == pins
     assert VERSION == "0.3.0"
