@@ -28,7 +28,7 @@ from .samplers import (_EMPTY_WALK, _glue_bias, _sample_pk_glued,
                        sample_dk_graph)
 from .trees import PTreeGrowth, _climb_matrix, _decoded, _walk, _walk_base
 
-VERSION = "0.3.0"
+VERSION = "0.4.0"
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:

@@ -4,10 +4,13 @@ transforms, each paired with a small-instance enumeration oracle.
 
 The surplus-k sampler draws a uniform tree for the degree sequence with 2k
 extra zeros, designates 2k of its exchangeable leaf labels as S1..S2k by a
-fixed relabelling, accepts with probability bias/2^k, and glues the
+fixed relabelling, biases it by bias = circ / prod(squares), and glues the
 pairs.  A sequence with at most 30,000 tuples is decided once: its table
 sums every tuple's bias per glued graph as an exact Fraction, and each
-draw picks one graph from that law, with no rejection.
+draw picks one graph from that law, with no rejection.  A larger one
+streams: the first glued pair's factor depends only on where the walk
+first repeats, so that index and the entries before it are drawn from
+their biased law, and only pairs 2..k are left to a rejection step.
 """
 
 from __future__ import annotations
@@ -186,16 +189,154 @@ def build_dk_table(seq: DegreeSequence) -> DkTable:
                    np.array([float(w / total) for w in weights]))
 
 
+def _first_factor(t: int):
+    """(c_1, square_1) of a walk whose entry t + 1 is its first repeat (or
+    whose t entries are all distinct): the first glued pair joins entries 1
+    and t, t - 1 tree edges apart, as a loop, a double edge or a t-cycle.
+    Its factor c_1 / square_1 is 2, 1 or 1/t."""
+    return (2, 1) if t == 1 else (2, 2) if t == 2 else (1, t)
+
+
+# the last T kept is the one before the bound on P(T >= t) falls below
+# 1e-300: weights that small cannot move the float cumulative sum
+_LOG_TINY = math.log(1e-300)
+
+
+def _log_convolve(a, b, size: int):
+    """The first size coefficients of the product of two power series, each
+    given by the logs of its coefficients (-inf for 0): one shifted
+    logaddexp per nonzero coefficient of the sparser series."""
+    import numpy as np
+    nonzero = [np.flatnonzero(np.isfinite(x[:size])) for x in (a, b)]
+    if len(nonzero[0]) > len(nonzero[1]):
+        a, b, nonzero = b, a, nonzero[::-1]
+    out = np.full(size, -np.inf)
+    for i in nonzero[0].tolist():
+        part = out[i:i + len(b)]
+        np.logaddexp(part, a[i] + b[:len(part)], out=part)
+    return out
+
+
+def _pick(rng: np.random.Generator, logits) -> int:
+    """An index drawn with probability proportional to exp(logits)."""
+    import numpy as np
+    cum = np.cumsum(np.exp(logits - logits.max()))
+    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+
+
+class _FirstPair:
+    """The streaming proposal of one tree sequence: its walk base, and the
+    law of T, the index of the walk's last entry before its first repeat,
+    and of the entries 1..T + 1, biased by the first glued pair's factor
+    f(T) = c_1 / square_1.
+
+    With N stubs, P(T = t) = t! W_t / (N)_(t+1), where W_t sums
+    prod_S d * sum_S (d - 1) over the t-sets S of positive-degree vertices.
+    The vertices are grouped by degree, group j holding n_j of degree d_j.
+    F[j] is the power series of prod_{g<j} (1 + d_g x)^(n_g), whose x^r
+    coefficient sums prod_S d over the r-sets of groups < j; Q[j] sums
+    prod_S d * sum_S (d - 1) over the same sets, so W_t is Q[G]'s x^t
+    coefficient.  _tables[j] holds A_j = (1 + d_j x)^(n_j), B_j (A_j's
+    x^m term times m (d_j - 1)), F[j] and Q[j], all as logs of floats, up
+    to the last T whose P(T >= t) can exceed 1e-300 by Maclaurin's bound
+    e_t <= C(s, t) (N / s)^t on F[G]'s coefficients.  p_t[t - 1] is
+    P(T = t), unbiased; it is None when every degree is 1, since then no
+    entry repeats and T = N.
+    """
+
+    def __init__(self, seq: DegreeSequence):
+        import numpy as np
+        self.base = _walk_base(seq)
+        n_stubs = len(self.base)
+        self._counts = np.array((0,) + seq.degrees)  # stubs per rank
+        self._ranks = np.arange(len(self._counts))
+        groups: Dict[int, list] = {}
+        for rank, d in enumerate(seq.degrees, 1):
+            if d:
+                groups.setdefault(d, []).append(rank)
+        self._groups = [(d, np.array(r)) for d, r in sorted(groups.items())]
+        self._tables, self.p_t = [], None
+        if all(d == 1 for d in groups):
+            return
+        s = sum(len(r) for r in groups.values())
+        lf = np.array([math.lgamma(i + 1) for i in range(n_stubs + 1)])
+        t = np.arange(s + 1)
+        bound = (lf[s] - lf[t] - lf[s - t] + t * math.log(n_stubs / s)
+                 - lf[n_stubs] + lf[t] + lf[n_stubs - t])
+        size = int(np.argmax(bound < _LOG_TINY)) or s + 1
+        log_f, log_q = np.full(size, -np.inf), np.full(size, -np.inf)
+        log_f[0] = 0.0
+        for d, ranks in self._groups:
+            m = np.arange(min(len(ranks), size - 1) + 1)
+            log_a = lf[len(ranks)] - lf[m] - lf[len(ranks) - m] + m * math.log(d)
+            with np.errstate(divide="ignore"):  # log 0 for m = 0 or d = 1
+                log_b = log_a + np.log(m * (d - 1))
+            self._tables.append((log_a, log_b, log_f, log_q))
+            log_f, log_q = (_log_convolve(log_f, log_a, size),
+                            np.logaddexp(_log_convolve(log_q, log_a, size),
+                                         _log_convolve(log_f, log_b, size)))
+        t = np.arange(1, size)
+        self.p_t = np.exp(lf[t] + log_q[1:] - lf[n_stubs] + lf[n_stubs - t - 1])
+        f = [c / square for c, square in map(_first_factor, t.tolist())]
+        self._cum = np.cumsum(self.p_t * f)
+
+    def draw(self, rng: np.random.Generator):
+        """(T, entries 1..T + 1): T from its law biased by f(T); then the
+        group sizes and the group of the repeated entry u, group by group
+        from the last, each weighed against the prefix series F or Q of the
+        groups before it; then uniform vertices within each group, u
+        uniform among its group's, and a uniform order.  With every degree
+        1, (N, []): the whole tuple is left to the completion."""
+        import numpy as np
+        if self.p_t is None:
+            return len(self.base), []
+        t = int(np.searchsorted(self._cum, rng.random() * self._cum[-1],
+                                side="right")) + 1
+        r, u_group, sizes = t, None, [0] * len(self._groups)
+        for j in range(len(self._groups) - 1, 0, -1):
+            log_a, log_b, log_f, log_q = self._tables[j]
+            top = min(len(log_a) - 1, r)
+            rest_f = log_f[r - top:r + 1][::-1]  # F[j] at r - m, m = 0..top
+            if u_group is None:  # u in group j, or in a group before it
+                i = _pick(rng, np.concatenate((
+                    log_b[:top + 1] + rest_f,
+                    log_a[:top + 1] + log_q[r - top:r + 1][::-1])))
+                if i <= top:
+                    u_group = j
+                else:
+                    i -= top + 1
+            else:
+                i = _pick(rng, log_a[:top + 1] + rest_f)
+            sizes[j] = i
+            r -= i
+        sizes[0] = r
+        u_group = 0 if u_group is None else u_group
+        picks = [rng.choice(ranks, n, replace=False, shuffle=False)
+                 if n else ranks[:0] for (_, ranks), n in zip(self._groups, sizes)]
+        u = int(picks[u_group][rng.integers(sizes[u_group])])
+        prefix = np.concatenate(picks)
+        rng.shuffle(prefix)
+        return t, prefix.tolist() + [u]
+
+    def rest(self, prefix: list) -> np.ndarray:
+        """The stubs a prefix leaves, as ranks in increasing order."""
+        import numpy as np
+        if not prefix:
+            return self.base
+        counts = self._counts - np.bincount(prefix, minlength=len(self._counts))
+        return np.repeat(self._ranks, counts)
+
+
 @lru_cache(maxsize=128)
 def _dk_path(seq: DegreeSequence):
-    """The sequence's DkTable, or above _TABLE_CAP tuples the walk base of
+    """The sequence's DkTable, or above _TABLE_CAP tuples the _FirstPair of
     its tree kind: the kind is checked, the tuples counted and the path
     chosen once per sequence."""
     if seq.kind != KIND_SURPLUS:
         raise ValidationError("(D,k) sampling needs a surplus-kind sequence")
     tree_seq = seq.to_tree_kind()
     if tree_count(tree_seq) > _TABLE_CAP:
-        return _walk_base(tree_seq)
+        return _FirstPair(tree_seq)
     return build_dk_table(seq)
 
 
@@ -207,14 +348,24 @@ def dk_table(seq: DegreeSequence) -> DkTable:
     return path
 
 
-def _sample_dk_streaming(k: int, base: np.ndarray, rng: np.random.Generator):
-    """Walks each proposal only up to its 2k glued leaves until one passes;
-    the whole shuffled tuple is decoded only for the accepted one."""
-    bound = bias_bound(k)
+def _sample_dk_streaming(k: int, first: _FirstPair, rng: np.random.Generator):
+    """Each proposal draws its first glued pair's prefix from the biased
+    law (none at k = 0), then completes it with one rng.permutation of the
+    stubs left.  The prefix carries the factor f(T), so at k <= 1 every
+    proposal is accepted; at k >= 2 the walk goes on to leaf 2k and the
+    proposal passes with probability (bias / f(T)) / 2^(k-1), which is at
+    most 1, decoding the completion only as far as the walk reads it."""
     for _ in range(_PROPOSAL_CAP):
-        perm = rng.permutation(len(base))
-        if _accepts(rng, bound, *_glue_bias(_decoded(base, perm), k)):
-            return _dk_graph(base[perm].tolist(), k)
+        t, prefix = first.draw(rng) if k else (0, [])
+        rest = first.rest(prefix)
+        perm = rng.permutation(len(rest))
+        if k > 1:
+            circ, prod = _glue_bias(
+                itertools.chain(prefix, _decoded(rest, perm)), k)
+            c, square = _first_factor(t)
+            if not _accepts(rng, bias_bound(k - 1), circ * square, prod * c):
+                continue
+        return _dk_graph(prefix + rest[perm].tolist(), k)
     raise TooLarge(f"nothing accepted in {_PROPOSAL_CAP} proposals")
 
 
@@ -224,7 +375,9 @@ def sample_dk_graph(seq: DegreeSequence, rng: np.random.Generator) -> Multigraph
     The sequence's zero entries survive as star leaves labeled S0,
     S_{2k+1}, ... (the glued labels S1..S2k are consumed).  Sequences
     with at most 30000 tuples draw one graph from the table's exact law;
-    larger ones stream.
+    larger ones stream: the first glued pair is drawn from its biased law,
+    so a k = 1 draw makes one proposal, and at k >= 2 a proposal is
+    accepted with probability (bias / f(T)) / 2^(k-1).
     """
     path = _dk_path(seq)
     if not isinstance(path, DkTable):
@@ -266,7 +419,9 @@ def _stubs(seq: DegreeSequence) -> np.ndarray:
 def sample_configuration_model(seq: DegreeSequence,
                                rng: np.random.Generator) -> Multigraph:
     """Multigraph of a uniform perfect matching of labeled half-edges:
-    stubs 2i and 2i + 1 of the permuted stub array are paired."""
+    stubs 2i and 2i + 1 of the permuted stub array are paired.  np.unique
+    gives each (lo, hi) pair once, ordered and counted, so the map goes
+    straight to Multigraph._of."""
     if seq.kind != KIND_HALF_EDGE:
         raise ValidationError("configuration model needs a half-edge sequence")
     if seq.total % 2 != 0:
@@ -277,9 +432,9 @@ def sample_configuration_model(seq: DegreeSequence,
     lo, hi = np.minimum(ends[::2], ends[1::2]), np.maximum(ends[::2], ends[1::2])
     pairs, mult = np.unique(lo * len(names) + hi, return_counts=True)
     lo, hi = np.divmod(pairs, len(names))
-    return Multigraph([(names[u], names[v], m) for u, v, m in
-                       zip(lo.tolist(), hi.tolist(), mult.tolist())],
-                      vertices=names[1:])
+    return Multigraph._of({(names[u], names[v]): m for u, v, m in
+                           zip(lo.tolist(), hi.tolist(), mult.tolist())},
+                          frozenset(names[1:]))
 
 
 def _connected_law(weighted, key) -> Dict[tuple, Fraction]:

@@ -270,7 +270,9 @@ def sample_d_tuple(seq: DegreeSequence, rng: np.random.Generator) -> Tuple[Verte
 
 
 def stick_break_tree(seq: DegreeSequence, tup: Sequence[Vertex]) -> LabeledTree:
-    """Deterministic tree of a tuple; raises TupleMismatch on bad multiplicities."""
+    """Deterministic tree of a tuple; raises TupleMismatch on bad
+    multiplicities.  tup is read once, so any iterable will do."""
+    tup = tuple(tup)
     if Counter(tup) != Counter(map(internal, _base_multiset(seq))):
         raise TupleMismatch("tuple multiplicities disagree with the degree sequence")
     edges = _stick_break_int_edges([v.index for v in tup])

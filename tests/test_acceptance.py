@@ -24,8 +24,8 @@ from surpluslab.multigraph import (Multigraph, bias_bound, cb_probability,
 from surpluslab.params import validate
 from surpluslab.reconstruct import (check_four_point, core_measure_from_matrix,
                                     reconstruct)
-from surpluslab.samplers import (_bias_core, cm_conditioned_oracle, dk_table,
-                                 pk_law_oracle, sample_dk_graph_keys,
+from surpluslab.samplers import (_FirstPair, _bias_core, cm_conditioned_oracle,
+                                 dk_table, pk_law_oracle, sample_dk_graph_keys,
                                  sample_pk_graph_prefix)
 from surpluslab.trees import (_base_multiset, _climb, _walk,
                               enumerate_d_tree_keys, multiset_arrangements,
@@ -321,6 +321,28 @@ def test_criterion_10_convergence_ladder():
             f"decreasing={rep['decreasing']}, perm obs={pm['observed']:.4f} "
             f"< thr95={pm['threshold95']:.4f}: {confirmed} (p={pm['p']:.2f})")
     report(10, ok, "; ".join(details) + f", {time.time() - t0:.0f}s")
+
+
+def test_k1_cycle_length_limit_is_exact_along_ladder():
+    # the k = 1 limit with no sampling.  A (D,1)-graph's cycle length C is
+    # T, the walk's last entry before its first repeat, so P(C = t) is
+    # proportional to P(T = t) f(t), the law the streaming sampler draws T
+    # from.  On the ICRG side the core length, weighted by 1/length, is
+    # half-normal.  The exact Kolmogorov distance between lambda C (lambda
+    # as in criterion 10's scale) and the half-normal falls along
+    # criterion 10's ladder
+    distances = []
+    for n in (32, 128, 512):
+        tree_seq = _ladder_member(n, 1)["params"].to_tree_kind()
+        first = _FirstPair(tree_seq)
+        law = np.diff(first._cum, prepend=0.0) / first._cum[-1]
+        below = np.concatenate(([0.0], np.cumsum(law)))  # P(C < t), P(C <= t)
+        half_normal = np.array([math.erf(tree_seq.lam * t / math.sqrt(2))
+                                for t in range(1, len(law) + 1)])
+        distances.append(max(np.abs(below[:-1] - half_normal).max(),
+                             np.abs(below[1:] - half_normal).max()))
+    assert distances == pytest.approx([0.1443, 0.0832, 0.0453], abs=5e-4)
+    assert distances[0] > distances[1] > distances[2]
 
 
 def _ladder_bias_tail(n, lam, m):

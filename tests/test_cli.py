@@ -175,13 +175,14 @@ def test_oracle_cap_reaches_pk_law_and_is_refused_by_cm_law(
 @pytest.mark.parametrize("command", ["sample-graph", "converge"])
 def test_proposal_cap_exit_code(tmp_path, param_files, monkeypatch, capsys,
                                 command):
-    # the streaming (D,k) loop (the ladder has too many tuples for a table)
-    # and the (P,k) loop of a pk-graph target (the family member is drawn
-    # from its table) raise TooLarge at the cap
+    # the streaming (D,k) loop (the ladder has too many tuples for a table;
+    # at k = 2, since a k = 1 draw is never rejected) and the (P,k) loop of
+    # a pk-graph target (the family member is drawn from its table) raise
+    # TooLarge at the cap
     from surpluslab import samplers
     ladder, small = tmp_path / "ladder.json", tmp_path / "small.json"
     ladder.write_text(json.dumps(
-        {"kind": "surplus", "k": 1, "degrees": [2] * 8 + [0] * 8}))
+        {"kind": "surplus", "k": 2, "degrees": [2] * 8 + [0] * 6}))
     small.write_text(json.dumps(
         {"kind": "surplus", "k": 1, "degrees": [2, 2, 2, 0, 0, 0]}))
     sub = (["sample-graph", "--params", str(ladder)]
@@ -638,19 +639,21 @@ _PINNED_COMMANDS = {
 # CLI's per-repetition loop, flag parse and CSV formatter were merged;
 # sample-graph's output re-recorded at stream version 0.2.0, when table
 # draws became one choice from the law, and the manifests (which embed the
-# version) at 0.2.0 and again at 0.3.0, when the rejection bound became 2^k
+# version) at 0.2.0, again at 0.3.0, when the rejection bound became 2^k,
+# and at 0.4.0, when streaming (D,k) draws began to draw their first glued
+# pair directly (no pinned command streams, so no other output moved)
 _PINNED_DIGESTS = {
     "bias-tail": {
         "bias-tail.csv":
             "a531f21c4f50d80f42fd89e1fa784a19083d878b2256cbf5728c79a8709a4ef5",
         "manifest.json":
-            "65151190bfa2462bff73dd4cae8b6b560e2e3ea9c2f64a21fce19c7e1350d423",
+            "f9a0d8bac9c73bbe331a7aaa2c5539f2becb19b8414ec51fab3fe88586ae1c80",
         "stdout":
             "a531f21c4f50d80f42fd89e1fa784a19083d878b2256cbf5728c79a8709a4ef5",
     },
     "cm-law": {
         "manifest.json":
-            "7d2a4a155c091939b58ae1295ad1c708c449f8e6ff68d8494e90aaa36fe895f2",
+            "c639aa10c4a69d943bda38a28d41b34507113864372e4c46a89c9033eb7115bb",
         "oracle-cm-law.jsonl":
             "6540d493655f84c8baa563a14bb144cd7cf99fa6b5b3d95c03b9f20a36fb1be8",
         "stdout":
@@ -660,7 +663,7 @@ _PINNED_DIGESTS = {
         "converge.csv":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
         "manifest.json":
-            "292bcd94aadb9467a12bd5d18fcacead100d226cb9b32ca06089ab094f9cceff",
+            "03ee295f97dbed5c7c7e632bcc6acb2547402f4b4531c2c2eeb3cab072535ee3",
         "stdout":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
     },
@@ -668,7 +671,7 @@ _PINNED_DIGESTS = {
         "converge.csv":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
         "manifest.json":
-            "292bcd94aadb9467a12bd5d18fcacead100d226cb9b32ca06089ab094f9cceff",
+            "03ee295f97dbed5c7c7e632bcc6acb2547402f4b4531c2c2eeb3cab072535ee3",
         "stdout":
             "a2ed9c8ca5a86bdfe57fc32a0dbb2fcef839bf5bd5df9a9ea721999fa9cfb69d",
     },
@@ -676,13 +679,13 @@ _PINNED_DIGESTS = {
         "core-measure.jsonl":
             "5beb9682cc4e0ed99605cbf9a04fee0100c4377bfd9672f07d8898f2e703ef9b",
         "manifest.json":
-            "ca64cab70a66dda2e895e5ae8d88e6f4bf406c89c9c07057d87a794d1e614482",
+            "c70c8f1d1b237399c05e14a131d53b345606b1694a9b223dda714cadede30744",
         "stdout":
             "5beb9682cc4e0ed99605cbf9a04fee0100c4377bfd9672f07d8898f2e703ef9b",
     },
     "enumerate-trees": {
         "manifest.json":
-            "abdee2f65cf43d2b9040bd61afe12d1ab0940ecdab6a9370bcdf18bff4792afb",
+            "3aef5e2565da4945a52b196ee4dd088c11208cb2181ee51ddb3aa8eddedae366",
         "oracle-enumerate-trees.jsonl":
             "191a70e19aa8cd57b42597356dfd9e90205486ed040c9975955e7cb0b07f6138",
         "stdout":
@@ -690,7 +693,7 @@ _PINNED_DIGESTS = {
     },
     "pk-law": {
         "manifest.json":
-            "8e348597ec7261be75caed3f5bf35739f83aeab583873c433cbc0f29d5168677",
+            "ed3fdf507abab18012a1ac834cadeb29b27b1f035dfa84e77d970cdd731a3c5b",
         "oracle-pk-law.jsonl":
             "240e6a786cb95a4bf9cccad23545ab44583c838e1064b8cbcc31e6827c36a8a9",
         "stdout":
@@ -698,7 +701,7 @@ _PINNED_DIGESTS = {
     },
     "reconstruct": {
         "manifest.json":
-            "168d2006f06d94e7f78dbe61faa2c72b3a9dcf5dd75373a4db3150cb509b085b",
+            "9b0f13282118c409f64d475c9ed0edc3d3b2ed086e7770f0416e853ecddf888d",
         "reconstruct.jsonl":
             "1e2c1bf3756c68be80a7d9f22fce7f82de5d47caa0da74269a4e0c210f3bd177",
         "stdout":
@@ -706,7 +709,7 @@ _PINNED_DIGESTS = {
     },
     "sample-cm": {
         "manifest.json":
-            "92bc6c5806d082d537cf9d9b66acfc3708152198bf09cd7da8c21aab23be76a5",
+            "6abd349ae1a20f61676b3b0e6d0b2af696bfc6ac545b8f2845875c6bc69b1a13",
         "sample-cm.jsonl":
             "dca1e08a9e958ba83a2768d62307c8eca9a057a052553e99700cf490f6238fb2",
         "stdout":
@@ -714,7 +717,7 @@ _PINNED_DIGESTS = {
     },
     "sample-graph": {
         "manifest.json":
-            "e3b5ff0e45452e18494cf29fce73b0437485246c5ef63376eddad6447dbf0f5a",
+            "9da506fb3bcc048379313b37f761e0c5654012db5ecf2b4fa717e178dd2fa862",
         "sample-graph.jsonl":
             "2f09d98a947a909c37ca943e5c837b124bd00a1759e83859077ec2092014b070",
         "stdout":
@@ -722,7 +725,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrg": {
         "manifest.json":
-            "a39c6cd018f25ad488d2c03e026a86f1b9616db15c47576e1211dd0c270b4e70",
+            "6fe8beaadbd9d088287fdaa27ac164033ddd41bbf42401fa7bbe35fb78e63b9c",
         "sample-icrg.jsonl":
             "d7af856a5c94b555a5bc4663c884bd9c3116de14569954f919f3ba9e35354beb",
         "stdout":
@@ -730,7 +733,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrg-csv": {
         "manifest.json":
-            "a39c6cd018f25ad488d2c03e026a86f1b9616db15c47576e1211dd0c270b4e70",
+            "6fe8beaadbd9d088287fdaa27ac164033ddd41bbf42401fa7bbe35fb78e63b9c",
         "sample-icrg.csv":
             "c94c60c6cc4ff608fbe0d31324f7be8ed9a23b564aaacc50b408f256fd6b2ef0",
         "stdout":
@@ -738,7 +741,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrt": {
         "manifest.json":
-            "4ea470e153c0e3c6a2443efe1aa16aba9a7f9d82b66e4e7b2a74c986c80c8026",
+            "c0877804949c0d388bc17803a5a3e8a836e1077813aa07b6542df88049979d93",
         "sample-icrt.jsonl":
             "f47d1201d2974072982b19386c94d27d7bb4a95cb2bf1051fc19968a39ab918c",
         "stdout":
@@ -746,7 +749,7 @@ _PINNED_DIGESTS = {
     },
     "sample-icrt-csv": {
         "manifest.json":
-            "4ea470e153c0e3c6a2443efe1aa16aba9a7f9d82b66e4e7b2a74c986c80c8026",
+            "c0877804949c0d388bc17803a5a3e8a836e1077813aa07b6542df88049979d93",
         "sample-icrt.csv":
             "89b3b2108e8b6e9bd51e379599acd11d33b25317a8a29860dd01cad351c9c80e",
         "stdout":
@@ -754,7 +757,7 @@ _PINNED_DIGESTS = {
     },
     "sample-mult": {
         "manifest.json":
-            "8d440bb50c1cd96ebc69946d1e3bcf2abb0c53823c944c08be8a8940a0a10fca",
+            "889a0e264060ba52020e0b403d31b9da311c0502ca4ecdf5e29327db5e16472e",
         "sample-mult.jsonl":
             "3633c783f407ae363ed5dfb9ffcf13b9763263123522ce9ae03f4f0829ea6cf1",
         "stdout":
@@ -762,7 +765,7 @@ _PINNED_DIGESTS = {
     },
     "sample-tree": {
         "manifest.json":
-            "b23376c72fbef8e43e7591d841d07b4551c395948a6f82525e0ef53a033e2dfd",
+            "fd144a18c4bd7eadbadf96da0d7001e399604f453f70311ec934b505865ffbab",
         "sample-tree.jsonl":
             "0d5743d92cd4b7eb37ee6c3e792dfc808eb0920c81a17f958e55a451c8abd1db",
         "stdout":
@@ -770,7 +773,7 @@ _PINNED_DIGESTS = {
     },
     "sample-tree-p": {
         "manifest.json":
-            "ec23b4775c4bd4601e470c9127003ca590a086d5f87f5a4c317be2c720a8b07a",
+            "96e2a4b960061864fe86878e1273babe596e8e0bec533499804b048d3ef9ff7f",
         "sample-tree.jsonl":
             "f430d82ecae7889e6a489463d7b788280e017e070cb300ea84a7615dd6671302",
         "stdout":

@@ -14,8 +14,9 @@ from surpluslab.experiments import (VERSION, VertexMeasure, d_tree_bias_values,
 from surpluslab.multigraph import (Multigraph, bias, bias_bound,
                                    bias_components, glue_tree_leaves)
 from surpluslab.params import PVector, validate
-from surpluslab.samplers import (_accepts, _bias_core, _dk_graph, _glue_bias,
-                                 _pk_graph, _sample_dk_streaming,
+from surpluslab.samplers import (_FirstPair, _accepts, _bias_core, _dk_graph,
+                                 _first_factor, _glue_bias, _pk_graph,
+                                 _sample_dk_streaming,
                                  _sample_pk_glued, canonical_oriented_edges,
                                  cm_conditioned_oracle, dk_table,
                                  insert_edgepoints, pk_law_oracle,
@@ -78,9 +79,9 @@ def test_dk_table_and_streaming_agree():
     oracle = cm_conditioned_oracle(validate([3, 2, 2, 1], "half-edge"), 1)
     rng = np.random.default_rng(2)
     n = 6000
-    base = _walk_base(seq.to_tree_kind())
+    first = _FirstPair(seq.to_tree_kind())
     stream_counts = Counter(
-        _sample_dk_streaming(1, base, rng).leaf_canonical_key()
+        _sample_dk_streaming(1, first, rng).leaf_canonical_key()
         for _ in range(n))
     assert tv_against(oracle, stream_counts, n) < 0.03
     table_counts = sample_dk_graph_keys(seq, n, rng)
@@ -655,22 +656,59 @@ def test_d_tree_bias_values_match_fraction_reference():
             assert got_rng.bit_generator.state == rng.bit_generator.state
 
 
+def _first_run(entries) -> int:
+    """T: the number of entries before the first repeat, or all of them."""
+    seen = set()
+    for i, a in enumerate(entries):
+        if a in seen:
+            return i
+        seen.add(a)
+    return len(entries)
+
+
+def _f(t) -> Fraction:
+    """The first glued pair's factor c_1 / square_1 at T = t."""
+    return {1: Fraction(2), 2: Fraction(1)}.get(t, Fraction(1, t))
+
+
 def test_streaming_proposals_match_fraction_reference():
-    # the streaming (D,1) sampler against the whole tuple, the Fraction
-    # bias and the float-against-Fraction acceptance, graph for graph
-    seq = validate([2] * 24 + [0] * 24, "surplus", k=1)
-    base = np.array(_base_multiset(seq.to_tree_kind()), dtype=np.int64)
-    got_rng, rng = np.random.default_rng(47), np.random.default_rng(47)
-    for _ in range(30):
-        got = _sample_dk_streaming(1, base, got_rng)
-        while True:
-            entries = base[rng.permutation(len(base))].tolist()
-            parent, depth, fathers = _walk(entries, len(entries) + 1)
-            circ, squares = _bias_core(parent, depth, fathers[:2])
-            if rng.random() * bias_bound(1) < Fraction(circ, math.prod(squares)):
-                break
-        assert _same_graph(got, _dk_graph(entries, 1))
-    assert got_rng.bit_generator.state == rng.bit_generator.state
+    # the streaming (D,k) sampler against the whole tuple, the Fraction
+    # bias over f(T), T read off the tuple, and the float-against-Fraction
+    # acceptance against 2^(k-1), graph for graph; at k = 1 that ratio is
+    # 1 and no uniform is drawn for it
+    for k in (1, 2):
+        seq = validate([2] * 24 + [0] * (26 - 2 * k), "surplus", k=k)
+        first = _FirstPair(seq.to_tree_kind())
+        got_rng, rng = np.random.default_rng(47), np.random.default_rng(47)
+        for _ in range(30):
+            got = _sample_dk_streaming(k, first, got_rng)
+            while True:
+                t, prefix = first.draw(rng)
+                rest = first.rest(prefix)
+                entries = prefix + rest[rng.permutation(len(rest))].tolist()
+                assert _first_run(entries) == t
+                assert Fraction(*_first_factor(t)) == _f(t)
+                parent, depth, fathers = _walk(entries, len(entries) + 1)
+                circ, squares = _bias_core(parent, depth, fathers[:2 * k])
+                ratio = Fraction(circ, math.prod(squares)) / _f(t)
+                assert k > 1 or ratio == 1
+                if k == 1 or rng.random() * bias_bound(k - 1) < ratio:
+                    break
+            assert _same_graph(got, _dk_graph(entries, k))
+        assert got_rng.bit_generator.state == rng.bit_generator.state
+
+
+def _small_sequences(k, s_max, cap):
+    """Every non-increasing surplus-k sequence on 2..s_max vertices with at
+    most cap tuples."""
+    for s in range(2, s_max + 1):
+        total = s + 2 * k - 2
+        for degs in itertools.combinations_with_replacement(
+                range(total, -1, -1), s):
+            if sum(degs) == total:
+                seq = validate(list(degs), "surplus", k=k)
+                if tree_count(seq.to_tree_kind()) <= cap:
+                    yield seq
 
 
 def test_bias_bound_is_sharp_pair_by_pair():
@@ -681,29 +719,21 @@ def test_bias_bound_is_sharp_pair_by_pair():
     n_seqs = n_tuples = 0
     for k in range(1, 5):
         largest = 0
-        for s in range(2, 8):
-            total = s + 2 * k - 2
-            for degs in itertools.combinations_with_replacement(
-                    range(total, -1, -1), s):
-                if sum(degs) != total:
-                    continue
-                tree_seq = validate(list(degs), "surplus", k=k).to_tree_kind()
-                if tree_count(tree_seq) > 2000:
-                    continue
-                n_seqs += 1
-                for entries in multiset_arrangements(_base_multiset(tree_seq)):
-                    parent, depth, fathers = _walk(entries, 2 * k)
-                    circ = 1
-                    for i in range(1, k + 1):
-                        c, squares = _bias_core(parent, depth,
-                                                fathers[:2 * i])
-                        assert c % circ == 0 and c // circ <= 2 * squares[-1]
-                        circ = c
-                    b = Fraction(circ, math.prod(squares))
-                    largest = max(largest, b)
-                    if degs == (2 * k, 0):
-                        assert b == 2 ** k
-                    n_tuples += 1
+        for seq in _small_sequences(k, 7, 2000):
+            n_seqs += 1
+            tree_seq = seq.to_tree_kind()
+            for entries in multiset_arrangements(_base_multiset(tree_seq)):
+                parent, depth, fathers = _walk(entries, 2 * k)
+                circ = 1
+                for i in range(1, k + 1):
+                    c, squares = _bias_core(parent, depth, fathers[:2 * i])
+                    assert c % circ == 0 and c // circ <= 2 * squares[-1]
+                    circ = c
+                b = Fraction(circ, math.prod(squares))
+                largest = max(largest, b)
+                if seq.degrees == (2 * k, 0):
+                    assert b == 2 ** k
+                n_tuples += 1
         assert largest == bias_bound(k) == 2 ** k
     assert (n_seqs, n_tuples) == (224, 79905)
 
@@ -718,30 +748,203 @@ class _CountingRng:
         self.permutations += 1
         return self.rng.permutation(n)
 
-    def random(self):
-        return self.rng.random()
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 @pytest.mark.parametrize("degrees, k, mean", [
-    ([2, 2, 2, 2, 0, 0, 0, 0], 1, Fraction(35, 13)),
-    ([3, 3, 2, 2, 0, 0, 0, 0], 2, Fraction(840, 79)),
+    ([2, 2, 2, 2, 0, 0, 0, 0], 1, Fraction(1)),
+    ([3, 3, 2, 2, 0, 0, 0, 0], 2, Fraction(1046, 237)),
 ], ids=["2222-k1", "3322-k2"])
 def test_streaming_acceptance_rate_is_exact(degrees, k, mean):
-    # proposals per graph are geometric with mean 2^k / E[bias], and the
-    # table's weights sum the bias over every tuple; a bound of (k+1)! 2^k
-    # would multiply the mean by (k+1)!
+    # a proposal's prefix carries f(T), and it passes with probability
+    # (bias / f(T)) / 2^(k-1), so proposals per graph are geometric with
+    # mean 2^(k-1) sum f(T) / sum bias over every tuple (the table's
+    # weights sum the bias): exactly 1 at k = 1.  Whole proposals rejected
+    # on bias / 2^k needed 2^k #tuples / sum bias: 35/13 and 840/79 here
     seq = validate(degrees, "surplus", k=k)
     tree_seq = seq.to_tree_kind()
-    exact = Fraction(2 ** k * tree_count(tree_seq), sum(dk_table(seq).weights))
+    total_f = sum(_f(_first_run(a))
+                  for a in multiset_arrangements(_base_multiset(tree_seq)))
+    exact = 2 ** (k - 1) * total_f / sum(dk_table(seq).weights)
     assert exact == mean
     n = 2000
     rng = _CountingRng(np.random.default_rng(48))
-    base = _walk_base(tree_seq)
+    first = _FirstPair(tree_seq)
     for _ in range(n):
-        _sample_dk_streaming(k, base, rng)
+        _sample_dk_streaming(k, first, rng)
+    if exact == 1:
+        assert rng.permutations == n
+        return
     p = 1 / float(exact)
     stderr = math.sqrt((1 - p) / p ** 2 / n)
     assert abs(rng.permutations / n - float(exact)) < 4 * stderr
+
+
+@pytest.mark.parametrize("degrees, k", [
+    ([2] * 128 + [0] * 128, 1), ([3, 3, 2, 2, 1, 1, 1, 1] + [0] * 6, 1),
+    ([1] * 8, 1), ([2] * 8 + [0] * 10, 0),
+], ids=["ladder128", "33221111", "cycle8", "ladder8-k0"])
+def test_streaming_k1_makes_one_completion_permutation_per_graph(degrees, k):
+    # each sequence streams (the cycle C8's 8! tuples included, where every
+    # entry is distinct and T = 8), and a k = 1 draw is never rejected: one
+    # rng.permutation, of the stubs the first pair's prefix leaves, per
+    # graph; at k = 0 nothing is glued and the permutation is the tuple
+    seq = validate(degrees, "surplus", k=k)
+    assert tree_count(seq.to_tree_kind()) > samplers._TABLE_CAP
+    rng = _CountingRng(np.random.default_rng(49))
+    for i in range(1, 21):
+        g = sample_dk_graph(seq, rng)
+        assert rng.permutations == i
+        assert g.surplus() == k
+
+
+def _rejection_dk(k, base, rng):
+    """The accepted tuple of the streaming sampler as it was before the
+    first pair was drawn directly: whole uniform proposals, each accepted
+    with probability bias / 2^k."""
+    while True:
+        perm = rng.permutation(len(base))
+        if _accepts(rng, bias_bound(k), *_glue_bias(_decoded(base, perm), k)):
+            return base[perm].tolist()
+
+
+def _group_path_probability(first, t, sizes, mark) -> float:
+    """The probability that draw picks these group sizes and u's group,
+    from the law's own prefix series, group by group from the last."""
+    p, r, placed = 1.0, t, False
+    for j in range(len(first._groups) - 1, 0, -1):
+        log_a, log_b, log_f, log_q = first._tables[j]
+        m = np.arange(min(len(log_a) - 1, r) + 1)
+        if placed:
+            logits, i = log_a[m] + log_f[r - m], sizes[j]
+        else:
+            logits = np.concatenate((log_b[m] + log_f[r - m],
+                                     log_a[m] + log_q[r - m]))
+            placed = mark == j
+            i = sizes[j] if placed else len(m) + sizes[j]
+        p *= math.exp(logits[i] - np.logaddexp.reduce(logits))
+        r -= sizes[j]
+    assert r == sizes[0] and (placed or mark == 0)
+    return p
+
+
+def test_first_pair_procedure_is_exact_on_every_small_surplus1_sequence():
+    # every arrangement of every surplus-1 sequence on at most 8 vertices
+    # with at most 3000 tuples: the probability that the streaming proposal
+    # (T from its biased law, group sizes and u's group from the prefix
+    # series, uniform vertices within groups, u uniform among its group's,
+    # a uniform order, then a uniform arrangement of the stubs left) makes
+    # the tuple is bias / sum(bias), to 1e-12 relative
+    listed = {(2, 2, 0, 0), (2, 2, 2, 0, 0, 0), (3, 1, 1, 0, 0),
+              (3, 2, 1, 0, 0, 0), (4, 2, 1, 0, 0, 0, 0), (2, 2, 1, 1, 0, 0),
+              (3, 3, 1, 0, 0, 0, 0), (1, 1, 1, 1), (5, 1, 0, 0, 0, 0),
+              (2, 1, 1, 1, 1, 1, 0), (3, 2, 2, 1, 0, 0, 0, 0)}
+    seen, n_tuples = set(), 0
+    for seq in _small_sequences(1, 8, 3000):
+        tree_seq = seq.to_tree_kind()
+        first = _FirstPair(tree_seq)
+        group = {int(v): j for j, (_, ranks) in enumerate(first._groups)
+                 for v in ranks}
+        arrangements = list(multiset_arrangements(_base_multiset(tree_seq)))
+        biases = [Fraction(*_glue_bias(a, 1)) for a in arrangements]
+        total = sum(biases)
+        for a, b in zip(arrangements, biases):
+            if first.p_t is None:  # every degree 1: one uniform arrangement
+                got = 1 / len(arrangements)
+            else:
+                t = _first_run(a)
+                cum = first._cum
+                got = (cum[t - 1] - (cum[t - 2] if t > 1 else 0)) / cum[-1]
+                sizes = [0] * len(first._groups)
+                for v in a[:t]:
+                    sizes[group[v]] += 1
+                mark = group[a[t]]
+                got *= _group_path_probability(first, t, sizes, mark)
+                for (_, ranks), m in zip(first._groups, sizes):
+                    got /= math.comb(len(ranks), m)
+                got /= sizes[mark] * math.factorial(t)
+                left = Counter(a[t + 1:])
+                got *= math.prod(map(math.factorial, left.values()))
+                got /= math.factorial(len(a) - t - 1)
+            want = b / total
+            assert abs(got - want) <= 1e-12 * want, (seq.degrees, a)
+            n_tuples += 1
+        seen.add(seq.degrees)
+    assert listed <= seen
+    assert (len(seen), n_tuples) == (58, 18172)
+
+
+def test_first_pair_law_on_both_sides_of_its_bound():
+    # T's law runs to the largest possible T on a small ladder, and stops
+    # where Maclaurin's bound on P(T >= t) falls below 1e-300 on a large
+    # one; both sum to 1, and 2/E[f(T)], the proposals per graph of whole
+    # proposals rejected on bias / 2, is 23.19 and 406.0
+    for n, size, proposals in ((128, 128, 23.188), (32768, 8833, 405.98)):
+        first = _FirstPair(validate([2] * n + [0] * (n + 2), "tree"))
+        assert len(first.p_t) == size
+        assert first.p_t.sum() == pytest.approx(1, abs=1e-9)
+        assert 2 / first._cum[-1] == pytest.approx(proposals, abs=0.005)
+
+    def log_tail(t, n=32768):  # the ladder's P(T >= t) = C(n, t) 2^t / C(2n, t)
+        return (math.lgamma(n + 1) - math.lgamma(n - t + 1) + t * math.log(2)
+                - math.lgamma(2 * n + 1) + math.lgamma(2 * n - t + 1))
+    assert log_tail(8833) >= math.log(1e-300) > log_tail(8834)
+
+
+def _chi2_p(counts: Counter, law: dict, n: int, min_expected=5.0) -> float:
+    """Pearson's chi-squared p-value of counts against law, with the cells
+    in key order merged until each expects at least min_expected."""
+    from scipy import stats
+    observed, expected, o, e = [], [], 0, 0.0
+    for key in sorted(law):
+        o, e = o + counts.get(key, 0), e + float(law[key]) * n
+        if e >= min_expected:
+            observed.append(o)
+            expected.append(e)
+            o, e = 0, 0.0
+    assert sum(counts.values()) == n and set(counts) <= set(law)
+    observed[-1] += o
+    expected[-1] += e
+    return stats.chisquare(observed, expected).pvalue
+
+
+def test_rejection_oracle_matches_the_direct_cycle_law_at_n512(monkeypatch):
+    # the old rejection loop's accepted tuples and the tuples the direct
+    # sampler glues, each against the law of the cycle length C = T that
+    # the direct sampler draws from: P(C = t) proportional to P(T = t) f(t)
+    seq = validate([2] * 512 + [0] * 512, "surplus", k=1)
+    first = _FirstPair(seq.to_tree_kind())
+    weights = np.diff(first._cum, prepend=0.0) / first._cum[-1]
+    law = dict(enumerate(weights.tolist(), 1))
+    n, rng = 1000, np.random.default_rng(50)
+    oracle = Counter(_first_run(_rejection_dk(1, first.base, rng))
+                     for _ in range(n))
+    monkeypatch.setattr(samplers, "_dk_graph", lambda entries, k: entries)
+    direct = Counter(_first_run(sample_dk_graph(seq, rng)) for _ in range(n))
+    assert _chi2_p(oracle, law, n) > 1e-3
+    assert _chi2_p(direct, law, n) > 1e-3
+
+
+@pytest.mark.parametrize("degrees, k", [
+    ([3, 2, 1, 0, 0, 0], 1), ([3, 2, 1, 0], 2), ([2, 2, 2, 0], 2),
+], ids=["321-k1", "321-k2", "222-k2"])
+def test_streaming_tuples_follow_the_bias(monkeypatch, degrees, k):
+    # the tuples the streaming sampler glues, against bias / sum(bias) over
+    # every arrangement of the tree kind's multiset
+    seq = validate(degrees, "surplus", k=k)
+    tree_seq = seq.to_tree_kind()
+    law = {a: Fraction(*_glue_bias(a, k))
+           for a in multiset_arrangements(_base_multiset(tree_seq))}
+    total = sum(law.values())
+    law = {a: b / total for a, b in law.items()}
+    tuples = []
+    monkeypatch.setattr(samplers, "_dk_graph",
+                        lambda entries, k: tuples.append(tuple(entries)))
+    first, rng, n = _FirstPair(tree_seq), np.random.default_rng(51), 6000
+    for _ in range(n):
+        _sample_dk_streaming(k, first, rng)
+    assert _chi2_p(Counter(tuples), law, n) > 1e-3
 
 
 def _first_cap(monkeypatch, draw):
@@ -761,14 +964,16 @@ def _first_cap(monkeypatch, draw):
 
 def test_rejection_loops_raise_too_large_at_the_cap(monkeypatch):
     # both loops stop after exactly _PROPOSAL_CAP rejected proposals; one
-    # more lets the uncapped draw through
-    base = _walk_base(validate([2] * 8 + [0] * 8, "surplus", k=1).to_tree_kind())
+    # more lets the uncapped draw through.  The (D,k) loop runs at k = 2 on
+    # the ladder's tree kind [2] * 8 + [0] * 10: a k = 1 draw is never
+    # rejected
+    first = _FirstPair(validate([2] * 8 + [0] * 6, "surplus", k=2).to_tree_kind())
     pvec = PVector((0.6, 0.3, 0.1))
     dk_caps, pk_caps = [], []
     for seed in range(5):
         def dk(rng=None):
             return _sample_dk_streaming(
-                1, base, rng or np.random.default_rng(seed))
+                2, first, rng or np.random.default_rng(seed))
 
         def pk():
             return sample_pk_graph_prefix(
@@ -928,8 +1133,11 @@ def test_seeded_outputs_pinned():
     # adjacency-and-BFS bias; dk_table_221111_k2 re-recorded at 0.2.0, when
     # table draws became one choice from the exact law, and
     # dk_stream_ladder128 and pk_prefix at 0.3.0, when the rejection bound
-    # fell from (k+1)! 2^k to 2^k.  A change to how a sampler consumes its
-    # RNG stream breaks old manifests and must bump experiments.VERSION.
+    # fell from (k+1)! 2^k to 2^k; dk_stream_ladder128 and
+    # gp_dk_graph_ladder128 at 0.4.0, when a streaming proposal began to
+    # draw its first glued pair from the biased law.  A change to how a
+    # sampler consumes its RNG stream breaks old manifests and must bump
+    # experiments.VERSION.
     pins = {
         "bias_ladder64_k1":
             "232fc1d05053be887c4903e62e007517226b1167bf9a212f353361878b7627e4",
@@ -938,7 +1146,7 @@ def test_seeded_outputs_pinned():
         "bias_33211_k3":
             "3e8244bb879008b3b4d09b2fa1d67161bb3bf8c52a7a89a17a31fcc763ca1386",
         "dk_stream_ladder128":
-            "beb423638b268acc490d385b6589cba09ced6910669bde01fae2d17c1c46a946",
+            "9900c802f83ab0c2584f4f7fb764e9bece3be60f7cbb119a0483e0ea39412200",
         "dk_table_221111_k2":
             "4d4252dd9d98cdc173152df47293f3d5d08128a400ec08e2b2a8ad0590bf7a69",
         "pk_prefix":
@@ -950,7 +1158,7 @@ def test_seeded_outputs_pinned():
         "gp_pk_graph":
             "64b79a1e1852f4b785d0e4418c18410e6d2c6b20cabfc1e04c46dc8347f388a0",
         "gp_dk_graph_ladder128":
-            "546a906d6234eabf25b62a4a8fb28819a527dafbc23beac9aa9b116abbfdee41",
+            "2cc4ab509608601ffc0e57533270ee5a8f2d090a4ad841a940b6887562f13dfc",
         "pk_glued_k2_min_stars":
             "60dda15ea2e74792deed46d8b85268ab76cd329238df25f9ebc7d13f3a2ccd63",
         "gp_d_tree_measure":
@@ -1025,4 +1233,4 @@ def test_seeded_outputs_pinned():
                                VertexMeasure({S(0): 1.0, S(1): 2.0}))
     got["gp_dk_graph_empty_measure"] = _digest(mats.tobytes() + w.tobytes())
     assert got == pins
-    assert VERSION == "0.3.0"
+    assert VERSION == "0.4.0"

@@ -58,6 +58,17 @@ def test_stick_break_small_cases():
     assert edge == LabeledTree([(S(0), S(1))])
 
 
+def test_stick_break_reads_a_one_pass_iterable_once():
+    # a generator is checked and walked from one read: the star on V1, not
+    # the empty tuple's edge S0 - S1 after the check has used it up
+    seq = validate([2, 0, 0, 0], "tree")
+    star_tree = stick_break_tree(seq, (V(x) for x in [1, 1]))
+    assert star_tree == stick_break_tree(seq, (V(1), V(1)))
+    assert sorted(star_tree.neighbors(V(1))) == [S(0), S(1), S(2)]
+    with pytest.raises(errors.TupleMismatch):
+        stick_break_tree(seq, (V(x) for x in [1]))
+
+
 def test_stick_break_tuple_mismatch():
     with pytest.raises(errors.TupleMismatch):
         stick_break_tree(validate([1, 1, 0, 0], "tree"), (V(1), V(1)))
