@@ -42,9 +42,12 @@ def _forest_path(parent, hops, a, b):
 
 class Multigraph:
     """Vertex set plus an edge multiset (loops allowed), immutable.  The
-    constructor validates and merges an edge list; _of only assigns slots."""
+    constructor validates and merges an edge list; _of only assigns slots;
+    a _LazyMultigraph leaves _mult and _vertices unset until first read."""
 
-    __slots__ = ("_mult", "_vertices", "_adj_map", "_cyc", "_walk")
+    # _build, a _LazyMultigraph's builder, comes last: pickle and copy read
+    # the slots in order, and reading _mult first builds and drops it
+    __slots__ = ("_mult", "_vertices", "_adj_map", "_cyc", "_walk", "_build")
 
     def __init__(self, edges=(), vertices=()):
         mult: Dict[tuple, int] = {}
@@ -69,12 +72,12 @@ class Multigraph:
         self._walk = None  # a sampled glued graph's walk (samplers._glued_graph)
 
     @classmethod
-    def _of(cls, mult: Dict[tuple, int], vertices: frozenset, walk=None):
+    def _of(cls, mult: Dict[tuple, int], vertices: frozenset):
         """The graph of a valid map, unchecked: every key of mult is ordered
         as _pair orders it, every multiplicity is at least 1, and vertices
         holds every endpoint.  No exact oracle builds through this."""
         g = cls.__new__(cls)
-        g._mult, g._vertices, g._walk = mult, vertices, walk
+        g._mult, g._vertices, g._walk = mult, vertices, None
         g._adj_map = g._cyc = None
         return g
 
@@ -237,6 +240,25 @@ class Multigraph:
             [(parse_vertex(e["u"]), parse_vertex(e["v"]), e["mult"])
              for e in obj["edges"]],
             vertices=[parse_vertex(x) for x in obj["vertices"]])
+
+
+class _LazyMultigraph(Multigraph):
+    """A sampled glued graph: its walk, and a build() of (mult, vertices)
+    as Multigraph._of takes them, unchecked, run on first read.  No exact
+    oracle builds through this.  A subclass, as CPython specializes no
+    attribute read on a class with __getattr__."""
+    __slots__ = ()
+
+    def __init__(self, walk, build):
+        self._walk, self._build = walk, build
+        self._adj_map = self._cyc = None
+
+    def __getattr__(self, name):  # reached only for an unset attribute
+        if name not in ("_mult", "_vertices"):
+            raise AttributeError(name)
+        self._mult, self._vertices = self._build()
+        del self._build
+        return getattr(self, name)
 
 
 def glue_leaves(g: Multigraph, pairs: Sequence[Tuple[Vertex, Vertex]]) -> Multigraph:

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import (OddSum, TooLarge, ValidationError, VertexCollision)
 from .labels import Vertex, _labels, internal, star
-from .multigraph import Multigraph, bias_bound
+from .multigraph import Multigraph, _LazyMultigraph, bias_bound
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, DegreeSequence,
                      PVector, as_fraction)
 from .trees import (LabeledTree, PTreeGrowth, _base_multiset,
@@ -82,8 +82,9 @@ def _glue_bias(entries, k: int, first: int = 0):
 
 
 def _glued_graph(parent, depth, glued, kept, name=None) -> Multigraph:
-    """A walk's tree with leaf pairs glued, its multiplicity map built in
-    one pass.
+    """A walk's tree with leaf pairs glued, as a _LazyMultigraph that
+    keeps the walk and builds its multiplicity map in one pass on first
+    read: experiments reads its mark matrices off the walk alone.
 
     glued[2i], glued[2i+1] are the fathers of the i-th glued pair, kept
     lists (j, father) for each leaf S_j that stays, and name[a] labels walk
@@ -93,24 +94,24 @@ def _glued_graph(parent, depth, glued, kept, name=None) -> Multigraph:
     order like their labels, so each pair is ordered as multigraph._pair
     orders it by comparing the entries; S_j sorts before every V and Vinf.
     Tree and kept edges are distinct; only a glued pair can double an edge
-    or be a loop.  The graph keeps its walk, which experiments reads its
-    mark matrices from; a table graph is shared, so nothing may change it."""
+    or be a loop.  A table graph is shared, so nothing may change it."""
     if not parent:  # the empty tuple of the sequence [0, 0]: one edge S0-S1
         edge = _labels(star, 2)
-        return Multigraph._of({edge: 1}, frozenset(edge), _EMPTY_WALK)
-    if name is None:
-        name = _labels(internal, max(parent) + 1)
-    stars = _labels(star, len(glued) + len(kept))
-    mult = {(name[p], name[a]) if p < a else (name[a], name[p]): 1
-            for a, p in parent.items() if p is not None}
-    for j, f in kept:
-        mult[stars[j], name[f]] = 1
-    for a, b in zip(glued[::2], glued[1::2]):
-        pair = (name[a], name[b]) if a <= b else (name[b], name[a])
-        mult[pair] = mult.get(pair, 0) + 1
-    vertices = frozenset([*map(name.__getitem__, parent),
-                          *(stars[j] for j, _ in kept)])
-    return Multigraph._of(mult, vertices, (parent, depth, glued, kept))
+        return _LazyMultigraph(_EMPTY_WALK, lambda: ({edge: 1}, frozenset(edge)))
+
+    def build():
+        names = _labels(internal, max(parent) + 1) if name is None else name
+        stars = _labels(star, len(glued) + len(kept))
+        mult = {(names[p], names[a]) if p < a else (names[a], names[p]): 1
+                for a, p in parent.items() if p is not None}
+        for j, f in kept:
+            mult[stars[j], names[f]] = 1
+        for a, b in zip(glued[::2], glued[1::2]):
+            pair = (names[a], names[b]) if a <= b else (names[b], names[a])
+            mult[pair] = mult.get(pair, 0) + 1
+        return mult, frozenset([*map(names.__getitem__, parent),
+                                *(stars[j] for j, _ in kept)])
+    return _LazyMultigraph((parent, depth, glued, kept), build)
 
 
 def _designated(fathers: list, k: int):
@@ -241,10 +242,11 @@ class _FirstPair:
     to the last T whose P(T >= t) can exceed 1e-300 by Maclaurin's bound
     e_t <= C(s, t) (N / s)^t on F[G]'s coefficients.  p_t[t - 1] is
     P(T = t), unbiased; it is None when every degree is 1, since then no
-    entry repeats and T = N.
+    entry repeats and T = N, and without law, for k = 0, which glues no
+    pair and draws nothing from it.
     """
 
-    def __init__(self, seq: DegreeSequence):
+    def __init__(self, seq: DegreeSequence, law: bool = True):
         import numpy as np
         self.base = _walk_base(seq)
         n_stubs = len(self.base)
@@ -256,7 +258,7 @@ class _FirstPair:
                 groups.setdefault(d, []).append(rank)
         self._groups = [(d, np.array(r)) for d, r in sorted(groups.items())]
         self._tables, self.p_t = [], None
-        if all(d == 1 for d in groups):
+        if not law or all(d == 1 for d in groups):
             return
         s = sum(len(r) for r in groups.values())
         lf = np.array([math.lgamma(i + 1) for i in range(n_stubs + 1)])
@@ -330,13 +332,13 @@ class _FirstPair:
 @lru_cache(maxsize=128)
 def _dk_path(seq: DegreeSequence):
     """The sequence's DkTable, or above _TABLE_CAP tuples the _FirstPair of
-    its tree kind: the kind is checked, the tuples counted and the path
-    chosen once per sequence."""
+    its tree kind, with its law only at k >= 1: the kind is checked, the
+    tuples counted and the path chosen once per sequence."""
     if seq.kind != KIND_SURPLUS:
         raise ValidationError("(D,k) sampling needs a surplus-kind sequence")
     tree_seq = seq.to_tree_kind()
     if tree_count(tree_seq) > _TABLE_CAP:
-        return _FirstPair(tree_seq)
+        return _FirstPair(tree_seq, law=seq.k > 0)
     return build_dk_table(seq)
 
 

@@ -396,7 +396,8 @@ def _named_defs(path, names):
 def test_oracles_build_through_the_validating_constructor():
     # the exact oracles check the samplers' one-pass glued graphs, so their
     # bodies name none of the samplers' builders nor the unchecked
-    # Multigraph._of, and those that make a graph make it with Multigraph(...)
+    # Multigraph._of and _LazyMultigraph, and those that make a graph make
+    # it with Multigraph(...)
     from surpluslab import multigraph, samplers
     oracles = {samplers: {"cm_conditioned_oracle", "pk_law_oracle",
                           "_connected_law", "_multiplicity_maps"},
@@ -404,7 +405,8 @@ def test_oracles_build_through_the_validating_constructor():
                             "from_tree"}}
     builders = {"cm_conditioned_oracle", "pk_law_oracle", "glue_leaves",
                 "from_tree"}
-    banned = {"_of", "_glued_graph", "_walk", "_bias_core", "_designated"}
+    banned = {"_of", "_LazyMultigraph", "_glued_graph", "_walk", "_bias_core",
+              "_designated"}
     checked = set()
     for module, names in oracles.items():
         for name, (node, used) in _named_defs(module.__file__, names).items():

@@ -1,18 +1,21 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from surpluslab import errors, samplers
+from surpluslab import errors, experiments, samplers
 from surpluslab.labels import internal as V, is_star, star as S
 from surpluslab.experiments import (VERSION, VertexMeasure, d_tree_bias_values,
                                    gp_matrix_sample)
-from surpluslab.multigraph import (Multigraph, bias, bias_bound,
-                                   bias_components, glue_tree_leaves)
+from surpluslab.multigraph import (Multigraph, _LazyMultigraph, bias,
+                                   bias_bound, bias_components,
+                                   glue_tree_leaves)
 from surpluslab.params import PVector, validate
 from surpluslab.samplers import (_FirstPair, _accepts, _bias_core, _dk_graph,
                                  _first_factor, _glue_bias, _pk_graph,
@@ -1121,6 +1124,101 @@ def test_glued_graph_matches_edge_list_build():
                     check(parent, depth, fathers[1:2 * k + 1], kept, name)
                 seen["overflow"] += any(v.kind == "Vinf" for v in record)
     assert min(seen.values()) > 0, seen
+
+
+def _built(g) -> bool:
+    """Whether g holds its multiplicity map, read past
+    _LazyMultigraph.__getattr__ so that the read builds nothing."""
+    try:
+        object.__getattribute__(g, "_mult")
+    except AttributeError:
+        return False
+    return True
+
+
+def test_lazy_glued_graph_reads_as_its_eager_build():
+    # each case makes a fresh, never-read glued graph; every read of it
+    # matches the validating constructor's build from the same walk, and a
+    # name no slot holds raises AttributeError without building anything,
+    # as does _mult on a graph with no builder (one being unpickled)
+    def tables(degrees, k, i):
+        return lambda: samplers.build_dk_table(  # fresh, not the cached one
+            validate(degrees, "surplus", k=k)).graphs[i]
+
+    def stream(degrees, k, seed):
+        seq = validate(degrees, "surplus", k=k)
+        assert tree_count(seq.to_tree_kind()) > samplers._TABLE_CAP
+        return lambda: sample_dk_graph(seq, np.random.default_rng(seed))
+
+    def pk(k, leaves, seed):
+        pvec = PVector((0.5, 0.3), p_inf=0.2)
+        return lambda: _sample_pk_glued(pvec, k, 12, np.random.default_rng(seed),
+                                        min_stars=2 * k + 2, leaves=leaves)
+    cases = {"stream-k1": stream([2] * 16 + [0] * 16, 1, 71),
+             "stream-k2": stream([2] * 16 + [0] * 14, 2, 72),
+             "table": tables([3, 3, 2, 0, 0, 0], 2, 5),
+             "pk-leaves": pk(2, True, 73), "pk-bare": pk(2, False, 74),
+             "empty": tables([0, 0], 0, 0)}
+    for label, make in cases.items():
+        g = make()
+        assert not _built(g), label
+        parent, depth, glued, kept = walk = g._walk
+        name = None if isinstance(next(iter(parent)), int) else \
+            dict(zip(parent, parent))  # P-tree labels and [0, 0]'s S0
+        eager = _edge_list_build(parent, depth, glued, kept, name)
+        assert not hasattr(g, "no_such_name") and not _built(g), label
+        u, v = list(eager.edge_items())[-1][0]
+        assert make() == eager and eager == make(), label
+        assert hash(make()) == hash(eager), label
+        assert make().key() == eager.key(), label
+        assert list(make().edge_items()) == list(eager.edge_items()), label
+        assert make().vertices == eager.vertices, label
+        assert make().to_json() == eager.to_json(), label
+        for h, e in ((make().remove_copy(u, v), eager.remove_copy(u, v)),
+                     (copy.deepcopy(make()), eager),
+                     (pickle.loads(pickle.dumps(make())), eager)):
+            assert list(h.edge_items()) == list(e.edge_items()), label
+            assert h.vertices == e.vertices and h == e, label
+        assert copy.deepcopy(make())._walk == walk, label
+        assert pickle.loads(pickle.dumps(make()))._walk == walk, label
+    assert not hasattr(_LazyMultigraph.__new__(_LazyMultigraph), "_mult")
+
+
+def test_dk_graph_matrices_build_no_multiplicity_map(monkeypatch):
+    # a (D,k) mark matrix reads the walk alone, so no graph drawn for the
+    # n = 128 ladder builds its map; once built, each graph's BFS distances
+    # are still its matrix
+    graphs = []
+
+    def capture(*args):
+        graphs.append(sample_dk_graph(*args))
+        return graphs[-1]
+    monkeypatch.setattr(experiments, "sample_dk_graph", capture)
+    seq = validate([2] * 128 + [0] * 128, "surplus", k=1)
+    points = [S(2 + j) for j in range(1, 6)]
+    mats, _ = gp_matrix_sample({"model": "dk-graph", "params": seq, "k": 1},
+                               len(points), 20, np.random.default_rng(75))
+    assert len(graphs) == 20 and not any(map(_built, graphs))
+    for g, m in zip(graphs, mats):
+        assert np.array_equal(m, experiments.multigraph_distance_matrix(g, points))
+        assert _built(g)
+
+
+def test_streaming_k0_builds_no_first_pair_law():
+    # a k = 0 draw glues no pair, so _dk_path keeps no T law for it; its
+    # draws are unchanged: the pin was recorded while the law was still
+    # built, and each graph is its uniform tuple walked directly
+    seq = validate([3, 3, 2, 2, 2, 2, 1, 1] + [0] * 10, "surplus", k=0)
+    first = samplers._dk_path(seq)
+    assert isinstance(first, _FirstPair)
+    assert first.p_t is None and not first._tables
+    rng, twin = np.random.default_rng(53), np.random.default_rng(53)
+    graphs = [sample_dk_graph(seq, rng) for _ in range(20)]
+    base = first.base
+    for g in graphs:
+        assert g == _dk_graph(base[twin.permutation(len(base))].tolist(), 0)
+    assert _digest("\n".join(g.to_json() for g in graphs)) == \
+        "797962d81b69d8f63aea6b3f5f846e796677b613f3d14b6fa4cb24a8f9f93cfa"
 
 
 def _digest(text) -> str:
