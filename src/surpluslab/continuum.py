@@ -114,33 +114,6 @@ class MetricTree:
         parent, hops, weight = self._rooted(nodes[0]) if nodes else ({}, {}, {})
         return _climb_matrix(parent, hops, nodes, weight)
 
-    def with_uniform_marks(self, n: int, rng: np.random.Generator) -> "MetricTree":
-        """Split edges at n length-uniform positions and mark them U0..U(n-1)."""
-        import numpy as np  # deferred: keeps CLI start-up light
-        edges = self.edges()
-        lengths = np.array([float(w) for _, _, w in edges])
-        cum = np.cumsum(lengths)
-        picks = np.sort(rng.random(n)) * cum[-1]
-        idx = np.searchsorted(cum, picks, side="left")
-        offsets = picks - np.concatenate([[0.0], cum])[idx]
-        by_edge: Dict[int, list] = {}
-        for j, (e, off) in enumerate(zip(idx, offsets)):
-            by_edge.setdefault(int(e), []).append((float(off), j))
-        new_edges = []
-        marks = dict(self.marks)
-        for e, (u, v, w) in enumerate(edges):
-            if e not in by_edge:
-                new_edges.append((u, v, w))
-                continue
-            prev, pos_prev = u, 0.0
-            for off, j in sorted(by_edge[e]):
-                node = ("U", j)
-                marks[f"U{j}"] = node
-                new_edges.append((prev, node, off - pos_prev))
-                prev, pos_prev = node, off
-            new_edges.append((prev, v, w - pos_prev))
-        return MetricTree(new_edges, marks)
-
 
 def _check_cut_anchor(cuts, anchors):
     m = len(cuts)
@@ -401,21 +374,3 @@ def sample_icrg_weighted(theta: ThetaVector, k: int, rng: np.random.Generator,
         assert c > 0, "degenerate core"
         weight /= float(c)
     return WeightedSample(real, weight, k, segments)
-
-
-def sampled_distance_matrix(space, labels: Sequence = None, n: int = None,
-                            rng: np.random.Generator = None) -> np.ndarray:
-    """Pseudo-distance matrix over marked labels or n uniform positions."""
-    import numpy as np
-    if labels is None:
-        if n is None or rng is None:
-            raise ValidationError("give labels, or n with an rng")
-        base = space.base if isinstance(space, GluedSpace) else space
-        marked = base.with_uniform_marks(n, rng)
-        labels = [f"U{j}" for j in range(n)]
-        if isinstance(space, GluedSpace):
-            space = GluedSpace(marked, space.pairs)
-        else:
-            space = marked
-    rows = space.mark_distance_matrix(labels)
-    return np.array([[float(x) for x in row] for row in rows])

@@ -66,10 +66,6 @@ class UnknownVertex(ValidationError):
     pass
 
 
-class VertexCollision(ValidationError):
-    pass
-
-
 class CutsNotIncreasing(ValidationError):
     pass
 

@@ -77,11 +77,6 @@ class DegreeSequence:
             raise ValidationError("shifted_down applies to half-edge sequences")
         return validate([d - 1 for d in self.degrees], KIND_SURPLUS, k=k)
 
-    def nabla(self) -> "DegreeSequence":
-        """Drop the entries equal to 1 (the edgepoint degrees)."""
-        kept = sorted((d for d in self.degrees if d != 1), reverse=True)
-        return validate(kept, self.kind, k=self.k)
-
 
 def validate(raw: Sequence[int], kind: str = KIND_TREE, k: int = 0) -> DegreeSequence:
     """Check a raw integer list against the invariants of its kind; degrees
@@ -180,13 +175,6 @@ class ThetaVector:
     def mu_infinite(self) -> bool:
         # Finite support means sum(theta) < inf, so only theta0 decides.
         return self.theta0 > 0
-
-
-def truncate_theta(theta0: float, theta: Sequence[float], support: int) -> ThetaVector:
-    """Keep the first `support` atoms, folding the removed mass into theta0."""
-    kept = tuple(theta[:support])
-    dropped = sum(t ** 2 for t in theta[support:])
-    return ThetaVector(math.sqrt(theta0 ** 2 + dropped), kept)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Exact samplers for connected multigraphs with fixed degrees and surplus,
-the configuration model, multiplicative (multi)graphs, and the edgepoint
-transforms, each paired with a small-instance enumeration oracle.
+the configuration model, multiplicative (multi)graphs and (P,k)-graph
+prefixes, with small-instance enumeration oracles.
 
 The surplus-k sampler draws a uniform tree for the degree sequence with 2k
 extra zeros, designates 2k of its exchangeable leaf labels as S1..S2k by a
@@ -21,16 +21,16 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from .errors import (OddSum, TooLarge, ValidationError, VertexCollision)
-from .labels import Vertex, _labels, internal, star
+from .errors import OddSum, TooLarge, ValidationError
+from .labels import _labels, internal, star
 from .multigraph import Multigraph, _LazyMultigraph, bias_bound
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, DegreeSequence,
                      PVector, as_fraction)
-from .trees import (LabeledTree, PTreeGrowth, _base_multiset,
-                    _check_draw_cap, _climb, _decoded, _walk, _walk_base,
-                    multiset_arrangements, tree_count)
+from .trees import (PTreeGrowth, _base_multiset, _check_draw_cap, _climb,
+                    _decoded, _walk, _walk_base, multiset_arrangements,
+                    tree_count)
 
 # the walk _glued_graph keeps for [0, 0]'s empty tuple, whose tree is the
 # edge S0 - S1: S0 is the root and S1 hangs one hop below it
@@ -543,14 +543,6 @@ def sample_multiplicative_multigraph(lam: float, weights: Sequence[float],
     return Multigraph(edges, vertices=[internal(i + 1) for i in range(s)])
 
 
-def sample_multiplicative_coupled(lam, weights, rng):
-    """(simple, multi) coupled so an edge is present iff its count is >= 1."""
-    multi = sample_multiplicative_multigraph(lam, weights, rng)
-    edges = [(u, v) for (u, v), m in multi.edge_items() if u != v and m >= 1]
-    simple = Multigraph(edges, vertices=multi.vertices)
-    return simple, multi
-
-
 # ---------------------------------------------------------------------------
 # (P,k)-graph prefix sampler and its exact law
 
@@ -608,67 +600,3 @@ def sample_pk_graph_prefix(pvec: PVector, k: int, n_steps: int,
     glues (S1,S2)..(S2k-1,S2k), and drops every leaf label.
     """
     return _sample_pk_glued(pvec, k, n_steps, rng, leaves=False)
-
-
-# ---------------------------------------------------------------------------
-# edgepoint transforms and ordered partitions
-
-
-def shortcut_edgepoints(tree: LabeledTree) -> LabeledTree:
-    """Contract every degree-2 vertex; degrees of survivors are unchanged."""
-    keep = {v for v in tree.vertices() if tree.degree(v) != 2}
-    edges = set()
-    for u in keep:
-        for n in tree.neighbors(u):
-            prev, cur = u, n
-            while tree.degree(cur) == 2:
-                nxt = next(w for w in tree.neighbors(cur) if w != prev)
-                prev, cur = cur, nxt
-            edges.add((u, cur) if u < cur else (cur, u))
-    return LabeledTree(sorted(edges))
-
-
-def canonical_oriented_edges(tree: LabeledTree) -> List[Tuple[Vertex, Vertex]]:
-    """Fixed orientation used by insert_edgepoints: sorted (smaller, larger)."""
-    return sorted(tree.edges())
-
-
-def insert_edgepoints(tree: LabeledTree,
-                      partition: Sequence[Sequence[Vertex]]) -> LabeledTree:
-    """Subdivide edge i with partition[i]'s vertices, in order."""
-    oriented = canonical_oriented_edges(tree)
-    if len(partition) != len(oriented):
-        raise ValidationError("partition must have one slot per edge")
-    new_vertices = [w for slot in partition for w in slot]
-    if len(set(new_vertices)) != len(new_vertices):
-        raise VertexCollision("inserted vertices must be distinct")
-    for w in new_vertices:
-        if w in tree:
-            raise VertexCollision(f"{w} already in tree")
-    edges = []
-    for (u, v), slot in zip(oriented, partition):
-        chain = [u] + list(slot) + [v]
-        edges.extend(zip(chain, chain[1:]))
-    return LabeledTree(edges)
-
-
-def sample_ordered_partition(items: Sequence, n_slots: int,
-                             rng: np.random.Generator) -> List[list]:
-    """Uniform assignment of the items into n_slots ordered lists.
-
-    A uniform shuffle of items plus n_slots-1 identical dividers hits every
-    ordered partition exactly once, so slot sizes follow the uniform
-    composition law.
-    """
-    if n_slots < 1:
-        raise ValidationError("need at least one slot")
-    arr = list(items) + [None] * (n_slots - 1)
-    perm = rng.permutation(len(arr)) if arr else []
-    out = [[]]
-    for idx in perm:
-        x = arr[idx]
-        if x is None:
-            out.append([])
-        else:
-            out[-1].append(x)
-    return out

@@ -11,8 +11,7 @@ from surpluslab import errors, experiments
 from surpluslab.continuum import (GluedSpace, MetricTree, _core_length,
                                   _mark_matrix, _rooted, _segment_tree,
                                   core_measure, metric_glue,
-                                  sample_icrg_weighted, sample_icrt,
-                                  sampled_distance_matrix, sb_build,
+                                  sample_icrg_weighted, sample_icrt, sb_build,
                                   two_point_glue_matrix)
 from surpluslab.params import ThetaVector
 from surpluslab.reconstruct import check_four_point
@@ -30,16 +29,6 @@ def test_sb_branch_distance():
     tree = sb_build([1.0, 2.0], [0.5])
     assert tree.distance(tree.node_of(1), tree.node_of(2)) == pytest.approx(1.5)
     assert tree.distance(0.0, tree.node_of(2)) == pytest.approx(1.5)
-
-
-def test_sb_same_branch_is_euclidean():
-    tree = sb_build([3.0])
-    marked = tree.with_uniform_marks(5, np.random.default_rng(0))
-    nodes = [marked.node_of(f"U{j}") for j in range(5)]
-    pos = {a: marked.distance(0.0, a) for a in nodes}
-    for a in nodes:
-        for b in nodes:
-            assert marked.distance(a, b) == pytest.approx(abs(pos[a] - pos[b]))
 
 
 def test_sb_validation():
@@ -275,32 +264,6 @@ def test_windowed_extension_preserves_law():
     res = scistats.ks_2samp(direct, staged)
     assert res.pvalue > 0.01
     assert abs(direct.mean() - staged.mean()) < 0.15  # both Poisson(2)
-
-
-def test_sampled_distance_matrix_basics():
-    rng = np.random.default_rng(10)
-    real = sample_icrt(BROWNIAN, rng, n_points=5)
-    tree = real.tree()
-    one = sampled_distance_matrix(tree, labels=[1])
-    assert one.tolist() == [[0.0]]
-    mat = sampled_distance_matrix(tree, labels=[1, 2, 3, 4, 5])
-    n = len(mat)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                assert mat[i, j] <= mat[i, k] + mat[k, j] + 1e-12
-    glued = GluedSpace(tree, [(1, 2)])
-    gmat = sampled_distance_matrix(glued, labels=[1, 2, 3, 4, 5])
-    assert (gmat <= mat + 1e-12).all()
-
-
-def test_sampled_distance_matrix_uniform_positions():
-    rng = np.random.default_rng(11)
-    tree = sample_icrt(BROWNIAN, rng, n_points=5).tree()
-    mat = sampled_distance_matrix(tree, n=4, rng=rng)
-    assert mat.shape == (4, 4)
-    assert np.allclose(mat, mat.T)
-    assert np.all(np.diag(mat) == 0)
 
 
 def test_realization_json():

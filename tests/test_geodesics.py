@@ -5,13 +5,11 @@ and stick-breaking real trees with exact Fraction cuts, glued or not."""
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surpluslab import errors
-from surpluslab.continuum import (GluedSpace, MetricTree, core_measure,
-                                  sampled_distance_matrix, sb_build)
+from surpluslab.continuum import GluedSpace, MetricTree, core_measure, sb_build
 from surpluslab.labels import internal as V
 from surpluslab.multigraph import Multigraph
 from surpluslab.params import validate
@@ -128,17 +126,6 @@ def test_glued_space_matches_floyd_warshall(tree, data):
     for a in nodes:
         for b in nodes:
             assert glued.distance(a, b) == d[a][b]
-
-
-def test_sampled_glued_matrix_keeps_the_glued_nodes():
-    # the glued marks 1, 2 sit at nodes 2, 3, which are also mark labels
-    tree = sb_build([2, 3, 5], [1, 1])
-    got = sampled_distance_matrix(GluedSpace(tree, [(1, 2)]), n=20,
-                                  rng=np.random.default_rng(7))
-    marked = tree.with_uniform_marks(20, np.random.default_rng(7))
-    d = floyd_warshall(list(marked.nodes()), marked.edges() + [(2, 3, 0)])
-    nodes = [marked.node_of(f"U{j}") for j in range(20)]
-    assert got == pytest.approx(np.array([[d[a][b] for b in nodes] for a in nodes]))
 
 
 def test_cycle_plus_edge_is_not_a_tree():

@@ -7,7 +7,7 @@ import pytest
 from surpluslab import errors
 from surpluslab.cli import load_params
 from surpluslab.params import (DegreeSequence, PVector, ThetaVector,
-                               regime_gap, truncate_theta, validate)
+                               regime_gap, validate)
 
 EX12 = [1, 2, 1, 3, 3, 0, 0, 0, 0, 0, 0, 0]
 
@@ -142,13 +142,6 @@ def test_theta_invariants():
         ThetaVector(0.5, (0.5,))
     with pytest.raises(errors.NotSorted):
         ThetaVector(0.0, (0.3, 0.5, math.sqrt(1 - 0.34)))
-
-
-def test_truncate_theta_folds_mass():
-    t = truncate_theta(0.0, [0.8, 0.36, 0.48], support=1)
-    assert t.theta == (0.8,)
-    assert t.theta0 == pytest.approx(0.6)
-    assert t.mu_infinite
 
 
 def test_regime_gap_p_target():

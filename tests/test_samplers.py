@@ -19,22 +19,16 @@ from surpluslab.multigraph import (Multigraph, _LazyMultigraph, bias,
 from surpluslab.params import PVector, validate
 from surpluslab.samplers import (_FirstPair, _accepts, _bias_core, _dk_graph,
                                  _first_factor, _glue_bias, _pk_graph,
-                                 _sample_dk_streaming,
-                                 _sample_pk_glued, canonical_oriented_edges,
+                                 _sample_dk_streaming, _sample_pk_glued,
                                  cm_conditioned_oracle, dk_table,
-                                 insert_edgepoints, pk_law_oracle,
-                                 sample_configuration_model, sample_dk_graph,
-                                 sample_dk_graph_keys,
-                                 sample_multiplicative_coupled,
+                                 pk_law_oracle, sample_configuration_model,
+                                 sample_dk_graph, sample_dk_graph_keys,
                                  sample_multiplicative_graph,
                                  sample_multiplicative_multigraph,
-                                 sample_ordered_partition,
-                                 sample_pk_graph_prefix, shortcut_edgepoints)
-from surpluslab.trees import (LabeledTree, PTreeGrowth, _base_multiset,
-                              _climb, _decoded, _walk, _walk_base,
-                              enumerate_d_tree_keys, multiset_arrangements,
-                              sample_d_tree, sample_d_tuple, stick_break_tree,
-                              tree_count)
+                                 sample_pk_graph_prefix)
+from surpluslab.trees import (PTreeGrowth, _base_multiset, _climb, _decoded,
+                              _walk, _walk_base, multiset_arrangements,
+                              sample_d_tuple, stick_break_tree, tree_count)
 
 
 def tv_against(law, counts, n):
@@ -118,11 +112,6 @@ def test_dk_table_refuses_streaming_and_non_surplus_sequences():
         with pytest.raises(errors.ValidationError,
                            match=r"\(D,k\) sampling needs a surplus-kind"):
             draw()
-
-
-def test_nabla_sorts_what_it_keeps():
-    seq = validate([1, 2, 0, 1, 3, 0, 0, 0, 0], "tree")
-    assert seq.nabla().degrees == (3, 2, 0, 0, 0, 0, 0)
 
 
 def test_dk_k0_matches_tree_enumeration():
@@ -343,16 +332,6 @@ def test_multiplicative_poisson_mean():
     assert abs(total / n - mean) < 3 * math.sqrt(mean / n)
 
 
-def test_multiplicative_coupling():
-    rng = np.random.default_rng(10)
-    for _ in range(200):
-        simple, multi = sample_multiplicative_coupled(0.8, [1.0, 0.6, 0.4], rng)
-        for i in range(1, 4):
-            for j in range(i + 1, 4):
-                present = simple.multiplicity(V(i), V(j)) == 1
-                assert present == (multi.multiplicity(V(i), V(j)) >= 1)
-
-
 def test_cm_to_multiplicative_poisson_limit():
     # corner multiplicities of the configuration model approach the
     # independent-Poisson means lam*p_i*p_j / lam*p_i^2/2 as n grows;
@@ -476,77 +455,6 @@ def test_pk_bias_bound_assertion_holds():
     for _ in range(200):
         g = sample_pk_graph_prefix(PVector((0.6, 0.3, 0.1)), 2, 30, rng)
         assert g.surplus() == 2
-
-
-# ---------------------------------------------------------------------------
-# edgepoint transforms and ordered partitions
-
-
-def test_shortcut_examples():
-    path = LabeledTree([(S(0), V(1)), (V(1), S(1))])
-    assert shortcut_edgepoints(path) == LabeledTree([(S(0), S(1))])
-    seq = validate([2, 2, 0, 0, 0, 0], "tree")
-    tree = sample_d_tree(seq, np.random.default_rng(16))
-    assert shortcut_edgepoints(tree) == tree  # no degree-2 vertices
-
-
-def test_insert_examples():
-    edge = LabeledTree([(S(0), S(1))])
-    assert insert_edgepoints(edge, [[]]) == edge
-    assert insert_edgepoints(edge, [[V(1)]]) == \
-        LabeledTree([(S(0), V(1)), (V(1), S(1))])
-    with pytest.raises(errors.VertexCollision):
-        insert_edgepoints(LabeledTree([(S(0), V(1)), (V(1), S(1))]), [[V(1)], []])
-
-
-def test_nabla_delta_roundtrip():
-    rng = np.random.default_rng(17)
-    seq = validate([3, 2, 2, 0, 0, 0, 0, 0, 0], "tree")
-    extra = [V(10), V(11), V(12)]
-    for _ in range(30):
-        tree = sample_d_tree(seq, rng)
-        part = sample_ordered_partition(extra, len(tree.edges()), rng)
-        fat = insert_edgepoints(tree, part)
-        assert shortcut_edgepoints(fat) == tree
-        for v in tree.vertices():
-            assert fat.degree(v) == tree.degree(v)
-
-
-def test_delta_law_uniform_over_d_trees():
-    # Delta(uniform nabla-D tree, uniform ordered partition) is a D-tree
-    seq = validate([1, 1, 0, 0], "tree")
-    nab = seq.nabla()
-    base_tree = stick_break_tree(nab, ())
-    rng = np.random.default_rng(18)
-    n = 3 * 10 ** 4
-    counts = Counter()
-    for _ in range(n):
-        part = sample_ordered_partition([V(1), V(2)], len(base_tree.edges()), rng)
-        counts[insert_edgepoints(base_tree, part).edge_key()] += 1
-    keys = set(enumerate_d_tree_keys(seq))
-    sampled = {k for k in counts}
-    assert len(sampled) == len(keys) == 2
-    tv = 0.5 * sum(abs(c / n - 0.5) for c in counts.values())
-    assert tv < 0.02
-
-
-def test_ordered_partition_edges():
-    rng = np.random.default_rng(19)
-    assert sample_ordered_partition([], 3, rng) == [[], [], []]
-    ones = sum(sample_ordered_partition(["x"], 2, rng)[0] == ["x"]
-               for _ in range(10 ** 4))
-    assert abs(ones - 5000) < 3 * 50
-
-
-def test_ordered_partition_composition_law():
-    rng = np.random.default_rng(20)
-    n = 3 * 10 ** 4
-    counts = Counter(tuple(len(s) for s in sample_ordered_partition(
-        list(range(4)), 3, rng)) for _ in range(n))
-    assert len(counts) == 15  # compositions of 4 into 3 parts
-    expected = n / 15
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert chi2 < 40  # df=14, generous
 
 
 def test_bias_fast_matches_public_bias():
