@@ -9,7 +9,7 @@ by rebuilding the tree from its leaf distance matrix alone.
 import numpy as np
 
 import surpluslab as sl
-from surpluslab.continuum import (core_measure, metric_glue, sample_icrt,
+from surpluslab.continuum import (GluedSpace, core_measure, sample_icrt,
                                   sample_icrg_weighted)
 from surpluslab.reconstruct import core_measure_from_matrix, reconstruct
 
@@ -30,7 +30,7 @@ print(f"\n8 cuts, total length {tree.total_length():.3f}")
 print(f"core length of pair 1: {core_measure(tree, 1):.3f}; "
       f"pairs 1-2: {core_measure(tree, 2):.3f}")
 
-glued = metric_glue(tree, [(1, 2), (3, 4)])
+glued = GluedSpace(tree, [(1, 2), (3, 4)])
 m_tree = np.array(tree.mark_distance_matrix(range(1, 9)))
 m_glued = np.array(glued.mark_distance_matrix(range(1, 9)))
 print("gluing never increases a distance:",

@@ -4,8 +4,8 @@ scaling limits, and the cycle-breaking / stick-breaking machinery
 connecting them."""
 
 from .continuum import (GluedSpace, IcrtRealization, MetricTree,
-                        WeightedSample, core_measure, metric_glue,
-                        sample_icrg_weighted, sample_icrt, sb_build)
+                        WeightedSample, core_measure, sample_icrg_weighted,
+                        sample_icrt, sb_build)
 from .errors import CapExceeded, ValidationError
 from .labels import Vertex, internal, overflow, parse_vertex, star
 from .multigraph import (Multigraph, bias, bias_bound, bias_components,

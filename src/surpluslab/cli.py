@@ -86,8 +86,9 @@ def _emit_lines(args, name, lines, param_files, streams, file_name=None,
     out_dir.mkdir(parents=True, exist_ok=True)
     file_name = file_name or name + (".jsonl" if args.format == "json" else ".csv")
     (out_dir / file_name).write_text(text)
-    from .experiments import ExperimentManifest, content_hash  # only --out loads numpy
-    hashes = {Path(p).name: content_hash(Path(p).read_bytes())
+    import hashlib
+    from .experiments import ExperimentManifest  # only --out loads numpy
+    hashes = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
               for p in param_files}
     manifest = ExperimentManifest(name, args.seed, args.reps, hashes,
                                   list(streams), dict(sorted(options.items())))

@@ -176,7 +176,6 @@ class IcrtRealization:
     atoms: tuple            # (atom index i, X_i) for every theta_i > 0
     points: list            # (y, z) sorted by y; (Y_0, Z_0)=(0,0) implicit
     y_max: float
-    mu_infinite: bool
 
     @property
     def cuts(self):
@@ -195,7 +194,7 @@ class IcrtRealization:
             "anchors": self.anchors,
             "atoms": [{"i": i, "X": x} for i, x in self.atoms],
             "theta0": self.theta.theta0,
-            "mu_infinite": self.mu_infinite,
+            "mu_infinite": self.theta.mu_infinite,
         }, sort_keys=True)
 
 
@@ -236,11 +235,12 @@ def sample_icrt(theta: ThetaVector, rng: np.random.Generator,
         raise ValidationError("give exactly one of n_points or y_max")
     atoms = tuple((i + 1, float(rng.exponential(1.0 / t)))
                   for i, t in enumerate(theta.theta) if t > 0)
-    real = IcrtRealization(theta, atoms, [], 0.0, theta.mu_infinite)
+    real = IcrtRealization(theta, atoms, [], 0.0)
     if y_max is not None:
         extend_icrt(real, y_max, rng)
     else:
-        ensure_cut_points(real, n_points, rng)
+        while len(real.points) < n_points:
+            extend_icrt(real, 2 * (real.y_max or 1.0), rng)
     return real
 
 
@@ -250,13 +250,6 @@ def extend_icrt(real: IcrtRealization, new_y_max: float,
         real.points.extend(
             _window_points(real.theta, real.atoms, real.y_max, new_y_max, rng))
         real.y_max = new_y_max
-
-
-def ensure_cut_points(real: IcrtRealization, n: int, rng: np.random.Generator):
-    target = real.y_max if real.y_max > 0 else 1.0
-    while len(real.points) < n:
-        target *= 2.0
-        extend_icrt(real, target, rng)
 
 
 class GluedSpace:
@@ -286,10 +279,6 @@ class GluedSpace:
 
     def mark_distance_matrix(self, labels: Sequence) -> list:
         return self._node_matrix([self.base.node_of(l) for l in labels])
-
-
-def metric_glue(tree: MetricTree, pairs: Sequence[tuple]) -> GluedSpace:
-    return GluedSpace(tree, pairs)
 
 
 def _glued(rows: list, n: int, length=0) -> list:
@@ -355,7 +344,7 @@ class WeightedSample:
 
 
 def sample_icrg_weighted(theta: ThetaVector, k: int, rng: np.random.Generator,
-                         n_points: Optional[int] = None) -> WeightedSample:
+                         n_points: int) -> WeightedSample:
     """Glued stick-breaking tree with importance weight 1/prod core lengths.
 
     The weight is almost surely finite (cut points are distinct, so every
@@ -364,7 +353,7 @@ def sample_icrg_weighted(theta: ThetaVector, k: int, rng: np.random.Generator,
     """
     if k < 0:
         raise ValidationError("k must be >= 0")
-    n = max(n_points or 0, 2 * k, 1)
+    n = max(n_points, 2 * k, 1)
     real = sample_icrt(theta, rng, n_points=n)
     parent, length, node = segments = _segment_tree(real.cuts, real.anchors, n)
     rooted = _rooted(parent, length, node[1]) if k else None  # for every core

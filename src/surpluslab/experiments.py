@@ -9,7 +9,6 @@ and re-running a manifest reproduces byte-identical output files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -430,10 +429,6 @@ class ExperimentManifest:
             obj["experiment"], obj["seed"], obj["reps"],
             obj.get("param_hashes", {}), obj.get("streams", []),
             obj.get("options", {}), version)
-
-
-def content_hash(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def csv_lines(comments: Sequence[str], header: Sequence[str],

@@ -47,7 +47,7 @@ class Multigraph:
 
     # _build, a _LazyMultigraph's builder, comes last: pickle and copy read
     # the slots in order, and reading _mult first builds and drops it
-    __slots__ = ("_mult", "_vertices", "_adj_map", "_cyc", "_walk", "_build")
+    __slots__ = ("_mult", "_vertices", "_adj_map", "_cyc", "_build")
 
     def __init__(self, edges=(), vertices=()):
         mult: Dict[tuple, int] = {}
@@ -69,7 +69,6 @@ class Multigraph:
         self._vertices = frozenset(vs)
         self._adj_map = None  # lazy, like _cyc; instances are immutable
         self._cyc = None
-        self._walk = None  # a sampled glued graph's walk (samplers._glued_graph)
 
     @classmethod
     def _of(cls, mult: Dict[tuple, int], vertices: frozenset):
@@ -77,7 +76,7 @@ class Multigraph:
         as _pair orders it, every multiplicity is at least 1, and vertices
         holds every endpoint.  No exact oracle builds through this."""
         g = cls.__new__(cls)
-        g._mult, g._vertices, g._walk = mult, vertices, None
+        g._mult, g._vertices = mult, vertices
         g._adj_map = g._cyc = None
         return g
 
@@ -93,10 +92,6 @@ class Multigraph:
                     adj[v][u] = adj[v].get(u, 0) + m
             self._adj_map = adj
         return self._adj_map
-
-    @staticmethod
-    def from_tree(tree: LabeledTree) -> "Multigraph":
-        return Multigraph(tree.edges())
 
     @property
     def vertices(self) -> frozenset:
@@ -247,7 +242,7 @@ class _LazyMultigraph(Multigraph):
     as Multigraph._of takes them, unchecked, run on first read.  No exact
     oracle builds through this.  A subclass, as CPython specializes no
     attribute read on a class with __getattr__."""
-    __slots__ = ()
+    __slots__ = ("_walk",)
 
     def __init__(self, walk, build):
         self._walk, self._build = walk, build
@@ -283,7 +278,7 @@ def glue_leaves(g: Multigraph, pairs: Sequence[Tuple[Vertex, Vertex]]) -> Multig
 
 
 def glue_tree_leaves(tree: LabeledTree, pairs) -> Multigraph:
-    return glue_leaves(Multigraph.from_tree(tree), pairs)
+    return glue_leaves(Multigraph(tree.edges()), pairs)
 
 
 def _oriented_choices(g: Multigraph) -> List[Tuple[Vertex, Vertex]]:
@@ -367,7 +362,7 @@ def bias_components(tree: LabeledTree, k: int):
     for a, b in pairs:
         if a not in tree or b not in tree:
             raise NotALeaf(f"missing glue label {a} or {b}")
-    g = Multigraph.from_tree(tree)
+    g = Multigraph(tree.edges())
     squares = []
     for i in range(1, k + 1):
         squares.append(glue_leaves(g, pairs[:i]).square())

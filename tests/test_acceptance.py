@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The heavy Monte Carlo
 loads live here; module test files keep the quick versions.
 """
 
-import itertools
 import math
 import time
 from collections import Counter

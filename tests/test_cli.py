@@ -446,7 +446,25 @@ def test_non_finite_parameters_are_validation_failures(tmp_path, param_files,
     pytest.param({"lambda": True, "weights": [1, 1]}, "sample-mult",
                  id="lambda-bool"),
     pytest.param({"lambda": 1, "weights": [1, True]}, "sample-mult",
-                 id="weights-bool")])
+                 id="weights-bool"),
+    pytest.param({"kind": "bogus", "degrees": [0, 0]}, "sample-tree",
+                 id="kind-unknown"),
+    pytest.param({"kind": "surplus", "degrees": [1, 1], "k": -1},
+                 "sample-graph", id="k-negative"),
+    pytest.param({"p": [0.0, 0.0], "p_inf": 1.0}, "sample-tree", id="p1-zero"),
+    pytest.param({"p": [0.5, 0.0], "p_inf": 0.5}, "sample-tree",
+                 id="p-entry-zero"),
+    pytest.param({"p": [0.6, 0.5], "p_inf": -0.1}, "sample-tree",
+                 id="p-inf-negative"),
+    pytest.param({"theta0": -1.0}, "sample-icrt", id="theta0-negative"),
+    pytest.param({"theta0": 0.0, "theta": [1.0, -0.1]}, "sample-icrt",
+                 id="theta-negative"),
+    pytest.param({"lambda": -1, "weights": [1, 1]}, "sample-mult",
+                 id="lambda-negative"),
+    pytest.param({"lambda": 1, "weights": [1, 0]}, "sample-mult --multi",
+                 id="weight-zero"),
+    pytest.param({"p": [0.5], "p_inf": 0.5}, "oracle pk-law", id="pk-law-p-inf"),
+    pytest.param({"p": [0.5, 0.5]}, "oracle pk-law --k 0", id="pk-law-k0")])
 def test_malformed_params_is_validation_failure(tmp_path, params, command,
                                                 capsys):
     bad = tmp_path / "bad.json"

@@ -10,9 +10,8 @@ from scipy import stats as scistats
 from surpluslab import errors, experiments
 from surpluslab.continuum import (GluedSpace, MetricTree, _core_length,
                                   _mark_matrix, _rooted, _segment_tree,
-                                  core_measure, metric_glue,
-                                  sample_icrg_weighted, sample_icrt, sb_build,
-                                  two_point_glue_matrix)
+                                  core_measure, sample_icrg_weighted,
+                                  sample_icrt, sb_build, two_point_glue_matrix)
 from surpluslab.params import ThetaVector
 from surpluslab.reconstruct import check_four_point
 
@@ -36,6 +35,10 @@ def test_sb_validation():
         sb_build([2.0, 1.0], [0.5])
     with pytest.raises(errors.AnchorOutOfRange):
         sb_build([1.0, 2.0], [1.5])
+    with pytest.raises(errors.ValidationError, match="at least one cut"):
+        sb_build([])
+    with pytest.raises(errors.ValidationError, match="one anchor per segment"):
+        sb_build([1.0, 2.0, 3.0], [0.5])
 
 
 def test_metric_tree_distance_unknown_endpoint():
@@ -81,7 +84,7 @@ def test_icrt_support_constraint_and_atoms():
     real = sample_icrt(single, rng, n_points=10)
     x1 = real.atoms[0][1]
     assert all(z == x1 for z in real.anchors)
-    assert not real.mu_infinite
+    assert not real.theta.mu_infinite
 
 
 def test_icrt_first_cut_law():
@@ -117,9 +120,9 @@ def test_sampled_matrices_four_point():
 
 def test_metric_glue_segment():
     tree = MetricTree([(0.0, 0.2, 0.2), (0.2, 0.9, 0.7), (0.9, 1.0, 0.1)])
-    glued = metric_glue(tree, [(0.0, 1.0)])
+    glued = GluedSpace(tree, [(0.0, 1.0)])
     assert glued.distance(0.2, 0.9) == pytest.approx(0.3)
-    same = metric_glue(tree, [(0.2, 0.2)])
+    same = GluedSpace(tree, [(0.2, 0.2)])
     assert same.distance(0.0, 0.9) == tree.distance(0.0, 0.9)
 
 
@@ -148,7 +151,7 @@ def test_metric_glue_order_invariance():
 def test_metric_glue_unknown_mark():
     tree = sb_build([1.0])
     with pytest.raises(errors.UnknownMark):
-        metric_glue(tree, [(0, 99)])
+        GluedSpace(tree, [(0, 99)])
 
 
 def test_core_measure_whole_segment():

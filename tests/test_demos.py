@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # 01 reads the sequence statistics sigma and lambda; 03 is the only demo
 # that drives sample_dk_graph_keys; 04 the only one that drives MetricTree,
-# metric_glue, reconstruct and core_measure; 05 runs a scaling-limit
+# GluedSpace, reconstruct and core_measure; 05 runs a scaling-limit
 # experiment end to end.  02 stays out: it takes about 16 s.
 @pytest.mark.parametrize("demo", ["01_trees_with_fixed_degrees.py",
                                   "03_surplus_graphs_vs_oracles.py",

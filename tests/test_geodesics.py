@@ -55,7 +55,7 @@ def test_tree_distances_match_floyd_warshall(case, data):
     assert mat.tolist() == [[d[a][b] for b in marks] for a in marks]
     a, b = marks[0], marks[-1]
     assert tree.distance(a, b) == d[a][b]
-    assert Multigraph.from_tree(tree).distances_from(a) == d[a]
+    assert Multigraph(tree.edges()).distances_from(a) == d[a]
 
 
 @SETTINGS
@@ -134,3 +134,14 @@ def test_cycle_plus_edge_is_not_a_tree():
         LabeledTree([(V(1), V(2)), (V(2), V(3)), (V(3), V(1)), (V(4), V(5))])
     with pytest.raises(errors.ValidationError, match="connected"):
         MetricTree([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, 1.0)])
+    # a lone triangle has 3 vertices and 3 edges: the count check fails
+    with pytest.raises(errors.ValidationError, match="describe a tree"):
+        LabeledTree([(V(1), V(2)), (V(2), V(3)), (V(3), V(1))])
+    with pytest.raises(errors.ValidationError, match="describe a tree"):
+        MetricTree([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    with pytest.raises(errors.ValidationError, match="distinct nodes"):
+        MetricTree([(0, 0, 1.0)])
+    with pytest.raises(errors.ValidationError, match=">= 0"):
+        MetricTree([(0, 1, -1.0)])
+    with pytest.raises(errors.UnknownMark, match="unknown node"):
+        MetricTree([(0, 1, 1.0)], {1: 5})

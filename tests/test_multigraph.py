@@ -1,5 +1,4 @@
 import ast
-import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +34,7 @@ def triangle():
 
 
 def test_surplus_examples():
-    assert Multigraph.from_tree(example_tree()).surplus() == 0
+    assert Multigraph(example_tree().edges()).surplus() == 0
     assert triangle().surplus() == 1
     assert Multigraph([(V(1), V(2), 2)]).surplus() == 1
     with pytest.raises(errors.Disconnected):
@@ -402,9 +401,9 @@ def test_oracles_build_through_the_validating_constructor():
     oracles = {samplers: {"cm_conditioned_oracle", "pk_law_oracle",
                           "_connected_law", "_multiplicity_maps"},
                multigraph: {"bias", "bias_components", "glue_leaves",
-                            "from_tree"}}
+                            "glue_tree_leaves"}}
     builders = {"cm_conditioned_oracle", "pk_law_oracle", "glue_leaves",
-                "from_tree"}
+                "glue_tree_leaves", "bias_components"}
     banned = {"_of", "_LazyMultigraph", "_glued_graph", "_walk", "_bias_core",
               "_designated"}
     checked = set()

@@ -76,6 +76,12 @@ def test_reconstruct_two_leaves():
     assert tree.distance(tree.node_of(1), tree.node_of(2)) == 5
 
 
+def test_reconstruct_one_leaf():
+    tree = reconstruct([[0]])
+    assert tree.marks == {1: 0} and list(tree.nodes()) == [0]
+    assert tree.edges() == []
+
+
 def test_reconstruct_quartet():
     m = [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 2], [3, 3, 2, 0]]
     tree = reconstruct(m)
@@ -279,7 +285,8 @@ def test_core_measure_matrix_permutation_covariant():
     ([[0, -1], [-1, 0]], "negative"),
     ([[0, 1], [2, 0]], "symmetric"),
     ([[0, 1, 2], [1, 0, 1]], "square"),
-], ids=["nan", "inf", "negative", "asymmetric", "ragged"])
+    ([[1, 1], [1, 0]], "diagonal"),
+], ids=["nan", "inf", "negative", "asymmetric", "ragged", "diagonal"])
 def test_matrix_consumers_reject_non_metrics(matrix, error):
     for consumer in (reconstruct, core_measure_from_matrix):
         with pytest.raises(errors.ValidationError, match=error):

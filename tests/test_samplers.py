@@ -124,7 +124,7 @@ def test_dk_k0_matches_tree_enumeration():
     law = Counter()
     trees = list(enumerate_d_trees(tree_seq))
     for t in trees:
-        law[Multigraph.from_tree(t).leaf_canonical_key()] += \
+        law[Multigraph(t.edges()).leaf_canonical_key()] += \
             Fraction(1, len(trees))
     rng = np.random.default_rng(3)
     n = 20000
@@ -1090,6 +1090,20 @@ def test_lazy_glued_graph_reads_as_its_eager_build():
         assert copy.deepcopy(make())._walk == walk, label
         assert pickle.loads(pickle.dumps(make()))._walk == walk, label
     assert not hasattr(_LazyMultigraph.__new__(_LazyMultigraph), "_mult")
+
+
+def test_eager_graphs_carry_no_walk():
+    # only a sampled glued graph keeps the walk its distances are read off
+    assert "_walk" not in Multigraph.__slots__
+    eager = Multigraph([(V(1), V(2)), (V(2), V(2))])
+    sampled = sample_dk_graph(validate([2] * 16 + [0] * 16, "surplus", k=1),
+                              np.random.default_rng(71))
+    u, v = next(iter(sampled.edge_items()))[0]
+    for g in (eager, Multigraph._of(dict(eager.edge_items()), eager.vertices),
+              eager.remove_copy(V(2), V(2)), sampled.remove_copy(u, v)):
+        assert not hasattr(g, "_walk")
+    parent, depth, glued, kept = sampled._walk
+    assert parent and len(glued) == 2  # the fathers of the one glued pair
 
 
 def test_dk_graph_matrices_build_no_multiplicity_map(monkeypatch):
