@@ -19,7 +19,7 @@ import numpy as np
 
 from .continuum import _glued, _mark_matrix, sample_icrg_weighted
 from .errors import InsufficientLeaves, UnknownVertex, ValidationError
-from .labels import Vertex, star
+from .labels import Vertex, _labels, star
 from .multigraph import Multigraph
 from .params import (KIND_SURPLUS, KIND_TREE, DegreeSequence, PVector,
                      ThetaVector, _check_real)
@@ -110,9 +110,10 @@ def _tree_matrix(entries: Iterable, n_leaves: int, points: Sequence[Vertex]):
     return _walk_matrix(parent, depth, dict(enumerate(fathers)), points)
 
 
-def _graph_matrix(g: Multigraph, points: Sequence[Vertex]) -> np.ndarray:
-    """A sampled glued graph's distances, read off the walk it keeps."""
-    parent, depth, glued, kept = g._walk
+def _graph_matrix(g: Multigraph, points: Sequence[Vertex],
+                  n_leaves=math.inf) -> np.ndarray:
+    """A sampled glued graph's distances, read off its walk's first n_leaves leaves."""
+    parent, depth, glued, kept = g._walk_to(n_leaves)
     return _walk_matrix(parent, depth, dict(kept), points, glued)
 
 
@@ -172,30 +173,29 @@ def _one_matrix(model: dict, n_points: int, rng: np.random.Generator,
     name = model["model"]
     params = model["params"]
     k = 0 if name == "icrt" else model.get("k", 0)  # the ICRT: the k = 0 ICRG
-    marks = [star(j) for j in range(1, n_points + 1)]
+    stars = _labels(star, 2 * k + n_points + 1)  # S0..S_{2k+n_points}
     if name == "d-tree":
         base = _walk_base(params)
         perm = rng.permutation(len(base))
         if measure is None:  # the walk stops once S1..S_n_points are placed
-            return _tree_matrix(_decoded(base, perm), n_points + 1, marks), 1.0
+            return _tree_matrix(_decoded(base, perm), n_points + 1,
+                                stars[1:n_points + 1]), 1.0
         return _tree_matrix(base[perm].tolist(), len(base) + 2,
                             measure.sample(rng, n_points)), 1.0
     if name == "dk-graph":
         g = sample_dk_graph(params, rng)
-        if measure is not None:
-            points = measure.sample(rng, n_points)
-        else:
-            points = [star(2 * k + j) for j in range(1, n_points + 1)]
-        return _graph_matrix(g, points), 1.0
+        if measure is not None:  # the V_i can lie anywhere on the walk
+            return _graph_matrix(g, measure.sample(rng, n_points)), 1.0
+        return _graph_matrix(g, stars[2 * k + 1:], len(stars)), 1.0
     if name == "p-tree":
         growth = PTreeGrowth(params, rng)
         growth.grow(0, n_points)
-        return _tree_matrix(growth.record, n_points + 1, marks), 1.0
+        return _tree_matrix(growth.record, n_points + 1,
+                            stars[1:n_points + 1]), 1.0
     if name == "pk-graph":
         g = _sample_pk_glued(params, k, model.get("n_steps", 1), rng,
                              min_stars=2 * k + n_points)
-        points = [star(2 * k + j) for j in range(1, n_points + 1)]
-        return _graph_matrix(g, points), 1.0
+        return _graph_matrix(g, stars[2 * k + 1:]), 1.0
     # icrt or icrg
     ws = sample_icrg_weighted(params, k, rng, n_points=2 * k + n_points)
     labels = range(2 * k + 1, 2 * k + n_points + 1)

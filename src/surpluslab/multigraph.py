@@ -238,20 +238,38 @@ class Multigraph:
 
 
 class _LazyMultigraph(Multigraph):
-    """A sampled glued graph: its walk, and a build() of (mult, vertices)
-    as Multigraph._of takes them, unchecked, run on first read.  No exact
-    oracle builds through this.  A subclass, as CPython specializes no
-    attribute read on a class with __getattr__."""
-    __slots__ = ("_walk",)
+    """A sampled glued graph: its walk (parent, depth, glued, kept), and a
+    build(*walk) of (mult, vertices) as Multigraph._of takes them,
+    unchecked, run on first read; no exact oracle builds through this.  A
+    streaming (D,k) graph's resume(n_leaves) walks on only as far as a read
+    asks, returning (walk so far, ended); reading _walk or the map ends it.
+    A subclass: CPython specializes no attribute read of a __getattr__ class."""
+    # _walk before _resume: pickle and copy read the slots in order, and
+    # reading _walk first ends the walk and drops resume and its iterator
+    __slots__ = ("_walk", "_resume")
 
-    def __init__(self, walk, build):
-        self._walk, self._build = walk, build
+    def __init__(self, walk, build, resume=None):
+        if resume is None:
+            self._walk = walk
+        self._build, self._resume = build, resume
         self._adj_map = self._cyc = None
 
+    def _walk_to(self, n_leaves):
+        """The walk as far as its first n_leaves leaves, or whole."""
+        if self._resume is None:
+            return self._walk
+        walk, ended = self._resume(n_leaves)
+        if ended:
+            self._walk, self._resume = walk, None
+        return walk
+
     def __getattr__(self, name):  # reached only for an unset attribute
+        if name == "_walk":
+            return self._walk_to(math.inf)
         if name not in ("_mult", "_vertices"):
             raise AttributeError(name)
-        self._mult, self._vertices = self._build()
+        # _build is read first: a graph being unpickled has no walk either
+        self._mult, self._vertices = self._build(*self._walk)
         del self._build
         return getattr(self, name)
 

@@ -48,7 +48,7 @@ class DegreeSequence:
 
     @property
     def n_zero(self) -> int:
-        return sum(1 for d in self.degrees if d == 0)
+        return self.degrees.count(0)
 
     @property
     def N(self) -> int:

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from .errors import OddSum, TooLarge, ValidationError
 from .labels import _labels, internal, star
@@ -29,8 +29,8 @@ from .multigraph import Multigraph, _LazyMultigraph, bias_bound
 from .params import (KIND_HALF_EDGE, KIND_SURPLUS, DegreeSequence,
                      PVector, as_fraction)
 from .trees import (PTreeGrowth, _base_multiset, _check_draw_cap, _climb,
-                    _decoded, _walk, _walk_base, multiset_arrangements,
-                    tree_count)
+                    _decoded, _walk, _walk_base, _walk_on,
+                    multiset_arrangements, tree_count)
 
 # the walk _glued_graph keeps for [0, 0]'s empty tuple, whose tree is the
 # edge S0 - S1: S0 is the root and S1 hangs one hop below it
@@ -84,7 +84,17 @@ def _glue_bias(entries, k: int, first: int = 0):
 def _glued_graph(parent, depth, glued, kept, name=None) -> Multigraph:
     """A walk's tree with leaf pairs glued, as a _LazyMultigraph that
     keeps the walk and builds its multiplicity map in one pass on first
-    read: experiments reads its mark matrices off the walk alone.
+    read (_glued_map): experiments reads its mark matrices off the walk
+    alone.  A table graph is shared, so nothing may change it."""
+    if not parent:  # the empty tuple of the sequence [0, 0]: one edge S0-S1
+        edge = _labels(star, 2)
+        return _LazyMultigraph(_EMPTY_WALK, lambda *_: ({edge: 1}, frozenset(edge)))
+    return _LazyMultigraph((parent, depth, glued, kept),
+                           lambda *walk: _glued_map(*walk, name))
+
+
+def _glued_map(parent, depth, glued, kept, name=None):
+    """(mult, vertices) of a walk's tree with leaf pairs glued.
 
     glued[2i], glued[2i+1] are the fathers of the i-th glued pair, kept
     lists (j, father) for each leaf S_j that stays, and name[a] labels walk
@@ -94,24 +104,18 @@ def _glued_graph(parent, depth, glued, kept, name=None) -> Multigraph:
     order like their labels, so each pair is ordered as multigraph._pair
     orders it by comparing the entries; S_j sorts before every V and Vinf.
     Tree and kept edges are distinct; only a glued pair can double an edge
-    or be a loop.  A table graph is shared, so nothing may change it."""
-    if not parent:  # the empty tuple of the sequence [0, 0]: one edge S0-S1
-        edge = _labels(star, 2)
-        return _LazyMultigraph(_EMPTY_WALK, lambda: ({edge: 1}, frozenset(edge)))
-
-    def build():
-        names = _labels(internal, max(parent) + 1) if name is None else name
-        stars = _labels(star, len(glued) + len(kept))
-        mult = {(names[p], names[a]) if p < a else (names[a], names[p]): 1
-                for a, p in parent.items() if p is not None}
-        for j, f in kept:
-            mult[stars[j], names[f]] = 1
-        for a, b in zip(glued[::2], glued[1::2]):
-            pair = (names[a], names[b]) if a <= b else (names[b], names[a])
-            mult[pair] = mult.get(pair, 0) + 1
-        return mult, frozenset([*map(names.__getitem__, parent),
-                                *(stars[j] for j, _ in kept)])
-    return _LazyMultigraph((parent, depth, glued, kept), build)
+    or be a loop."""
+    names = _labels(internal, max(parent) + 1) if name is None else name
+    stars = _labels(star, len(glued) + len(kept))
+    mult = {(names[p], names[a]) if p < a else (names[a], names[p]): 1
+            for a, p in parent.items() if p is not None}
+    for j, f in kept:
+        mult[stars[j], names[f]] = 1
+    for a, b in zip(glued[::2], glued[1::2]):
+        pair = (names[a], names[b]) if a <= b else (names[b], names[a])
+        mult[pair] = mult.get(pair, 0) + 1
+    return mult, frozenset([*map(names.__getitem__, parent),
+                            *(stars[j] for j, _ in kept)])
 
 
 def _designated(fathers: list, k: int):
@@ -122,10 +126,22 @@ def _designated(fathers: list, k: int):
                              for j, f in enumerate(fathers) if j >= 2 * k]
 
 
-def _dk_graph(entries: Sequence[int], k: int) -> Multigraph:
-    """A tuple's tree with leaves S0..S2k-1 renamed S1..S2k, glued."""
-    parent, depth, fathers = _walk(entries, len(entries) + 1)  # the whole walk
-    return _glued_graph(parent, depth, *_designated(fathers, k))
+def _dk_graph(entries: Iterable[int], k: int) -> Multigraph:
+    """A tuple's tree with leaves S0..S2k-1 renamed S1..S2k, glued, read
+    once: entries is walked only as far as a reader of the graph asks
+    (_LazyMultigraph._walk_to), and to its end by any read of the map."""
+    entries = iter(entries)
+    parent, depth, fathers = _walk(entries, 1)  # the root alone
+    if not parent:
+        return _glued_graph(parent, depth, *_designated(fathers, k))
+    prev = fathers[0]
+
+    def resume(n_leaves):
+        nonlocal prev
+        if len(fathers) < n_leaves:
+            prev = _walk_on(parent, depth, fathers, prev, entries, n_leaves)
+        return (parent, depth, *_designated(fathers, k)), prev is None
+    return _LazyMultigraph(None, _glued_map, resume)
 
 
 def _pk_graph(record, k: int, leaves: bool = True) -> Multigraph:
@@ -356,7 +372,8 @@ def _sample_dk_streaming(k: int, first: _FirstPair, rng: np.random.Generator):
     stubs left.  The prefix carries the factor f(T), so at k <= 1 every
     proposal is accepted; at k >= 2 the walk goes on to leaf 2k and the
     proposal passes with probability (bias / f(T)) / 2^(k-1), which is at
-    most 1, decoding the completion only as far as the walk reads it."""
+    most 1.  The bias, and the graph as it is read, decode the completion
+    only as far as their walks read it."""
     for _ in range(_PROPOSAL_CAP):
         t, prefix = first.draw(rng) if k else (0, [])
         rest = first.rest(prefix)
@@ -367,7 +384,7 @@ def _sample_dk_streaming(k: int, first: _FirstPair, rng: np.random.Generator):
             c, square = _first_factor(t)
             if not _accepts(rng, bias_bound(k - 1), circ * square, prod * c):
                 continue
-        return _dk_graph(prefix + rest[perm].tolist(), k)
+        return _dk_graph(itertools.chain(prefix, _decoded(rest, perm)), k)
     raise TooLarge(f"nothing accepted in {_PROPOSAL_CAP} proposals")
 
 

@@ -220,25 +220,34 @@ def _walk(entries: Iterable, n_leaves: int):
     leaves are placed; entries is read in one pass, no further than that.
     Each new entry hangs below the entry before it (the first is the root);
     fathers[j] is the father of S_j, so fathers[0] is the first entry, and
-    a tuple that runs out first places its closing leaf on its last entry."""
+    a tuple that runs out first places its closing leaf on its last entry.
+    Past the root it is _walk_on's loop."""
     entries = iter(entries)
     prev = next(entries, None)
     if prev is None:  # the empty tuple: its closing leaf has no father
         return {}, {}, [None]
     parent, depth, fathers = {prev: None}, {prev: 0}, [prev]
-    if n_leaves <= 1:
-        return parent, depth, fathers
+    if n_leaves > 1:
+        _walk_on(parent, depth, fathers, prev, entries, n_leaves)
+    return parent, depth, fathers
+
+
+def _walk_on(parent, depth, fathers, prev, entries: Iterator, n_leaves) -> object:
+    """The walk's one loop: extend parent, depth and fathers from prev, the
+    last entry read, until n_leaves leaves are placed; returns the last
+    entry read then, or None once entries runs out and the closing leaf
+    is placed.  Passing that entry back as prev resumes the walk."""
     for a in entries:
         if a in parent:
             fathers.append(prev)
             if len(fathers) >= n_leaves:
-                return parent, depth, fathers
+                return a
         else:
             parent[a] = prev
             depth[a] = depth[prev] + 1
         prev = a
     fathers.append(prev)
-    return parent, depth, fathers
+    return None
 
 
 @lru_cache(maxsize=32)

@@ -404,8 +404,8 @@ def test_oracles_build_through_the_validating_constructor():
                             "glue_tree_leaves"}}
     builders = {"cm_conditioned_oracle", "pk_law_oracle", "glue_leaves",
                 "glue_tree_leaves", "bias_components"}
-    banned = {"_of", "_LazyMultigraph", "_glued_graph", "_walk", "_bias_core",
-              "_designated"}
+    banned = {"_of", "_LazyMultigraph", "_glued_graph", "_walk", "_walk_on",
+              "_bias_core", "_designated"}
     checked = set()
     for module, names in oracles.items():
         for name, (node, used) in _named_defs(module.__file__, names).items():
@@ -427,8 +427,8 @@ def test_tree_and_distance_oracles_name_no_walk_code():
     oracles = {trees.__file__: {"_prufer_decode", "enumerate_d_tree_keys",
                                 "_vertex_ints", "tree_from_key"},
                Path(__file__).with_name("test_geodesics.py"): {"floyd_warshall"}}
-    banned = {"_walk", "_stick_break_int_edges", "_stick_break_key", "_climb",
-              "_climb_matrix", "_search", "_bias_core", "_glued_graph"}
+    banned = {"_walk", "_walk_on", "_stick_break_int_edges", "_stick_break_key",
+              "_climb", "_climb_matrix", "_search", "_bias_core", "_glued_graph"}
     checked = set()
     for path, names in oracles.items():
         for name, (_, used) in _named_defs(path, names).items():

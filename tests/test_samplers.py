@@ -27,8 +27,9 @@ from surpluslab.samplers import (_FirstPair, _accepts, _bias_core, _dk_graph,
                                  sample_multiplicative_multigraph,
                                  sample_pk_graph_prefix)
 from surpluslab.trees import (PTreeGrowth, _base_multiset, _climb, _decoded,
-                              _walk, _walk_base, multiset_arrangements,
-                              sample_d_tuple, stick_break_tree, tree_count)
+                              _walk, _walk_base, _walk_on,
+                              multiset_arrangements, sample_d_tuple,
+                              stick_break_tree, tree_count)
 
 
 def tv_against(law, counts, n):
@@ -549,6 +550,30 @@ def test_prefix_decoded_walk_matches_full_list(degrees):
             assert _walk(_decoded(base, perm), n_leaves) == want
 
 
+@pytest.mark.parametrize("degrees", [
+    [1, 0, 0], [3, 3, 2, 1, 1] + [0] * 7, [2] * 64 + [0] * 66,
+], ids=["one-entry", "33211", "ladder64"])
+def test_resumed_walk_matches_one_walk(degrees):
+    # _walk_on resumed from the entry it returned, to more leaves each
+    # time, gives _walk's pointers and fathers at every stop; None once
+    # the tuple runs out, with its closing leaf placed
+    base = _walk_base(validate(degrees, "tree"))
+    rng = np.random.default_rng(45)
+    for _ in range(10):
+        entries = base[rng.permutation(len(base))].tolist()
+        it = iter(entries)
+        prev = next(it)
+        parent, depth, fathers = {prev: None}, {prev: 0}, [prev]
+        for n_leaves in (2, 3, 5, 9, 40, len(base) + 1, len(base) + 4):
+            prev = _walk_on(parent, depth, fathers, prev, it, n_leaves)
+            assert (parent, depth, fathers) == _walk(entries, n_leaves)
+            if prev is None:
+                assert len(fathers) == len(base) + 2 - len(parent)
+                break
+            assert len(fathers) == n_leaves
+        assert prev is None
+
+
 def test_d_tree_bias_values_match_fraction_reference():
     # the whole shuffled tuple, its public tree and the multigraph.bias
     # oracle as a Fraction, draw for draw; the stream ends in the same state
@@ -1044,8 +1069,15 @@ def _built(g) -> bool:
     return True
 
 
+def _resumable(g) -> bool:
+    """Whether g's walk can still go on, read past
+    _LazyMultigraph.__getattr__ so that the read walks nothing."""
+    return object.__getattribute__(g, "_resume") is not None
+
+
 def test_lazy_glued_graph_reads_as_its_eager_build():
-    # each case makes a fresh, never-read glued graph; every read of it
+    # each case makes a fresh glued graph, never read but for the partway
+    # cases' walks, which stop at a few leaves; every read of it
     # matches the validating constructor's build from the same walk, and a
     # name no slot holds raises AttributeError without building anything,
     # as does _mult on a graph with no builder (one being unpickled)
@@ -1062,8 +1094,18 @@ def test_lazy_glued_graph_reads_as_its_eager_build():
         pvec = PVector((0.5, 0.3), p_inf=0.2)
         return lambda: _sample_pk_glued(pvec, k, 12, np.random.default_rng(seed),
                                         min_stars=2 * k + 2, leaves=leaves)
+
+    def partway(make, n_leaves):
+        def make_partway():  # its walk read to its first n_leaves leaves
+            g = make()
+            walk = g._walk_to(n_leaves)
+            assert g._walk_to(n_leaves) == walk and _resumable(g)
+            return g
+        return make_partway
     cases = {"stream-k1": stream([2] * 16 + [0] * 16, 1, 71),
              "stream-k2": stream([2] * 16 + [0] * 14, 2, 72),
+             "stream-k1-partway": partway(stream([2] * 16 + [0] * 16, 1, 71), 4),
+             "stream-k2-partway": partway(stream([2] * 16 + [0] * 14, 2, 72), 6),
              "table": tables([3, 3, 2, 0, 0, 0], 2, 5),
              "pk-leaves": pk(2, True, 73), "pk-bare": pk(2, False, 74),
              "empty": tables([0, 0], 0, 0)}
@@ -1126,6 +1168,62 @@ def test_dk_graph_matrices_build_no_multiplicity_map(monkeypatch):
         assert _built(g)
 
 
+@pytest.mark.parametrize("degrees, k", [
+    ([2] * 128 + [0] * 128, 1), ([2] * 128 + [0] * 126, 2),
+    ([3] * 20 + [2] * 30 + [1] * 10 + [0] * 70, 1),
+    ([3] * 20 + [2] * 30 + [1] * 10 + [0] * 68, 2),
+], ids=["ladder128-k1", "ladder128-k2", "groups-k1", "groups-k2"])
+def test_prefix_read_dk_matrices_are_the_completed_graph_distances(
+        monkeypatch, degrees, k):
+    # a dk-graph matrix without a measure walks each streamed graph only to
+    # leaf S_{2k+5}; completed afterwards, each graph's BFS distances and
+    # the matrix read off its whole walk are still that matrix
+    graphs = []
+
+    def capture(*args):
+        graphs.append(sample_dk_graph(*args))
+        return graphs[-1]
+    monkeypatch.setattr(experiments, "sample_dk_graph", capture)
+    seq = validate(degrees, "surplus", k=k)
+    points = [S(2 * k + j) for j in range(1, 6)]
+    mats, _ = gp_matrix_sample({"model": "dk-graph", "params": seq, "k": k},
+                               len(points), 20, np.random.default_rng(76 + k))
+    assert len(graphs) == 20 and all(map(_resumable, graphs))
+    for g, m in zip(graphs, mats):
+        assert np.array_equal(m, experiments._graph_matrix(g, points))
+        assert not _resumable(g) and not _built(g)
+        assert np.array_equal(m, experiments.multigraph_distance_matrix(g, points))
+
+
+def test_dk_matrices_read_only_a_prefix_of_each_tuple(monkeypatch):
+    # _dk_graph is fed a counting iterator: each 5-point n = 128 ladder
+    # matrix reads fewer entries than the tuple holds and builds no map;
+    # reading a graph's map reads the rest of its tuple
+    reads, graphs = [], []
+    dk_graph = samplers._dk_graph
+
+    def counted(entries, k):
+        i = len(reads)
+        reads.append(0)
+
+        def count():
+            for a in entries:
+                reads[i] += 1
+                yield a
+        graphs.append(dk_graph(count(), k))
+        return graphs[-1]
+    monkeypatch.setattr(samplers, "_dk_graph", counted)
+    seq = validate([2] * 128 + [0] * 128, "surplus", k=1)
+    gp_matrix_sample({"model": "dk-graph", "params": seq, "k": 1}, 5, 20,
+                     np.random.default_rng(78))
+    n_entries = len(_walk_base(seq.to_tree_kind()))
+    assert len(reads) == 20 and max(reads) < n_entries
+    assert not any(map(_built, graphs))
+    for g in graphs:
+        assert g.vertices and _built(g)
+    assert reads == [n_entries] * 20
+
+
 def test_streaming_k0_builds_no_first_pair_law():
     # a k = 0 draw glues no pair, so _dk_path keeps no T law for it; its
     # draws are unchanged: the pin was recorded while the law was still
@@ -1185,6 +1283,10 @@ def test_seeded_outputs_pinned():
             "5f371ff86d1cb1b180400c55f1275c14197ef309acd58a84bae490b3a40ad387",
         "gp_dk_graph_empty_measure":
             "73dc67f9d12ba7a7a0aee0fa365ec0a0aec99d4b9541eb4852fb2af97a5062ec",
+        "gp_dk_graph_k2_stream":
+            "c9945422920534f193fc5b9adb75965036520e38676cb94dd89dd75f8416769a",
+        "gp_dk_graph_measure_stream":
+            "9c3bb540d94a10a3b6471edd6180a3b6df6dfd215b40b6b4863b34e01cb26be7",
     }
     got = {}
     ladder = validate([2] * 64 + [0] * 66, "tree")
@@ -1252,5 +1354,19 @@ def test_seeded_outputs_pinned():
                                np.random.default_rng(45),
                                VertexMeasure({S(0): 1.0, S(1): 2.0}))
     got["gp_dk_graph_empty_measure"] = _digest(mats.tobytes() + w.tobytes())
+    # streamed (D,k)-graph matrices at k = 2, and at k = 1 marked by a
+    # measure over the V_i, which can sit anywhere on the walk; both
+    # recorded while every streamed graph was still walked to its end
+    k2 = validate([2] * 66 + [0] * 64, "surplus", k=2)
+    mats, w = gp_matrix_sample({"model": "dk-graph", "k": 2, "params": k2,
+                                "scale": "lambda"}, 5, 20,
+                               np.random.default_rng(46))
+    got["gp_dk_graph_k2_stream"] = _digest(mats.tobytes() + w.tobytes())
+    mats, w = gp_matrix_sample({"model": "dk-graph", "k": 1, "params": stream,
+                                "scale": "lambda"}, 5, 20,
+                               np.random.default_rng(47),
+                               VertexMeasure({V(i): float(i)
+                                              for i in range(1, 129)}))
+    got["gp_dk_graph_measure_stream"] = _digest(mats.tobytes() + w.tobytes())
     assert got == pins
     assert VERSION == "0.4.0"
